@@ -369,15 +369,14 @@ class MisoGridNet:
         y = layer_norm(x, (0, 2), w[f"{p}.spectral.ln.gamma"], w[f"{p}.spectral.ln.beta"])
         seq = np.ascontiguousarray(y.transpose(1, 2, 0))  # [T, F, D]
         u = self._unfold_windows(seq, causal=False)
-        hf = lstm_forward(u, w[f"{p}.spectral.lstm_fwd.w"], w[f"{p}.spectral.lstm_fwd.r"], w[f"{p}.spectral.lstm_fwd.b"])
-        hb = lstm_forward(
+        fwd, bwd = f"{p}.spectral.lstm_fwd", f"{p}.spectral.lstm_bwd"
+        h = lstm_forward(
             u,
-            w[f"{p}.spectral.lstm_bwd.w"],
-            w[f"{p}.spectral.lstm_bwd.r"],
-            w[f"{p}.spectral.lstm_bwd.b"],
-            reverse=True,
+            w[f"{fwd}.w"],
+            w[f"{fwd}.r"],
+            w[f"{fwd}.b"],
+            backward=(w[f"{bwd}.w"], w[f"{bwd}.r"], w[f"{bwd}.b"]),
         )
-        h = np.concatenate([hf, hb], axis=2)
         full = conv_transpose1d(h, w[f"{p}.spectral.deconv.w"], w[f"{p}.spectral.deconv.b"])
         return full.transpose(2, 0, 1)  # length restored exactly: (F-I+1)-1+I == F
 
@@ -462,7 +461,7 @@ class GridNetStream:
 
         window = np.concatenate([self._in_hist, xf], axis=1)
         self._in_hist = window[:, 1:]
-        x = conv2d(window, w["conv_in.w"], w["conv_in.b"], causal_time=True)[:, -1:]
+        x = conv2d(window, w["conv_in.w"], w["conv_in.b"], pad_time=False)
         x = layer_norm(x, (0, 2), w["ln_in.gamma"], w["ln_in.beta"])
 
         for b, st in enumerate(self._blocks):
@@ -477,14 +476,14 @@ class GridNetStream:
                     w[f"{p}.film.b_beta"],
                 )
             x = x + self._temporal_step(x, p, st)
-            x = x + self._spectral_step(x, p)
+            x = x + self.model._spectral(x, p)
             x = x + self._attention_step(x, p, st)
 
         out_window = np.concatenate([self._out_hist, x], axis=1)
         self._out_hist = out_window[:, 1:]
-        y = conv_transpose2d(out_window, w["deconv_out.w"], w["deconv_out.b"], causal_time=True)
+        y = conv_transpose2d(out_window, w["deconv_out.w"], w["deconv_out.b"], pad_time=False)
         self.frames_seen += 1
-        return unstack_ri(y[:, -1:])[0]
+        return unstack_ri(y)[0]
 
     def _temporal_step(self, x: np.ndarray, p: str, st: dict) -> np.ndarray:
         w = self.model.w
@@ -511,23 +510,6 @@ class GridNetStream:
             out += taps[cfg.unfold_kernel - 1 - k] @ kernel[:, :, k]
         out = out + w[f"{p}.temporal.deconv.b"]
         return out.T[:, None, :]
-
-    def _spectral_step(self, x: np.ndarray, p: str) -> np.ndarray:
-        w = self.model.w
-        y = layer_norm(x, (0, 2), w[f"{p}.spectral.ln.gamma"], w[f"{p}.spectral.ln.beta"])
-        seq = np.ascontiguousarray(y.transpose(1, 2, 0))  # [1, F, D]
-        u = self.model._unfold_windows(seq, causal=False)
-        hf = lstm_forward(u, w[f"{p}.spectral.lstm_fwd.w"], w[f"{p}.spectral.lstm_fwd.r"], w[f"{p}.spectral.lstm_fwd.b"])
-        hb = lstm_forward(
-            u,
-            w[f"{p}.spectral.lstm_bwd.w"],
-            w[f"{p}.spectral.lstm_bwd.r"],
-            w[f"{p}.spectral.lstm_bwd.b"],
-            reverse=True,
-        )
-        h = np.concatenate([hf, hb], axis=2)
-        full = conv_transpose1d(h, w[f"{p}.spectral.deconv.w"], w[f"{p}.spectral.deconv.b"])
-        return full.transpose(2, 0, 1)
 
     def _attention_step(self, x: np.ndarray, p: str, st: dict) -> np.ndarray:
         cfg = self.model.config

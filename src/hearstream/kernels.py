@@ -35,12 +35,12 @@ __all__ = [
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function in the branch-free form 0.5 * (1 + tanh(x / 2)).
+
+    Saturates to exactly 0 or 1 for large |x| without overflow or underflow.
+    ``lstm_forward`` evaluates the same form for its i, f and o gates.
+    """
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def prelu(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -62,14 +62,30 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) ->
 # -- convolution -------------------------------------------------------------
 
 
-def _corr2d_valid(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation of x[C_in, T, F] with kernel[C_out, C_in, Kt, Kf]."""
+# im2col rows are built a slice of output frames at a time, so the patch
+# matrix stays near this many elements however long the input is
+_PATCH_BUDGET = 1 << 20
+
+
+def _corr2d_valid(
+    x: np.ndarray, kernel: np.ndarray, stride: tuple[int, int] = (1, 1)
+) -> np.ndarray:
+    """Valid cross-correlation of x[C_in, T, F] with kernel[C_out, C_in, Kt, Kf].
+
+    Only the outputs the stride keeps are computed.
+    """
     c_out, c_in, kt, kf = kernel.shape
     view = np.lib.stride_tricks.sliding_window_view(x, (kt, kf), axis=(1, 2))
+    view = view[:, :: stride[0], :: stride[1]]
     t_out, f_out = view.shape[1], view.shape[2]
-    cols = view.transpose(1, 2, 0, 3, 4).reshape(t_out * f_out, c_in * kt * kf)
-    flat = cols @ kernel.reshape(c_out, c_in * kt * kf).T
-    return flat.reshape(t_out, f_out, c_out).transpose(2, 0, 1)
+    patch = c_in * kt * kf
+    weights = kernel.reshape(c_out, patch).T
+    out = np.empty((t_out, f_out, c_out), dtype=np.float32)
+    rows = max(1, _PATCH_BUDGET // max(1, f_out * patch))
+    for t0 in range(0, t_out, rows):
+        cols = view[:, t0 : t0 + rows].transpose(1, 2, 0, 3, 4).reshape(-1, patch)
+        out[t0 : t0 + rows] = (cols @ weights).reshape(-1, f_out, c_out)
+    return out.transpose(2, 0, 1)
 
 
 def conv2d(
@@ -79,13 +95,16 @@ def conv2d(
     *,
     stride: tuple[int, int] = (1, 1),
     causal_time: bool = True,
+    pad_time: bool = True,
 ) -> np.ndarray:
     """2-D cross-correlation over [C_in, T, F] maps.
 
     Time padding is applied entirely on the past side when ``causal_time``
     (output frame t sees frames <= t only), symmetrically otherwise.
     Frequency padding is always 'same'. With stride (st, sf) the stride-1
-    output is subsampled, giving ceil(T/st) x ceil(F/sf).
+    output is subsampled, giving ceil(T/st) x ceil(F/sf). ``pad_time=False``
+    pads no time at all: a streaming caller passes Kt-1 frames of history
+    ahead of the frames it wants and gets the last T-Kt+1 causal frames.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 3 or kernel.ndim != 4 or x.shape[0] != kernel.shape[1]:
@@ -93,15 +112,15 @@ def conv2d(
             f"conv2d: incompatible shapes, input {x.shape} vs kernel {kernel.shape}"
         )
     _, _, kt, kf = kernel.shape
-    if causal_time:
+    if not pad_time:
+        pad_t = (0, 0)
+    elif causal_time:
         pad_t = (kt - 1, 0)
     else:
         pad_t = ((kt - 1) // 2, kt // 2)
     pad_f = ((kf - 1) // 2, kf // 2)
     xp = np.pad(x, ((0, 0), pad_t, pad_f))
-    y = _corr2d_valid(xp, np.asarray(kernel, dtype=np.float32))
-    st, sf = stride
-    y = y[:, ::st, ::sf]
+    y = _corr2d_valid(xp, np.asarray(kernel, dtype=np.float32), stride)
     if bias is not None:
         y = y + np.asarray(bias, dtype=np.float32)[:, None, None]
     return y
@@ -113,12 +132,16 @@ def conv_transpose2d(
     bias: np.ndarray | None = None,
     *,
     causal_time: bool = True,
+    pad_time: bool = True,
 ) -> np.ndarray:
     """Stride-1 transposed 2-D convolution back to the input (T, F) extent.
 
     Equivalent to full-padded correlation with the axis-flipped kernel.
     The full output is cropped to keep frame t a function of inputs <= t
     (head crop) and frequency centered. Kernel layout [C_in, C_out, Kt, Kf].
+    ``pad_time=False`` pads no time at all: a streaming caller passes Kt-1
+    frames of history ahead of the frames it wants and gets the last T-Kt+1
+    causal frames.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 3 or kernel.ndim != 4 or x.shape[0] != kernel.shape[0]:
@@ -127,10 +150,11 @@ def conv_transpose2d(
         )
     c_in, c_out, kt, kf = kernel.shape
     flipped = np.asarray(kernel, dtype=np.float32).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    xp = np.pad(x, ((0, 0), (kt - 1, kt - 1), (kf - 1, kf - 1)))
+    pad_t = kt - 1 if pad_time else 0
+    xp = np.pad(x, ((0, 0), (pad_t, pad_t), (kf - 1, kf - 1)))
     y = _corr2d_valid(xp, np.ascontiguousarray(flipped))
     _, t_in, f_in = x.shape
-    t0 = 0 if causal_time else (kt - 1) // 2
+    t0 = 0 if causal_time or not pad_time else (kt - 1) // 2
     f0 = (kf - 1) // 2
     y = y[:, t0 : t0 + t_in, f0 : f0 + f_in]
     if bias is not None:
@@ -273,15 +297,30 @@ def lstm_forward(
     b: np.ndarray,
     *,
     reverse: bool = False,
+    backward: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     state: tuple[np.ndarray, np.ndarray] | None = None,
     return_state: bool = False,
 ):
     """LSTM over x[T, D_in] or a batch x[N, T, D_in]; returns [.., T, H].
 
     Weights: w[4H, D_in] input projection, r[4H, H] recurrence, b[4H] bias,
-    gates packed (i, f, g, o). ``reverse`` runs right-to-left (output stays
+    gates packed (i, f, g, o). ``reverse`` runs right-to-left; the output
+    stays in input order. ``state`` carries (h, c) between calls for
+    streaming.
 
-    in input order). ``state`` carries (h, c) between calls for streaming.
+    ``backward=(w_b, r_b, b_b)`` makes the call bidirectional: a reversed
+    recurrence with those weights runs in the same step loop as the forward
+    one, and the result is [.., T, 2H], forward half first. Each step then
+    does one batched h @ Rᵀ and one gate pass over both directions. The input
+    projections are made half a sequence at a time into one
+    [ceil(T/2), N, 2, 4H] buffer: the forward direction reads the first half
+    while the backward one reads the second, then the halves swap. The call
+    thus never holds both directions' full projections, nor a stacked copy
+    of the input weights.
+
+    The i, f and o gates use sigmoid(z) = 0.5 * (1 + tanh(z / 2)). Their
+    pre-activations are halved on the way in (exact in floating point), so
+    one tanh pass evaluates all four gates.
     """
     squeeze = x.ndim == 2
     x = np.asarray(x, dtype=np.float32)
@@ -289,31 +328,76 @@ def lstm_forward(
         x = x[None]
     n, t_len, d_in = x.shape
     four_h, h_size = r.shape
-    if w.shape != (four_h, d_in) or four_h != 4 * h_size or b.shape != (four_h,):
-        raise ValueError(
-            f"lstm_forward: inconsistent weights w{w.shape} r{r.shape} b{b.shape} "
-            f"for input dim {d_in}"
-        )
-    if state is None:
-        h = np.zeros((n, h_size), dtype=np.float32)
-        c = np.zeros((n, h_size), dtype=np.float32)
-    else:
-        h, c = (np.asarray(s, dtype=np.float32) for s in state)
+    dirs = [(w, r, b, reverse)]
+    if backward is not None:
+        if reverse or state is not None or return_state:
+            raise ValueError("lstm_forward: a bidirectional call takes no reverse or state")
+        dirs.append((*backward, True))
+    for dw, dr, db, _ in dirs:
+        if (
+            dw.shape != (four_h, d_in)
+            or dr.shape != (four_h, h_size)
+            or four_h != 4 * h_size
+            or db.shape != (four_h,)
+        ):
+            raise ValueError(
+                f"lstm_forward: inconsistent weights w{dw.shape} r{dr.shape} b{db.shape} "
+                f"for input dim {d_in}"
+            )
+    n_dir = len(dirs)
+    # 0.5 on the i, f, o columns, 1 on g: tanh(half * z) * half + shift is
+    # sigmoid on i, f, o and tanh on g
+    half = np.full(four_h, 0.5, dtype=np.float32)
+    shift = half.copy()
+    half[2 * h_size : 3 * h_size] = 1.0
+    shift[2 * h_size : 3 * h_size] = 0.0
+    rt = np.stack([dr.T for _, dr, _, _ in dirs]) * half  # [n_dir, H, 4H]
 
-    xw = x.reshape(n * t_len, d_in) @ w.T + b
-    xw = xw.reshape(n, t_len, four_h)
-    rt = np.ascontiguousarray(r.T)
-    out = np.empty((n, t_len, h_size), dtype=np.float32)
-    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    for t in steps:
-        gates = xw[:, t] + h @ rt
-        i = sigmoid(gates[:, :h_size])
-        f = sigmoid(gates[:, h_size : 2 * h_size])
-        g = np.tanh(gates[:, 2 * h_size : 3 * h_size])
-        o = sigmoid(gates[:, 3 * h_size :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        out[:, t] = h
+    # [N, direction, ...] layout keeps each step's slices contiguous at N=1
+    h = np.zeros((n, n_dir, h_size), dtype=np.float32)
+    c = np.zeros((n, n_dir, h_size), dtype=np.float32)
+    if state is not None:
+        h[:, 0], c[:, 0] = (np.asarray(s, dtype=np.float32) for s in state)
+    hist = np.empty((t_len, n, n_dir, h_size), dtype=np.float32)  # h by step
+    g = np.empty((n, n_dir, four_h), dtype=np.float32)
+    g_by_dir = g.transpose(1, 0, 2)
+    g_i, g_f, g_g, g_o = (g[..., k * h_size : (k + 1) * h_size] for k in range(4))
+    ig = np.empty_like(c)
+    half_g, shift_g = (np.broadcast_to(v, g.shape).copy() for v in (half, shift))
+    span = max(1, -(-t_len // n_dir))  # steps per pass
+    # step-major, so each step reads one contiguous [N, direction, 4H] slab
+    # and each direction's projection is one 2-D matmul into its column
+    buf = np.empty((span, n, n_dir, four_h), dtype=np.float32)
+    rows = buf.reshape(span * n, n_dir, four_h)
+    for start in range(0, t_len, span):
+        steps = min(span, t_len - start)
+        for k, (dw, _, db, rev) in enumerate(dirs):
+            # direction k takes its step s at position s, or t_len-1-s reversed
+            lo = t_len - start - steps if rev else start
+            seg = x[:, lo : lo + steps].transpose(1, 0, 2)
+            seg = np.ascontiguousarray(seg[::-1] if rev else seg).reshape(steps * n, d_in)
+            proj = rows[: steps * n, k]
+            np.matmul(seg, dw.T, out=proj)
+            proj += db
+        xw = buf[:steps]
+        xw *= half
+        for i in range(steps):
+            np.matmul(h.transpose(1, 0, 2), rt, out=g_by_dir)
+            g += xw[i]
+            np.tanh(g, out=g)
+            g *= half_g
+            g += shift_g
+            c *= g_f
+            np.multiply(g_i, g_g, out=ig)
+            c += ig
+            np.tanh(c, out=ig)
+            h = np.multiply(g_o, ig, out=hist[start + i])
+    buf = rows = proj = xw = None  # free the projections before the output is made
+    out = np.empty((n, t_len, n_dir * h_size), dtype=np.float32)
+    for k, (_, _, _, rev) in enumerate(dirs):
+        steps_k = hist[::-1, :, k] if rev else hist[:, :, k]
+        out[:, :, k * h_size : (k + 1) * h_size] = steps_k.transpose(1, 0, 2)
+    h, c = h[:, 0].copy(), c[:, 0].copy()
     if squeeze:
         out = out[0]
         h, c = h[0], c[0]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from hearstream.kernels import (
@@ -14,6 +16,7 @@ from hearstream.kernels import (
     lstm_forward,
     masked_attention,
     prelu,
+    sigmoid,
     unfold1d,
 )
 from hearstream.weights import (
@@ -202,6 +205,14 @@ class TestConv2d:
         assert_array_equal(y[:, :7], yp[:, :7])
         assert np.abs(y[:, 7:] - yp[:, 7:]).max() > 0
 
+    def test_unpadded_time_gives_last_causal_frames(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 7, 5)).astype(np.float32)
+        k = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
+        y = conv2d(x, k, pad_time=False)
+        assert y.shape == (4, 5, 5)
+        assert_allclose(y, conv2d(x, k)[:, 2:], atol=1e-6)
+
     def test_stride_subsamples(self):
         x = np.zeros((1, 8, 9), dtype=np.float32)
         y = conv2d(x, np.zeros((2, 1, 3, 3), dtype=np.float32), stride=(2, 2))
@@ -237,6 +248,14 @@ class TestConvTranspose:
         xp[:, 6:] = 0.0
         yp = conv_transpose2d(xp, k)
         assert_array_equal(y[:, :6], yp[:, :6])
+
+    def test_transpose2d_unpadded_time_gives_last_causal_frames(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 7, 5)).astype(np.float32)
+        k = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        y = conv_transpose2d(x, k, pad_time=False)
+        assert y.shape == (3, 5, 5)
+        assert_allclose(y, conv_transpose2d(x, k)[:, 2:], atol=1e-6)
 
     def test_transpose1d_full_length_and_values(self):
         # single channel, kernel [1,1,2] = [1, 10]: out[o] = x[o] + 10*x[o-1]
@@ -383,6 +402,25 @@ class TestPrelu:
 # LSTM
 
 
+class TestSigmoid:
+    def test_saturates_without_warnings(self):
+        x = np.array([-1e4, 1e4], dtype=np.float32)
+        with np.errstate(all="raise"):
+            y = sigmoid(x)
+        assert np.isfinite(y).all()
+        assert_array_equal(y, [0.0, 1.0])
+
+    def test_matches_float64_reference(self):
+        x = np.linspace(-40, 40, 200_001, dtype=np.float32)
+        ref = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+        y = sigmoid(x)
+        assert y.dtype == np.float32
+        assert np.abs(y - ref).max() <= 1e-7
+
+    def test_zero_is_half(self):
+        assert sigmoid(np.zeros(1, dtype=np.float32))[0] == 0.5
+
+
 class TestLstm:
     def _weights(self, rng, d_in, h):
         w = rng.standard_normal((4 * h, d_in)).astype(np.float32) * 0.3
@@ -446,6 +484,50 @@ class TestLstm:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             lstm_forward(np.zeros((4, 3), np.float32), np.zeros((8, 2), np.float32), np.zeros((8, 2), np.float32), np.zeros(8, np.float32))
+
+    @settings(max_examples=100)  # about 0.5 s
+    @given(
+        n=st.integers(1, 4),
+        t_len=st.integers(1, 11),
+        d_in=st.integers(1, 6),
+        h=st.integers(1, 6),
+        batched=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bidirectional_matches_separate_directions(self, n, t_len, d_in, h, batched, seed):
+        rng = np.random.default_rng(seed)
+        fwd, bwd = self._weights(rng, d_in, h), self._weights(rng, d_in, h)
+        x = rng.standard_normal((n, t_len, d_in) if batched else (t_len, d_in)).astype(np.float32)
+        both = lstm_forward(x, *fwd, backward=bwd)
+        assert both.shape == x.shape[:-1] + (2 * h,)
+        assert_allclose(both[..., :h], lstm_forward(x, *fwd), rtol=0, atol=1e-6)
+        assert_allclose(both[..., h:], lstm_forward(x, *bwd, reverse=True), rtol=0, atol=1e-6)
+
+    def test_matches_float64_reference_loop(self):
+        # the textbook recurrence, with the logistic function written out
+        rng = np.random.default_rng(16)
+        w, r, b = self._weights(rng, 3, 4)
+        x = rng.standard_normal((9, 3)).astype(np.float32)
+        h = c = np.zeros(4)
+        ref = []
+        for xt in x.astype(np.float64):
+            i, f, g, o = np.split(w @ xt + r @ h + b, 4)
+            i, f, o = (1.0 / (1.0 + np.exp(-z)) for z in (i, f, o))
+            c = f * c + i * np.tanh(g)
+            h = o * np.tanh(c)
+            ref.append(h)
+        assert_allclose(lstm_forward(x, w, r, b), ref, rtol=0, atol=1e-6)
+
+    def test_bidirectional_rejects_reverse_and_state(self):
+        rng = np.random.default_rng(15)
+        w, r, b = self._weights(rng, 3, 4)
+        x = rng.standard_normal((5, 3)).astype(np.float32)
+        with pytest.raises(ValueError):
+            lstm_forward(x, w, r, b, reverse=True, backward=(w, r, b))
+        with pytest.raises(ValueError):
+            lstm_forward(x, w, r, b, backward=(w, r, b), return_state=True)
+        with pytest.raises(ValueError):
+            lstm_forward(x, w, r, b, backward=(w[:, :2], r, b))
 
 
 # ---------------------------------------------------------------------------
