@@ -194,11 +194,7 @@ def apply_fir_stft(frames: np.ndarray, fir: np.ndarray, fft_size: int = 512) -> 
 
 @dataclass(frozen=True)
 class DrcConfig:
-    """Broadband feed-forward compressor settings.
-
-    ``aux_level_db`` is carried in configuration files for completeness but
-    drives no behavior here.
-    """
+    """Broadband feed-forward compressor settings."""
 
     threshold_db: float = -40.0
     ratio: float = 1.2
@@ -206,7 +202,6 @@ class DrcConfig:
     attack_s: float = 0.05
     release_s: float = 0.2
     hop_s: float = 0.004
-    aux_level_db: float = -10.0
 
     def __post_init__(self) -> None:
         if self.ratio < 1.0:

@@ -14,8 +14,10 @@ residual connections around each stage:
 Input enters through a causal 3x3 conv + per-frame LN; a transposed 3x3 conv
 maps back to a 2-channel real/imaginary head (direct complex spectral
 mapping, no masking). Every time-directional stage sees only current and
-past frames, so the whole model is causal frame by frame; `GridNetStream`
-runs the same weights one frame at a time for deployment.
+past frames, so the whole model is causal frame by frame. Each stage has one
+implementation, which reads the past frames it needs from an explicit
+carried state: `MisoGridNet.forward` runs it over a whole sequence from zero
+state, and `GridNetStream` runs the same code on one frame at a time.
 
 The second-stage network is the same architecture with extra input channels
 (first-stage estimate and beamformer output stacked after the mixture).
@@ -281,8 +283,23 @@ def unstack_ri(tensor: np.ndarray) -> np.ndarray:
     return tensor[0] + 1j * tensor[1]
 
 
+def _with_history(history: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Join carried frames ahead of new ones along axis 1.
+
+    Returns the joined array and a copy of its last ``history.shape[1]``
+    frames, the history for the next call. The copy keeps the carried tail
+    from pinning the joined array.
+    """
+    joined = np.concatenate([history, frames], axis=1)
+    return joined, joined[:, joined.shape[1] - history.shape[1] :].copy()
+
+
 class MisoGridNet:
-    """Full-sequence forward pass; one instance per (weights, prefix)."""
+    """The network over frames with carried state; one instance per (weights, prefix).
+
+    ``forward`` runs a whole sequence from zero state; ``GridNetStream`` runs
+    the same code one frame at a time with its own state.
+    """
 
     def __init__(self, config: GridNetConfig, store: WeightStore, prefix: str = "dnn1") -> None:
         self.config = config
@@ -310,22 +327,67 @@ class MisoGridNet:
         ``embedding`` must be a length-emb_dim vector; None disables the
         conditioning stages entirely (unconditioned reference model).
         """
+        return self._run(mixture, embedding, extras, self.zero_state())
+
+    def zero_state(self) -> dict:
+        """The carried state before the first frame: every history is zeros.
+
+        ``conv_in`` / ``deconv_out`` hold the last Kt-1 input frames of the
+        outer convolutions, ``blocks`` one ``_zero_block`` state per block.
+        """
+        cfg = self.config
+        hist = _CONV_KT - 1
+        return {
+            "conv_in": np.zeros((cfg.input_channels, hist, cfg.n_freq), dtype=np.float32),
+            "blocks": [self._zero_block() for _ in range(cfg.blocks)],
+            "deconv_out": np.zeros((cfg.d, hist, cfg.n_freq), dtype=np.float32),
+        }
+
+    def _zero_block(self) -> dict:
+        """One block's state: the temporal unfold history (I-1 frames of
+        normalized input), the temporal LSTM (h, c), the last I-1 LSTM
+        outputs for the temporal deconv, and the attention K/V chunks."""
+        cfg = self.config
+        f, hist, h = cfg.n_freq, cfg.unfold_kernel - 1, cfg.hidden
+        return {
+            "unfold": np.zeros((f, hist, cfg.d), dtype=np.float32),
+            "lstm": (np.zeros((f, h), dtype=np.float32), np.zeros((f, h), dtype=np.float32)),
+            "deconv": np.zeros((f, hist, h), dtype=np.float32),
+            "k": [],
+            "v": [],
+        }
+
+    def _run(
+        self,
+        mixture: np.ndarray,
+        embedding: np.ndarray | None,
+        extras: np.ndarray | None,
+        state: dict,
+    ) -> np.ndarray:
+        """The network over mixture[T, F, C] (+ extras) continuing ``state``.
+
+        Each stage that looks back in time reads its past frames from
+        ``state`` and leaves its own last frames there, so one call over T
+        frames equals successive calls over any split of them.
+        """
+        cfg = self.config
         if embedding is not None:
             embedding = np.asarray(embedding, dtype=np.float32)
-            if embedding.shape != (self.config.emb_dim,):
+            if embedding.shape != (cfg.emb_dim,):
                 raise ValueError(
-                    f"embedding must have shape ({self.config.emb_dim},), got {embedding.shape}"
+                    f"embedding must have shape ({cfg.emb_dim},), got {embedding.shape}"
                 )
         x = stack_ri(mixture, extras)
-        if x.shape[0] != self.config.input_channels or x.shape[2] != self.config.n_freq:
+        if x.shape[0] != cfg.input_channels or x.shape[2] != cfg.n_freq:
             raise ValueError(
                 f"input planes {x.shape} do not match config "
-                f"({self.config.input_channels} channels, {self.config.n_freq} bins)"
+                f"({cfg.input_channels} channels, {cfg.n_freq} bins)"
             )
         w = self.w
-        x = conv2d(x, w["conv_in.w"], w["conv_in.b"], causal_time=True)
+        window, state["conv_in"] = _with_history(state["conv_in"], x)
+        x = conv2d(window, w["conv_in.w"], w["conv_in.b"], pad_time=False)
         x = layer_norm(x, (0, 2), w["ln_in.gamma"], w["ln_in.beta"])
-        for b in range(self.config.blocks):
+        for b, block in enumerate(state["blocks"]):
             p = f"block{b}"
             if embedding is not None:
                 x = film(
@@ -336,39 +398,50 @@ class MisoGridNet:
                     w[f"{p}.film.w_beta"],
                     w[f"{p}.film.b_beta"],
                 )
-            x = x + self._temporal(x, p)
+            x = x + self._temporal(x, p, block)
             x = x + self._spectral(x, p)
-            x = x + self._attention(x, p)
-        y = conv_transpose2d(x, w["deconv_out.w"], w["deconv_out.b"], causal_time=True)
+            x = x + self._attention(x, p, block)
+        window, state["deconv_out"] = _with_history(state["deconv_out"], x)
+        y = conv_transpose2d(window, w["deconv_out.w"], w["deconv_out.b"], pad_time=False)
         return unstack_ri(y)
 
     # -- block stages ----------------------------------------------------------
 
-    def _unfold_windows(self, seq: np.ndarray, causal: bool) -> np.ndarray:
-        """seq[N, L, D] -> [N, L', I*D] windows, oldest step first."""
-        i_k = self.config.unfold_kernel
-        if causal:
-            pad = np.zeros((seq.shape[0], i_k - 1, seq.shape[2]), dtype=seq.dtype)
-            seq = np.concatenate([pad, seq], axis=1)
-        view = np.lib.stride_tricks.sliding_window_view(seq, i_k, axis=1)
+    def _unfold_windows(self, seq: np.ndarray) -> np.ndarray:
+        """seq[N, L, D] -> [N, L-I+1, I*D] windows, oldest step first."""
+        view = np.lib.stride_tricks.sliding_window_view(seq, self.config.unfold_kernel, axis=1)
         out = view.transpose(0, 1, 3, 2)
         return np.ascontiguousarray(out).reshape(out.shape[0], out.shape[1], -1)
 
-    def _temporal(self, x: np.ndarray, p: str) -> np.ndarray:
+    def _temporal(self, x: np.ndarray, p: str, state: dict | None = None) -> np.ndarray:
+        """Causal sub-band temporal module over x[D, T, F], continuing the
+        block ``state`` (zero history when None)."""
+        st = self._zero_block() if state is None else state
         w = self.w
         y = layer_norm(x, (0, 2), w[f"{p}.temporal.ln.gamma"], w[f"{p}.temporal.ln.beta"])
-        seq = np.ascontiguousarray(y.transpose(2, 1, 0))  # [F, T, D]
-        u = self._unfold_windows(seq, causal=True)
-        h = lstm_forward(u, w[f"{p}.temporal.lstm.w"], w[f"{p}.temporal.lstm.r"], w[f"{p}.temporal.lstm.b"])
-        full = conv_transpose1d(h, w[f"{p}.temporal.deconv.w"], w[f"{p}.temporal.deconv.b"])
-        out = full[:, : x.shape[1]]  # head crop: frame t sums LSTM steps <= t
-        return out.transpose(2, 1, 0)
+        seq, st["unfold"] = _with_history(st["unfold"], y.transpose(2, 1, 0))  # [F, I-1+T, D]
+        h, st["lstm"] = lstm_forward(
+            self._unfold_windows(seq),
+            w[f"{p}.temporal.lstm.w"],
+            w[f"{p}.temporal.lstm.r"],
+            w[f"{p}.temporal.lstm.b"],
+            state=st["lstm"],
+            return_state=True,
+        )
+        # the head-cropped transposed conv as a valid correlation: frame t
+        # sums LSTM steps t-I+1..t, the same windows the LSTM input uses
+        h, st["deconv"] = _with_history(st["deconv"], h)  # [F, I-1+T, H]
+        u = self._unfold_windows(h)
+        kernel = w[f"{p}.temporal.deconv.w"]  # [H, D, I], tap k weighs step t-k
+        taps = kernel[:, :, ::-1].transpose(2, 0, 1).reshape(-1, kernel.shape[1])
+        out = u.reshape(-1, u.shape[2]) @ taps + w[f"{p}.temporal.deconv.b"]
+        return out.reshape(u.shape[0], u.shape[1], -1).transpose(2, 1, 0)
 
     def _spectral(self, x: np.ndarray, p: str) -> np.ndarray:
         w = self.w
         y = layer_norm(x, (0, 2), w[f"{p}.spectral.ln.gamma"], w[f"{p}.spectral.ln.beta"])
         seq = np.ascontiguousarray(y.transpose(1, 2, 0))  # [T, F, D]
-        u = self._unfold_windows(seq, causal=False)
+        u = self._unfold_windows(seq)
         fwd, bwd = f"{p}.spectral.lstm_fwd", f"{p}.spectral.lstm_bwd"
         h = lstm_forward(
             u,
@@ -380,7 +453,9 @@ class MisoGridNet:
         full = conv_transpose1d(h, w[f"{p}.spectral.deconv.w"], w[f"{p}.spectral.deconv.b"])
         return full.transpose(2, 0, 1)  # length restored exactly: (F-I+1)-1+I == F
 
-    def _attention(self, x: np.ndarray, p: str) -> np.ndarray:
+    def _attention(self, x: np.ndarray, p: str, state: dict) -> np.ndarray:
+        """Full-band self-attention over time: the frames of x join the keys
+        and values cached in the block ``state`` and attend to all of them."""
         cfg = self.config
         t_len, f_len = x.shape[1], x.shape[2]
         w = self.w
@@ -391,10 +466,12 @@ class MisoGridNet:
                 z = np.tensordot(w[f"{head}.{proj}.w"], x, axes=([1], [0]))
                 z = prelu(z + w[f"{head}.{proj}.b"][:, None, None], w[f"{head}.{proj}.alpha"])
                 store.append(z.transpose(1, 2, 0).reshape(t_len, -1))
+        state["k"].append(np.concatenate(ks, axis=1))
+        state["v"].append(np.concatenate(vs, axis=1))
         out = masked_attention(
             np.concatenate(qs, axis=1),
-            np.concatenate(ks, axis=1),
-            np.concatenate(vs, axis=1),
+            np.concatenate(state["k"]),
+            np.concatenate(state["v"]),
             heads=cfg.heads,
             causal=cfg.causal_attention,
         )
@@ -408,34 +485,17 @@ class MisoGridNet:
 
 
 class GridNetStream:
-    """Stateful frame-by-frame inference with the same weights.
+    """Frame-by-frame inference: ``MisoGridNet._run`` on one frame at a time.
 
-    Matches the full-sequence forward within float32 accumulation noise
-    (<= 1e-5); every carried state covers only current and past frames, so
-    streaming cannot look ahead by construction.
+    The stream is the same code as the whole-sequence forward, run on one
+    frame with carried state, so it matches that forward within float32
+    accumulation noise (<= 1e-5). Every carried state covers only current
+    and past frames, so streaming cannot look ahead by construction.
     """
 
     def __init__(self, model: MisoGridNet) -> None:
         self.model = model
-        cfg = model.config
-        f = cfg.n_freq
-        self._in_hist = np.zeros((cfg.input_channels, _CONV_KT - 1, f), dtype=np.float32)
-        self._out_hist = np.zeros((cfg.d, _CONV_KT - 1, f), dtype=np.float32)
-        self._blocks = []
-        for _ in range(cfg.blocks):
-            self._blocks.append(
-                {
-                    "unfold": np.zeros((f, cfg.unfold_kernel - 1, cfg.d), dtype=np.float32),
-                    "lstm": (
-                        np.zeros((f, cfg.hidden), dtype=np.float32),
-                        np.zeros((f, cfg.hidden), dtype=np.float32),
-                    ),
-                    "deconv": np.zeros((cfg.unfold_kernel - 1, f, cfg.hidden), dtype=np.float32),
-                    "k_cache": [],
-                    "v_cache": [],
-                }
-            )
-        self.frames_seen = 0
+        self.state = model.zero_state()
 
     def step(
         self,
@@ -444,95 +504,5 @@ class GridNetStream:
         extras: np.ndarray | None = None,
     ) -> np.ndarray:
         """One complex frame [F, C] (+ extras [F, K]) -> complex estimate [F]."""
-        cfg = self.model.config
-        w = self.model.w
-        xf = stack_ri(np.asarray(frame)[None], None if extras is None else np.asarray(extras)[None])
-        if xf.shape[0] != cfg.input_channels or xf.shape[2] != cfg.n_freq:
-            raise ValueError(
-                f"frame planes {xf.shape} do not match config "
-                f"({cfg.input_channels} channels, {cfg.n_freq} bins)"
-            )
-        if embedding is not None:
-            embedding = np.asarray(embedding, dtype=np.float32)
-            if embedding.shape != (cfg.emb_dim,):
-                raise ValueError(
-                    f"embedding must have shape ({cfg.emb_dim},), got {embedding.shape}"
-                )
-
-        window = np.concatenate([self._in_hist, xf], axis=1)
-        self._in_hist = window[:, 1:]
-        x = conv2d(window, w["conv_in.w"], w["conv_in.b"], pad_time=False)
-        x = layer_norm(x, (0, 2), w["ln_in.gamma"], w["ln_in.beta"])
-
-        for b, st in enumerate(self._blocks):
-            p = f"block{b}"
-            if embedding is not None:
-                x = film(
-                    x,
-                    embedding,
-                    w[f"{p}.film.w_gamma"],
-                    w[f"{p}.film.b_gamma"],
-                    w[f"{p}.film.w_beta"],
-                    w[f"{p}.film.b_beta"],
-                )
-            x = x + self._temporal_step(x, p, st)
-            x = x + self.model._spectral(x, p)
-            x = x + self._attention_step(x, p, st)
-
-        out_window = np.concatenate([self._out_hist, x], axis=1)
-        self._out_hist = out_window[:, 1:]
-        y = conv_transpose2d(out_window, w["deconv_out.w"], w["deconv_out.b"], pad_time=False)
-        self.frames_seen += 1
-        return unstack_ri(y)[0]
-
-    def _temporal_step(self, x: np.ndarray, p: str, st: dict) -> np.ndarray:
-        w = self.model.w
-        cfg = self.model.config
-        y = layer_norm(x, (0, 2), w[f"{p}.temporal.ln.gamma"], w[f"{p}.temporal.ln.beta"])
-        cur = np.ascontiguousarray(y[:, 0].T)  # [F, D]
-        hist = np.concatenate([st["unfold"], cur[:, None]], axis=1)  # [F, I, D]
-        st["unfold"] = hist[:, 1:]
-        u = hist.reshape(hist.shape[0], 1, -1)
-        h, st["lstm"] = lstm_forward(
-            u,
-            w[f"{p}.temporal.lstm.w"],
-            w[f"{p}.temporal.lstm.r"],
-            w[f"{p}.temporal.lstm.b"],
-            state=st["lstm"],
-            return_state=True,
-        )
-        h = h[:, 0]  # [F, H]
-        taps = np.concatenate([st["deconv"], h[None]], axis=0)  # [I, F, H] oldest first
-        st["deconv"] = taps[1:]
-        kernel = w[f"{p}.temporal.deconv.w"]  # [H, D, I]
-        out = np.zeros((taps.shape[1], cfg.d), dtype=np.float32)
-        for k in range(cfg.unfold_kernel):
-            out += taps[cfg.unfold_kernel - 1 - k] @ kernel[:, :, k]
-        out = out + w[f"{p}.temporal.deconv.b"]
-        return out.T[:, None, :]
-
-    def _attention_step(self, x: np.ndarray, p: str, st: dict) -> np.ndarray:
-        cfg = self.model.config
-        w = self.model.w
-        f_len = x.shape[2]
-        qs, ks, vs = [], [], []
-        for l in range(cfg.heads):
-            head = f"{p}.attn.head{l}"
-            for proj, store in (("q", qs), ("k", ks), ("v", vs)):
-                z = np.tensordot(w[f"{head}.{proj}.w"], x, axes=([1], [0]))
-                z = prelu(z + w[f"{head}.{proj}.b"][:, None, None], w[f"{head}.{proj}.alpha"])
-                store.append(z.transpose(1, 2, 0).reshape(1, -1))
-        q = np.concatenate(qs, axis=1)
-        st["k_cache"].append(np.concatenate(ks, axis=1)[0])
-        st["v_cache"].append(np.concatenate(vs, axis=1)[0])
-        out = masked_attention(
-            q,
-            np.stack(st["k_cache"]),
-            np.stack(st["v_cache"]),
-            heads=cfg.heads,
-            causal=True,
-        )
-        o = out.reshape(1, cfg.heads, f_len, cfg.value_channels)
-        o = o.transpose(1, 3, 0, 2).reshape(cfg.d, 1, f_len)
-        y = np.tensordot(w[f"{p}.attn.out.w"], o, axes=([1], [0]))
-        return prelu(y + w[f"{p}.attn.out.b"][:, None, None], w[f"{p}.attn.out.alpha"])
+        extras = None if extras is None else np.asarray(extras)[None]
+        return self.model._run(np.asarray(frame)[None], embedding, extras, self.state)[0]

@@ -29,18 +29,7 @@ __all__ = [
     "lstm_forward",
     "masked_attention",
     "prelu",
-    "sigmoid",
-    "unfold1d",
 ]
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function in the branch-free form 0.5 * (1 + tanh(x / 2)).
-
-    Saturates to exactly 0 or 1 for large |x| without overflow or underflow.
-    ``lstm_forward`` evaluates the same form for its i, f and o gates.
-    """
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def prelu(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -222,25 +211,6 @@ def conv_transpose1d(
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.float32)
     return out[0] if squeeze else out
-
-
-def unfold1d(x: np.ndarray, kernel: int, *, causal: bool) -> np.ndarray:
-    """Concatenate sliding windows of x[L, D] into [L', kernel * D] features.
-
-    Causal: zero-pad kernel-1 steps of history, window t holds steps
-    [t-kernel+1 .. t] (L' == L). Non-causal: no padding, window j holds
-    steps [j .. j+kernel-1] (L' == L - kernel + 1). Windows are flattened
-    oldest step first.
-    """
-    if kernel < 1:
-        raise ValueError("unfold1d: kernel must be >= 1")
-    x = np.asarray(x)
-    if causal:
-        x = np.concatenate([np.zeros((kernel - 1,) + x.shape[1:], dtype=x.dtype), x])
-    elif x.shape[0] < kernel:
-        raise ValueError(f"unfold1d: sequence of {x.shape[0]} shorter than kernel {kernel}")
-    view = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=0)
-    return np.ascontiguousarray(view.transpose(0, 2, 1)).reshape(view.shape[0], -1)
 
 
 # -- normalization and modulation --------------------------------------------

@@ -126,14 +126,6 @@ class RescaleState:
         return max(self.num, 0.0) / max(self.den, self.eps)
 
 
-def rescale_step(
-    state: RescaleState, bf_frame: np.ndarray, est_frame: np.ndarray
-) -> np.ndarray:
-    """Fold one aligned (beamformed, estimated) frame pair into the running
-    sums and return the estimate scaled by the updated gain."""
-    return state.update(bf_frame, est_frame) * np.asarray(est_frame)
-
-
 def beamform_frames(
     frames: np.ndarray,
     estimates: np.ndarray,
@@ -387,7 +379,7 @@ def enhance_offline(
         if fitting is not None:
             frame = fitting.step(frame)
         pushed.append(np.asarray(frame))
-    out = istft_frames(np.stack(pushed), stft)[stft.warmup :][:n]
+    out = frames_to_signal(np.stack(pushed), stft)[:n]
     if not collect:
         return out
     taps = {

@@ -1,7 +1,11 @@
 """Causal speaker-conditioned estimator: structure, causality, streaming."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from hearstream.gridnet import (
@@ -319,3 +323,67 @@ class TestStreaming:
         stream = model.stream()
         stepped = np.stack([stream.step(x[t], None) for t in range(6)])
         assert np.abs(stepped - offline).max() <= 1e-5
+
+
+@st.composite
+def shared_path_cases(draw, causal=st.booleans()):
+    """A small network, its weights and T frames of input, with cut points."""
+    cfg = GridNetConfig(
+        channels=1,
+        extra_inputs=draw(st.sampled_from([0, 4])),
+        d=4,
+        blocks=draw(st.integers(1, 2)),
+        unfold_kernel=draw(st.integers(1, 3)),  # 1 carries no history
+        hidden=4,
+        heads=draw(st.integers(1, 2)),
+        n_freq=draw(st.integers(3, 9)),
+        causal_attention=draw(causal),
+    )
+    t_len = draw(st.integers(1, 12))
+    cuts = draw(st.lists(st.booleans(), min_size=t_len - 1, max_size=t_len - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extras = rand_spect(rng, t_len, cfg.n_freq, 2) if cfg.extra_inputs else None
+    return {
+        "config": cfg,
+        "store": init_gridnet(cfg, int(rng.integers(2**32))),
+        "x": rand_spect(rng, t_len, cfg.n_freq, 1),
+        "extras": extras,
+        "emb": rng.standard_normal(128) if draw(st.booleans()) else None,
+        "bounds": [0] + [t + 1 for t, cut in enumerate(cuts) if cut] + [t_len],
+    }
+
+
+def assert_close_to_peak(out, ref):
+    assert out.shape == ref.shape
+    assert np.abs(out - ref).max() <= 1e-5 * max(np.abs(ref).max(), 1e-30)
+
+
+class TestSharedPath:
+    """forward, chunked ``_run`` and the stream run one code path, so they
+    agree over generated configurations, lengths and splits."""
+
+    @settings(max_examples=100)
+    @given(case=shared_path_cases(causal=st.just(True)))
+    def test_chunked_run_matches_forward(self, case):
+        model = MisoGridNet(case["config"], case["store"])
+        x, ex, emb = case["x"], case["extras"], case["emb"]
+        state = model.zero_state()
+        chunks = [
+            model._run(x[a:b], emb, None if ex is None else ex[a:b], state)
+            for a, b in zip(case["bounds"], case["bounds"][1:])
+        ]
+        assert_close_to_peak(np.concatenate(chunks), model.forward(x, emb, extras=ex))
+
+    @settings(max_examples=100)
+    @given(case=shared_path_cases())
+    def test_stream_matches_forward(self, case):
+        # one query frame attends to past keys only whatever the mask, so the
+        # stream of a non-causal model equals the causal forward
+        cfg, store = case["config"], case["store"]
+        x, ex, emb = case["x"], case["extras"], case["emb"]
+        stream = MisoGridNet(cfg, store).stream()
+        stepped = np.stack(
+            [stream.step(x[t], emb, None if ex is None else ex[t]) for t in range(len(x))]
+        )
+        causal = MisoGridNet(replace(cfg, causal_attention=True), store)
+        assert_close_to_peak(stepped, causal.forward(x, emb, extras=ex))

@@ -16,8 +16,6 @@ from hearstream.kernels import (
     lstm_forward,
     masked_attention,
     prelu,
-    sigmoid,
-    unfold1d,
 )
 from hearstream.weights import (
     ParamSpec,
@@ -287,26 +285,6 @@ class TestConv1d:
         assert_allclose(conv1d(x, k), k[:, :, 0] @ x, atol=1e-5)
 
 
-class TestUnfold:
-    def test_causal_windows(self):
-        x = np.arange(8, dtype=np.float32).reshape(4, 2)
-        u = unfold1d(x, 3, causal=True)
-        assert u.shape == (4, 6)
-        # window at t=0: two zero-padded history steps then step 0
-        assert_allclose(u[0], [0, 0, 0, 0, 0, 1], atol=0)
-        assert_allclose(u[3], [2, 3, 4, 5, 6, 7], atol=0)
-
-    def test_noncausal_windows(self):
-        x = np.arange(8, dtype=np.float32).reshape(4, 2)
-        u = unfold1d(x, 3, causal=False)
-        assert u.shape == (2, 6)
-        assert_allclose(u[0], [0, 1, 2, 3, 4, 5], atol=0)
-
-    def test_short_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            unfold1d(np.zeros((2, 1)), 3, causal=False)
-
-
 # ---------------------------------------------------------------------------
 # normalization, modulation, activations
 
@@ -402,25 +380,6 @@ class TestPrelu:
 # LSTM
 
 
-class TestSigmoid:
-    def test_saturates_without_warnings(self):
-        x = np.array([-1e4, 1e4], dtype=np.float32)
-        with np.errstate(all="raise"):
-            y = sigmoid(x)
-        assert np.isfinite(y).all()
-        assert_array_equal(y, [0.0, 1.0])
-
-    def test_matches_float64_reference(self):
-        x = np.linspace(-40, 40, 200_001, dtype=np.float32)
-        ref = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
-        y = sigmoid(x)
-        assert y.dtype == np.float32
-        assert np.abs(y - ref).max() <= 1e-7
-
-    def test_zero_is_half(self):
-        assert sigmoid(np.zeros(1, dtype=np.float32))[0] == 0.5
-
-
 class TestLstm:
     def _weights(self, rng, d_in, h):
         w = rng.standard_normal((4 * h, d_in)).astype(np.float32) * 0.3
@@ -441,6 +400,18 @@ class TestLstm:
         b = np.array([30.0, 30.0, 0.0, 30.0], dtype=np.float32)
         y = lstm_forward(np.array([[1.0]], dtype=np.float32), w, r, b)
         assert_allclose(y[0, 0], np.tanh(np.tanh(1.0)), atol=1e-6)
+
+    def test_saturated_gates_without_warnings(self):
+        # pre-activations of +-1e4 drive every gate to exactly 0 or 1 in both
+        # directions, with no overflow or underflow
+        w = np.full((4, 1), 1e4, dtype=np.float32)
+        r = np.zeros((4, 1), dtype=np.float32)
+        b = np.zeros(4, dtype=np.float32)
+        x = np.array([[1.0], [-1.0], [1.0]], dtype=np.float32)
+        with np.errstate(all="raise"):
+            y = lstm_forward(x, w, r, b, backward=(w, r, b))
+        on = np.tanh(np.float32(1.0))  # i = f = o = 1 and g = 1 from zero state
+        assert_array_equal(y, [[on, on], [0.0, 0.0], [on, on]])
 
     def test_forward_causality(self):
         rng = np.random.default_rng(11)

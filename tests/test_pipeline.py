@@ -17,7 +17,6 @@ from hearstream.pipeline import (
     enhance_signal,
     frames_to_signal,
     init_pipeline_weights,
-    rescale_step,
 )
 from hearstream.scenes import SceneSpec, simulate_scene
 from hearstream.weights import WeightStore
@@ -108,27 +107,27 @@ class TestRescale:
     def test_identical_frames_give_unit_gain(self):
         state = RescaleState()
         bf = np.array([1 + 1j, 2.0, 0.5j])
-        out = rescale_step(state, bf, bf)
+        out = state.update(bf, bf) * bf
         assert state.gain == 1.0
         assert np.array_equal(out, bf)
 
     def test_double_estimate_halves(self):
         state = RescaleState()
         bf = np.array([1.0 + 0j, 2.0 + 0j])
-        out = rescale_step(state, bf, 2.0 * bf)
+        out = state.update(bf, 2.0 * bf) * (2.0 * bf)
         assert state.gain == 0.5
         assert np.array_equal(out, bf)
 
     def test_zero_estimate_floor(self):
         state = RescaleState()
-        out = rescale_step(state, np.zeros(4, complex), np.zeros(4, complex))
+        out = state.update(np.zeros(4, complex), np.zeros(4, complex)) * np.zeros(4, complex)
         assert state.gain == 0.0
         assert np.array_equal(out, np.zeros(4, complex))
 
     def test_anticorrelated_clamps_to_zero(self):
         state = RescaleState()
         bf = np.array([1.0 + 0j, -3.0 + 0j])
-        out = rescale_step(state, bf, -bf)
+        out = state.update(bf, -bf) * -bf
         assert state.gain == 0.0
         assert np.array_equal(out, np.zeros(2, complex))
 
