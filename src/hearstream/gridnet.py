@@ -25,6 +25,7 @@ The second-stage network is the same architecture with extra input channels
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,6 +119,7 @@ class GridNetConfig:
 
 _CONV_KT = 3  # input/output conv kernel extent over time (causal side)
 _CONV_KF = 3  # and over frequency (centered)
+_CACHE_ROWS = 16  # attention cache capacity (frames) before its first growth
 
 
 def weight_schema(config: GridNetConfig, prefix: str = "dnn1") -> list[ParamSpec]:
@@ -283,6 +285,17 @@ def unstack_ri(tensor: np.ndarray) -> np.ndarray:
     return tensor[0] + 1j * tensor[1]
 
 
+def _cache_array(rows: int, width: int) -> np.ndarray:
+    """A float32 [rows, width] array on its own anonymous (zero-filled) mapping.
+
+    Its untouched rows take no memory, and the mapping goes back to the
+    system when the array is freed. ``np.empty`` guarantees neither: on
+    Linux NumPy asks for 2 MB huge pages on large arrays, and malloc may
+    place an array in the heap, where a freed one stays resident.
+    """
+    return np.frombuffer(mmap.mmap(-1, rows * width * 4), dtype=np.float32).reshape(rows, width)
+
+
 def _with_history(history: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Join carried frames ahead of new ones along axis 1.
 
@@ -313,6 +326,19 @@ class MisoGridNet:
                     f"{spec.name}: stored shape {store[spec.name].shape} != expected {spec.shape}"
                 )
         self.w = {s.name[len(prefix) + 1 :]: store[s.name] for s in weight_schema(config, prefix)}
+        # each block's per-head q, k and v projections stacked into one,
+        # rows [q heads, k heads, v heads], so a block makes one projection
+        self.qkv = {}
+        for b in range(config.blocks):
+            names = [
+                f"block{b}.attn.head{l}.{proj}"
+                for proj in ("q", "k", "v")
+                for l in range(config.heads)
+            ]
+            self.qkv[f"block{b}"] = tuple(
+                np.concatenate([self.w[f"{n}.{part}"] for n in names])
+                for part in ("w", "b", "alpha")
+            )
 
     # -- forward -------------------------------------------------------------
 
@@ -346,15 +372,22 @@ class MisoGridNet:
     def _zero_block(self) -> dict:
         """One block's state: the temporal unfold history (I-1 frames of
         normalized input), the temporal LSTM (h, c), the last I-1 LSTM
-        outputs for the temporal deconv, and the attention K/V chunks."""
+        outputs for the temporal deconv, and the attention cache.
+
+        The cache is one float32 key array ``k`` [rows, heads*F*E] and one
+        value array ``v`` [rows, heads*F*Dv] whose first ``frames`` rows
+        hold every frame seen so far. Rows past ``frames`` are spare
+        capacity; ``_attention`` doubles it when a call would overflow.
+        """
         cfg = self.config
         f, hist, h = cfg.n_freq, cfg.unfold_kernel - 1, cfg.hidden
         return {
             "unfold": np.zeros((f, hist, cfg.d), dtype=np.float32),
             "lstm": (np.zeros((f, h), dtype=np.float32), np.zeros((f, h), dtype=np.float32)),
             "deconv": np.zeros((f, hist, h), dtype=np.float32),
-            "k": [],
-            "v": [],
+            "k": _cache_array(_CACHE_ROWS, cfg.heads * f * cfg.qk_channels),
+            "v": _cache_array(_CACHE_ROWS, cfg.heads * f * cfg.value_channels),
+            "frames": 0,
         }
 
     def _run(
@@ -454,28 +487,36 @@ class MisoGridNet:
         return full.transpose(2, 0, 1)  # length restored exactly: (F-I+1)-1+I == F
 
     def _attention(self, x: np.ndarray, p: str, state: dict) -> np.ndarray:
-        """Full-band self-attention over time: the frames of x join the keys
-        and values cached in the block ``state`` and attend to all of them."""
+        """Full-band self-attention over time: the keys and values of x's
+        frames are written after those cached in the block ``state``, and
+        each frame of x attends to all of them."""
         cfg = self.config
-        t_len, f_len = x.shape[1], x.shape[2]
+        heads, t_len, f_len = cfg.heads, x.shape[1], x.shape[2]
         w = self.w
-        qs, ks, vs = [], [], []
-        for l in range(cfg.heads):
-            head = f"{p}.attn.head{l}"
-            for proj, store in (("q", qs), ("k", ks), ("v", vs)):
-                z = np.tensordot(w[f"{head}.{proj}.w"], x, axes=([1], [0]))
-                z = prelu(z + w[f"{head}.{proj}.b"][:, None, None], w[f"{head}.{proj}.alpha"])
-                store.append(z.transpose(1, 2, 0).reshape(t_len, -1))
-        state["k"].append(np.concatenate(ks, axis=1))
-        state["v"].append(np.concatenate(vs, axis=1))
+        w_qkv, b_qkv, alpha_qkv = self.qkv[p]
+        z = prelu(np.tensordot(w_qkv, x, axes=([1], [0])) + b_qkv[:, None, None], alpha_qkv)
+        # [heads * W, T, F] -> [T, heads, F, W]: masked_attention's row layout
+        q, k, v = (
+            part.reshape(heads, -1, t_len, f_len).transpose(2, 0, 3, 1)
+            for part in np.split(z, [heads * cfg.qk_channels, 2 * heads * cfg.qk_channels])
+        )
+        n = state["frames"]
+        end = state["frames"] = n + t_len
+        for name, new in (("k", k), ("v", v)):
+            cache = state[name]
+            if end > len(cache):  # double, so appends stay amortized O(1) per frame
+                cache = _cache_array(max(2 * len(cache), end), cache.shape[1])
+                cache[:n] = state[name][:n]
+                state[name] = cache
+            cache[n:end].reshape(new.shape)[...] = new
         out = masked_attention(
-            np.concatenate(qs, axis=1),
-            np.concatenate(state["k"]),
-            np.concatenate(state["v"]),
-            heads=cfg.heads,
+            q.reshape(t_len, -1),
+            state["k"][:end],
+            state["v"][:end],
+            heads=heads,
             causal=cfg.causal_attention,
         )
-        o = out.reshape(t_len, cfg.heads, f_len, cfg.value_channels)
+        o = out.reshape(t_len, heads, f_len, cfg.value_channels)
         o = o.transpose(1, 3, 0, 2).reshape(cfg.d, t_len, f_len)
         y = np.tensordot(w[f"{p}.attn.out.w"], o, axes=([1], [0]))
         return prelu(y + w[f"{p}.attn.out.b"][:, None, None], w[f"{p}.attn.out.alpha"])

@@ -9,9 +9,10 @@ Layout conventions (fixed; the weight container relies on them):
     tanh cell candidate and output squash.
 
 Everything is float32 with float64 accumulation inside statistical
-reductions (means, variances, softmax). All functions are pure; causality
-claims (conv causal-time padding, forward LSTM, masked attention) hold as
-exact equality, not approximately.
+reductions (means, variances, softmax); attention's value product, the
+softmax weights times the values, runs in float32. All functions are pure;
+causality claims (conv causal-time padding, forward LSTM, masked attention)
+hold as exact equality, not approximately.
 """
 
 from __future__ import annotations
@@ -387,7 +388,9 @@ def masked_attention(
 
     q, k: [T, heads * E]; v: [T, heads * Dv]. Per head: softmax(Q Kᵀ / sqrt(E)) V,
     with key indices greater than the query index masked out when causal.
-    Softmax runs in float64 with max subtraction. Returns [T, heads * Dv].
+    Softmax runs in float64 with max subtraction; its weights are cast to
+    float32 for the value product, so v is never copied to float64. k and v
+    may be row slices of a larger cache. Returns [T, heads * Dv].
     """
     q, k, v = (np.asarray(a, dtype=np.float32) for a in (q, k, v))
     for name, a in (("q", q), ("k", k), ("v", v)):
@@ -411,7 +414,7 @@ def masked_attention(
     scores -= scores.max(axis=2, keepdims=True)
     weights = np.exp(scores)
     weights /= weights.sum(axis=2, keepdims=True)
-    out = (weights @ vh.astype(np.float64)).astype(np.float32)
+    out = weights.astype(np.float32) @ vh
     out = out.transpose(1, 0, 2).reshape(t_q, heads * dv)
     if return_weights:
         return out, weights

@@ -1,5 +1,6 @@
 """Causal speaker-conditioned estimator: structure, causality, streaming."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -387,3 +388,69 @@ class TestSharedPath:
         )
         causal = MisoGridNet(replace(cfg, causal_attention=True), store)
         assert_close_to_peak(stepped, causal.forward(x, emb, extras=ex))
+
+
+class TestAttentionCache:
+    """The attention cache is one preallocated K and one V array per block,
+    grown by doubling; growth must not change what the network computes."""
+
+    CFG = GridNetConfig(channels=1, d=4, blocks=2, unfold_kernel=2, hidden=4, heads=2, n_freq=9)
+
+    def test_stream_across_growth(self):
+        # 70 frames from a 16-row start: the cache doubles three times
+        model = make_model(self.CFG, seed=20)
+        rng = np.random.default_rng(21)
+        emb = rng.standard_normal(128)
+        x = rand_spect(rng, 70, self.CFG.n_freq, 1)
+        stream = model.stream()
+        stepped = np.stack([stream.step(x[t], emb) for t in range(len(x))])
+        assert_close_to_peak(stepped, model.forward(x, emb))
+        start = len(model._zero_block()["k"])
+        for block in stream.state["blocks"]:
+            assert block["frames"] == len(x)
+            assert block["k"].dtype == block["v"].dtype == np.float32
+            assert len(block["k"]) == len(block["v"]) > start
+
+    def test_chunked_run_across_growth(self):
+        # chunk ends 10, 20, 45, 70 each cross the capacity left by the last
+        model = make_model(self.CFG, seed=22)
+        rng = np.random.default_rng(23)
+        emb = rng.standard_normal(128)
+        x = rand_spect(rng, 70, self.CFG.n_freq, 1)
+        state = model.zero_state()
+        bounds = [0, 10, 20, 45, 70]
+        chunks = [model._run(x[a:b], emb, None, state) for a, b in zip(bounds, bounds[1:])]
+        assert_close_to_peak(np.concatenate(chunks), model.forward(x, emb))
+        assert all(len(block["k"]) == 128 for block in state["blocks"])
+
+    def test_offline_fills_cache_in_one_write(self):
+        model = make_model(self.CFG, seed=24)
+        rng = np.random.default_rng(25)
+        state = model.zero_state()
+        model._run(rand_spect(rng, 40, self.CFG.n_freq, 1), None, None, state)
+        assert all(len(block["k"]) == block["frames"] == 40 for block in state["blocks"])
+
+    def test_per_hop_memory_bounded_as_stream_ages(self):
+        # a cache restacked on every hop reads 8.7x here
+        cfg = GridNetConfig(channels=1, blocks=1, n_freq=33)
+        model = make_model(cfg, seed=26)
+        rng = np.random.default_rng(27)
+        emb = rng.standard_normal(128)
+        x = rand_spect(rng, 250, cfg.n_freq, 1)
+        stream = model.stream()
+        peaks = []
+        tracemalloc.start()
+        try:
+            for frame in x:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                stream.step(frame, emb)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert np.median(peaks[240:250]) <= 1.5 * np.median(peaks[20:30])
+        start = len(model._zero_block()["k"])
+        for block in stream.state["blocks"]:
+            assert set(block) == {"unfold", "lstm", "deconv", "k", "v", "frames"}
+            assert block["frames"] == len(x)
+            assert len(block["k"]) == len(block["v"]) <= max(2 * len(x), start)

@@ -565,3 +565,40 @@ class TestMaskedAttention:
         good = np.zeros((2, 2), dtype=np.float32)
         with pytest.raises(ValueError):
             masked_attention(bad, good, good)
+
+    def test_cache_views_match_copies(self):
+        # a stream passes row slices of a larger preallocated cache
+        rng = np.random.default_rng(20)
+        k_buf = rng.standard_normal((32, 4)).astype(np.float32)
+        v_buf = rng.standard_normal((32, 6)).astype(np.float32)
+        k_buf[20:] = v_buf[20:] = np.nan  # spare capacity is never read
+        q = rng.standard_normal((3, 4)).astype(np.float32)
+        k, v = k_buf[:20], v_buf[:20]
+        assert not k.flags.owndata and not v.flags.owndata
+        for causal in (True, False):
+            out = masked_attention(q, k, v, heads=2, causal=causal)
+            ref = masked_attention(q, k.copy(), v.copy(), heads=2, causal=causal)
+            assert_array_equal(out, ref)
+
+    def test_nan_in_cached_key_view_rejected(self):
+        rng = np.random.default_rng(21)
+        k_buf = rng.standard_normal((32, 4)).astype(np.float32)
+        v_buf = rng.standard_normal((32, 4)).astype(np.float32)
+        k_buf[5, 1] = np.nan
+        q = rng.standard_normal((1, 4)).astype(np.float32)
+        with pytest.raises(ValueError, match="NaN in k"):
+            masked_attention(q, k_buf[:20], v_buf[:20], heads=2)
+
+    def test_float32_value_product_long_cache(self):
+        # softmax weights in float64, value product in float32
+        rng = np.random.default_rng(22)
+        t_k, heads, dv = 500, 2, 64
+        q = rng.standard_normal((t_k, heads * 4)).astype(np.float32)
+        k = rng.standard_normal((t_k, heads * 4)).astype(np.float32)
+        v = rng.standard_normal((t_k, heads * dv)).astype(np.float32)
+        out, wts = masked_attention(q, k, v, heads=heads, return_weights=True)
+        vh = v.astype(np.float64).reshape(t_k, heads, dv).transpose(1, 0, 2)
+        ref = (wts @ vh).transpose(1, 0, 2).reshape(t_k, heads * dv)
+        assert np.abs(out - ref).max() <= 1e-6
+        last = masked_attention(q[-1:], k, v, heads=heads)
+        assert np.abs(last - ref[-1:]).max() <= 1e-6
