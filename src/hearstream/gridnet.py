@@ -16,8 +16,9 @@ maps back to a 2-channel real/imaginary head (direct complex spectral
 mapping, no masking). Every time-directional stage sees only current and
 past frames, so the whole model is causal frame by frame. Each stage has one
 implementation, which reads the past frames it needs from an explicit
-carried state: `MisoGridNet.forward` runs it over a whole sequence from zero
-state, and `GridNetStream` runs the same code on one frame at a time.
+carried state: `MisoGridNet.forward` runs it over any number of frames, from
+zero state or continuing a given one, and `GridNetStream` runs the same code
+on one frame at a time.
 
 The second-stage network is the same architecture with extra input channels
 (first-stage estimate and beamformer output stacked after the mixture).
@@ -310,8 +311,8 @@ def _with_history(history: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, 
 class MisoGridNet:
     """The network over frames with carried state; one instance per (weights, prefix).
 
-    ``forward`` runs a whole sequence from zero state; ``GridNetStream`` runs
-    the same code one frame at a time with its own state.
+    ``forward`` runs frames from zero state or continuing a given one;
+    ``GridNetStream`` runs the same code one frame at a time with its own state.
     """
 
     def __init__(self, config: GridNetConfig, store: WeightStore, prefix: str = "dnn1") -> None:
@@ -347,13 +348,16 @@ class MisoGridNet:
         mixture: np.ndarray,
         embedding: np.ndarray | None,
         extras: np.ndarray | None = None,
+        state: dict | None = None,
     ) -> np.ndarray:
         """mixture[T, F, C] complex (+ optional extras[T, F, K]) -> complex [T, F].
 
         ``embedding`` must be a length-emb_dim vector; None disables the
         conditioning stages entirely (unconditioned reference model).
+        ``state`` (from ``zero_state()``) is continued and updated in place;
+        None runs from zero state.
         """
-        return self._run(mixture, embedding, extras, self.zero_state())
+        return self._run(mixture, embedding, extras, self.zero_state() if state is None else state)
 
     def zero_state(self) -> dict:
         """The carried state before the first frame: every history is zeros.

@@ -9,29 +9,31 @@ after consuming mixture frame k a stage emits its estimate of target frame
 k+3, which is overlap-added at that frame's own position. The synthesis
 timeline therefore carries target content shifted by the analysis/synthesis
 chain offset of ``win - hop`` (384) samples, and dropping exactly that head
-leaves output sample n holding the target estimate for time n. The three
-frames before the stream starts come from a pre-roll on zero input and are
-pushed as silence; they fall entirely inside the dropped head. Net effect:
+leaves output sample n holding the target estimate for time n. The cascade
+is primed on ``lookahead`` zero frames: their estimates are the first ones
+due, and their output falls entirely inside the dropped head. Net effect:
 one output hop per input hop, and output hop k is available as soon as
 input hop k has arrived, so output sample t depends only on input samples
 earlier than t + 128 (4 ms at 32 kHz). Static filters further down the
 fitting path add group delay but never shift frame timing.
 
-The streaming engine and :func:`enhance_offline` compute the same cascade;
-the offline form runs each network over the whole utterance at once, which
-is what the latency checker probes (a hidden dependence on future frames
-cannot hide there, while a streaming wrapper is causal by construction).
+The cascade is written once, in ``_Cascade``, which runs any number of
+frames per call and carries every state between calls. The streaming
+engine runs it on one frame per hop after priming; :func:`enhance_offline`
+is the same code in one run over the zero frames and the whole utterance,
+so each network makes one whole-sequence forward. That is what the latency
+checker probes: a hidden dependence on future frames cannot hide there,
+while a streaming wrapper is causal by construction.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .beamform import CovarianceState
-from .dsp import StftConfig, StreamingAnalyzer, StreamingSynthesizer, istft_frames
+from .dsp import StftConfig, StreamingAnalyzer, StreamingSynthesizer
 from .embedder import EmbedConfig, embed_weight_schema
 from .fitting import ListenerFitting
 from .gridnet import GridNetConfig, MisoGridNet, weight_schema
@@ -119,7 +121,7 @@ class RescaleState:
             )
         self.num += float(np.real(np.vdot(est_frame, bf_frame)))
         self.den += float(np.real(np.vdot(est_frame, est_frame)))
-        return max(self.num, 0.0) / max(self.den, self.eps)
+        return self.gain
 
     @property
     def gain(self) -> float:
@@ -153,27 +155,110 @@ def beamform_frames(
     return out
 
 
-def frames_to_signal(frames: np.ndarray, stft: StftConfig) -> np.ndarray:
-    """Overlap-add estimates aligned at their own frame indices and drop the
-    chain offset, leaving a waveform time-aligned with the analyzed input."""
-    return istft_frames(frames, stft)[stft.warmup :]
+class _Cascade:
+    """The enhancement cascade over frames, continuing one carried state.
+
+    The carried state is each network's GridNet state and its ledger of the
+    ``lookahead`` estimates it has emitted that are not yet due (zero frames
+    at the start), each iteration's Wiener-filter statistics, the rescale
+    sums, the fitting chain and the synthesis overlap. One ``run`` over T
+    frames equals successive runs over any split of them up to float32
+    accumulation order inside the networks.
+    """
+
+    def __init__(
+        self,
+        config: PipelineConfig,
+        store: WeightStore,
+        embedding: np.ndarray,
+        fitting: ListenerFitting | None,
+    ) -> None:
+        emb_dim = config.model.emb_dim
+        self.embedding = np.asarray(embedding, dtype=np.float32)
+        if self.embedding.shape != (emb_dim,):
+            raise ValueError(f"embedding must have shape ({emb_dim},), got {self.embedding.shape}")
+        if not np.all(np.isfinite(self.embedding)):
+            raise ValueError("embedding contains non-finite values")
+        stft = config.stft
+        first = MisoGridNet(config.model, store, "dnn1")
+        second = MisoGridNet(config.second_stage(), store, "dnn2")
+        self.nets = [first] + [second] * config.iterations
+        self.states = [net.zero_state() for net in self.nets]
+        self.ledgers = [
+            np.zeros((stft.lookahead, stft.bins), dtype=np.complex64) for _ in self.nets
+        ]
+        self.covs = [
+            CovarianceState(
+                stft.bins, config.model.channels, alpha=config.alpha, loading=config.loading
+            )
+            for _ in range(config.iterations)
+        ]
+        self.rescale = RescaleState(config.rescale_eps)
+        self.fitting = fitting
+        self.synth = StreamingSynthesizer(stft)
+
+    def _predict(
+        self, i: int, frames: np.ndarray, extras: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Network ``i`` over frames: (the estimates due at these frames, the
+        fresh estimates of the frames ``lookahead`` ahead)."""
+        fresh = self.nets[i].forward(frames, self.embedding, extras, state=self.states[i])
+        due, self.ledgers[i] = np.split(np.concatenate([self.ledgers[i], fresh]), [len(frames)])
+        return due, fresh
+
+    def run(self, frames: np.ndarray) -> tuple[np.ndarray, dict]:
+        """frames[T, F, C] -> (T hops of output samples, taps aligned with frames).
+
+        Output hop j overlap-adds, at position j, the rescaled refinement of
+        frame j + ``lookahead`` that the networks predicted from frame j.
+        """
+        due, _ = self._predict(0, frames)
+        taps = {"est1": due}
+        for i, cov in enumerate(self.covs, start=1):
+            beamformed = np.stack([cov.step(y, s) for y, s in zip(frames, due)])
+            due, fresh = self._predict(i, frames, np.stack([due, beamformed], axis=-1))
+        gains = [self.rescale.update(z, s) for z, s in zip(beamformed, due)]
+        hops = []
+        for gain, est in zip(gains, fresh):
+            out = gain * est  # a Python float keeps the complex64 estimate complex64
+            if self.fitting is not None:
+                out = self.fitting.step(out)
+            hops.append(self.synth.push(out))
+        taps.update(mcwf=beamformed, est2=due, gain=np.array(gains))
+        return np.concatenate(hops), taps
 
 
-def _validated_embedding(embedding: np.ndarray, emb_dim: int) -> np.ndarray:
-    emb = np.asarray(embedding, dtype=np.float32)
-    if emb.shape != (emb_dim,):
-        raise ValueError(f"embedding must have shape ({emb_dim},), got {emb.shape}")
-    if not np.all(np.isfinite(emb)):
-        raise ValueError("embedding contains non-finite values")
-    return emb
+def _checked_audio(x: np.ndarray, channels: int) -> np.ndarray:
+    """Input audio as float64 [samples, channels]; a wrong shape or a
+    non-finite sample raises ValueError."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[1] != channels:
+        raise ValueError(f"expected [samples, {channels}] audio, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("audio contains non-finite samples")
+    return x
+
+
+def _padded_signal(signal: np.ndarray, config: PipelineConfig) -> tuple[np.ndarray, int]:
+    """A checked whole recording zero-padded to a hop multiple, and its length."""
+    x = _checked_audio(signal, config.model.channels)
+    n = x.shape[0]
+    if n == 0:
+        raise ValueError("signal is empty")
+    pad = (-n) % config.stft.hop
+    return np.concatenate([x, np.zeros((pad, x.shape[1]))]), n
 
 
 class StreamingEnhancer:
     """Block-in, block-out enhancement engine.
 
     Accepts arbitrary block sizes; every completed 128-sample hop yields 128
-    output samples, so the cut points never change the result. A supplied
-    ``fitting`` chain is stateful and owned by this engine afterwards.
+    output samples, so the cut points never change the result. A block with
+    a wrong shape or a non-finite sample raises ValueError and leaves the
+    engine as it was. A supplied ``fitting`` chain is stateful and owned by
+    this engine afterwards.
     """
 
     def __init__(
@@ -187,83 +272,26 @@ class StreamingEnhancer:
         self.config = config
         stft = config.stft
         channels = config.model.channels
-        self.embedding = _validated_embedding(embedding, config.model.emb_dim)
+        self.cascade = _Cascade(config, store, embedding, fitting)
         self.analyzer = StreamingAnalyzer(stft, channels)
-        self.synth = StreamingSynthesizer(stft)
-        self.dnn1 = MisoGridNet(config.model, store, "dnn1").stream()
-        second = MisoGridNet(config.second_stage(), store, "dnn2")
-        self._stages = [
-            (
-                CovarianceState(
-                    stft.bins, channels, alpha=config.alpha, loading=config.loading
-                ),
-                second.stream(),
-                deque(),
-            )
-            for _ in range(config.iterations)
-        ]
-        self._led1: deque = deque()
-        self.rescale = RescaleState(config.rescale_eps)
-        self.fitting = fitting
         self._buffer = np.zeros((0, channels))
-        self._push_index = 0
-        self._preroll()
-
-    def _preroll(self) -> None:
-        """Prime the predictors on zero frames so an estimate of frame k is
-        in hand by the time mixture frame k arrives; the matching synthesis
-        pushes are silence and land in the dropped chain-offset head."""
-        stft = self.config.stft
-        zero_frame = np.zeros((stft.bins, self.analyzer.channels), dtype=np.complex128)
-        zero_extras = np.zeros((stft.bins, 2), dtype=np.complex128)
+        # Prime on zero frames so an estimate of frame k is in hand when
+        # mixture frame k arrives; their output is the dropped chain-offset
+        # head. One frame per run keeps the float32 sums of the hops to come.
+        zero = np.zeros((1, stft.bins, channels), dtype=np.complex128)
         for _ in range(stft.lookahead):
-            self._led1.append(self.dnn1.step(zero_frame, self.embedding))
-            for _, stream, ledger in self._stages:
-                ledger.append(stream.step(zero_frame, self.embedding, extras=zero_extras))
-            out = np.zeros(stft.bins, dtype=np.complex64)
-            if self.fitting is not None:
-                out = self.fitting.step(out)
-            self.synth.push(out, index=self._push_index)
-            self._push_index += 1
-
-    def _step(self, frame: np.ndarray) -> np.ndarray:
-        est_prev = self._led1.popleft()
-        self._led1.append(self.dnn1.step(frame, self.embedding))
-        beamformed = fresh = None
-        for cov, stream, ledger in self._stages:
-            beamformed = cov.step(frame, est_prev)
-            current = ledger.popleft()
-            fresh = stream.step(
-                frame,
-                self.embedding,
-                extras=np.stack([est_prev, beamformed], axis=-1),
-            )
-            ledger.append(fresh)
-            est_prev = current
-        gain = self.rescale.update(beamformed, est_prev)
-        out = gain * fresh
-        if self.fitting is not None:
-            out = self.fitting.step(out)
-        emitted = self.synth.push(out, index=self._push_index)
-        self._push_index += 1
-        return emitted
+            self.cascade.run(zero)
 
     def process(self, block: np.ndarray) -> np.ndarray:
         """Consume samples; returns 128 output samples per completed hop."""
-        block = np.asarray(block, dtype=np.float64)
-        if block.ndim == 1:
-            block = block[:, None]
-        if block.ndim != 2 or block.shape[1] != self.analyzer.channels:
-            raise ValueError(
-                f"expected [samples, {self.analyzer.channels}] block, got {block.shape}"
-            )
+        block = _checked_audio(block, self.analyzer.channels)
         self._buffer = np.concatenate([self._buffer, block])
         hop = self.config.stft.hop
         emitted = []
         while self._buffer.shape[0] >= hop:
             frame = self.analyzer.push(self._buffer[:hop])
             self._buffer = self._buffer[hop:]
-            emitted.append(self._step(frame))
+            emitted.append(self.cascade.run(frame[None])[0])
         if not emitted:
             return np.zeros(0)
         return np.concatenate(emitted)
@@ -282,16 +310,7 @@ def enhance_signal(
     Zero-pads to a hop multiple internally; the mono output has exactly the
     input's length and sample n estimates the target at time n.
     """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError(f"expected non-empty [samples, channels] signal, got {x.shape}")
-    n = x.shape[0]
-    hop = config.stft.hop
-    pad = (-n) % hop
-    if pad:
-        x = np.concatenate([x, np.zeros((pad, x.shape[1]))])
+    x, n = _padded_signal(signal, config)
     engine = StreamingEnhancer(config, store, embedding, fitting=fitting)
     return engine.process(x)[:n]
 
@@ -303,90 +322,25 @@ def enhance_offline(
     embedding: np.ndarray,
     *,
     fitting: ListenerFitting | None = None,
-    oracle_frames: np.ndarray | None = None,
     collect: bool = False,
 ):
-    """Whole-utterance form of the cascade; same math as the stream.
+    """Whole-utterance form: the stream's cascade in one run over all frames.
 
-    Each network runs one full-sequence forward over the hop-synchronous
-    frames with ``lookahead`` zero frames prepended, so its output at index j
-    is the estimate of target frame j. ``oracle_frames`` [T, F] substitutes
-    the first-stage estimate (testing hook for the spatial filter in
-    isolation). With ``collect`` the return value is ``(output, taps)`` where
-    taps holds the aligned per-stage frame sequences.
+    The run covers ``lookahead`` zero frames (the stream's priming) and then
+    every hop-synchronous frame, so each network makes one whole-sequence
+    forward, and dropping the chain offset leaves output sample n estimating
+    the target at time n. With ``collect`` the return value is
+    ``(output, taps)`` where taps holds the per-stage frame sequences aligned
+    with the mixture ``frames``: ``est1``, ``mcwf``, ``est2`` and ``gain``.
     """
-    emb = _validated_embedding(embedding, config.model.emb_dim)
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError(f"expected non-empty [samples, channels] signal, got {x.shape}")
-    if x.shape[1] != config.model.channels:
-        raise ValueError(
-            f"signal has {x.shape[1]} channels, model expects {config.model.channels}"
-        )
-    n = x.shape[0]
+    cascade = _Cascade(config, store, embedding, fitting)
+    x, n = _padded_signal(signal, config)
     stft = config.stft
-    pad = (-n) % stft.hop
-    if pad:
-        x = np.concatenate([x, np.zeros((pad, x.shape[1]))])
-
     frames = StreamingAnalyzer(stft, x.shape[1]).analyze(x)  # [T, F, C]
-    t_len = frames.shape[0]
-    look = stft.lookahead
-    lead_in = np.zeros((look,) + frames.shape[1:], dtype=frames.dtype)
-    model_in = np.concatenate([lead_in, frames])
-
-    est1 = MisoGridNet(config.model, store, "dnn1").forward(model_in, emb)
-    if oracle_frames is not None:
-        oracle_frames = np.asarray(oracle_frames)
-        if oracle_frames.shape != frames.shape[:2]:
-            raise ValueError(
-                f"oracle frames must have shape {frames.shape[:2]}, got {oracle_frames.shape}"
-            )
-        est_prev = oracle_frames
-    else:
-        est_prev = est1[:t_len]
-    first_stage = est_prev
-
-    second = MisoGridNet(config.second_stage(), store, "dnn2")
-    beamformed = est2_full = None
-    for _ in range(config.iterations):
-        beamformed = beamform_frames(
-            frames, est_prev, alpha=config.alpha, loading=config.loading
-        )
-        extras = np.concatenate(
-            [
-                np.zeros((look, stft.bins, 2), dtype=np.complex128),
-                np.stack([est_prev, beamformed], axis=-1),
-            ]
-        )
-        est2_full = second.forward(model_in, emb, extras=extras)
-        est_prev = est2_full[:t_len]
-
-    rescale = RescaleState(config.rescale_eps)
-    gains = np.empty(t_len)
-    for k in range(t_len):
-        gains[k] = rescale.update(beamformed[k], est_prev[k])
-
-    pushed = []
-    for j in range(t_len + look):
-        frame = (
-            np.zeros(stft.bins, dtype=np.complex64)
-            if j < look
-            else float(gains[j - look]) * est2_full[j]
-        )
-        if fitting is not None:
-            frame = fitting.step(frame)
-        pushed.append(np.asarray(frame))
-    out = frames_to_signal(np.stack(pushed), stft)[:n]
+    lead_in = np.zeros((stft.lookahead,) + frames.shape[1:], dtype=frames.dtype)
+    y, taps = cascade.run(np.concatenate([lead_in, frames]))
+    out = y[stft.warmup :][:n]
     if not collect:
         return out
-    taps = {
-        "frames": frames,
-        "est1": first_stage,
-        "mcwf": beamformed,
-        "est2": est_prev,
-        "gain": gains,
-    }
-    return out, taps
+    taps = {k: v[stft.lookahead :] for k, v in taps.items()}
+    return out, {"frames": frames, **taps}

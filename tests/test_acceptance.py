@@ -39,7 +39,6 @@ from hearstream.pipeline import (
     StreamingEnhancer,
     beamform_frames,
     enhance_offline,
-    frames_to_signal,
     init_pipeline_weights,
 )
 from hearstream.scenes import SceneSpec, simulate_scene
@@ -143,7 +142,7 @@ def test_criterion_04_beamforming_benefit():
     scene = simulate_scene(SceneSpec(seed=7, channels=2, duration_s=2.0, snr_db=0.0))
     frames = StreamingAnalyzer(stft, 2).analyze(scene.mixture)
     oracle = StreamingAnalyzer(stft, 1).analyze(scene.target_ref)[:, :, 0]
-    z = frames_to_signal(beamform_frames(frames, oracle), stft)
+    z = istft_frames(beamform_frames(frames, oracle), stft)[stft.warmup :]
     burn = 32000
     ref = scene.target_ref[: len(z)]
     mix = scene.mixture[: len(z), 0]
