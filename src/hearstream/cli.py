@@ -19,7 +19,7 @@ import numpy as np
 
 from .dsp import StftConfig, StreamingAnalyzer, causality_check
 from .embedder import EmbedConfig, SpeakerEmbedder, cache_embedding, load_embedding
-from .fitting import DrcConfig, ListenerFitting, NalrPrescription, load_listener
+from .fitting import EQ_DELAY, ListenerFitting, load_listener
 from .gridnet import GridNetConfig, infer_config
 from .metrics import multires_si_loss, si_sdr, si_sdri
 from .pipeline import (
@@ -32,7 +32,7 @@ from .scenes import SceneSpec, simulate_scene
 from .wavio import read_wav, write_wav
 from .weights import WeightStore
 
-_CONFIG_KEYS = ("iterations", "reference_channel", "alpha", "loading", "rescale_eps")
+_CONFIG_KEYS = ("iterations", "alpha", "loading", "rescale_eps")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,7 +128,7 @@ def _cmd_enhance(args) -> int:
     fitting = None
     if args.listener and not args.no_fitting:
         listeners = load_listener(args.listener)
-        fitting = ListenerFitting(listeners[args.ear], DrcConfig())
+        fitting = ListenerFitting(listeners[args.ear], stft=config.stft)
     out = enhance_signal(mixture, config, store, embedding, fitting=fitting)
     write_wav(args.output, out)
     print(f"wrote {args.output} ({len(out)} samples)")
@@ -207,8 +207,7 @@ def _cmd_check_latency(args) -> int:
             f"budget={args.budget_samples} {verdict}"
         )
         failures += 0 if report.passed else 1
-    delay = NalrPrescription.__dataclass_fields__["group_delay_samples"].default
-    print(f"note: fitting path adds a {delay}-sample static FIR group delay")
+    print(f"note: fitting path adds a {EQ_DELAY}-sample static FIR group delay")
     if failures:
         print(f"FAIL {args.trials - failures}/{args.trials} trials within budget")
         return 1

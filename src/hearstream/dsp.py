@@ -3,9 +3,11 @@
 The analysis side frames the input with a square-root periodic Hann window
 (16 ms window, 4 ms hop at the default 32 kHz rate) and emits one complex
 frame per hop. The synthesis side overlap-adds windowed inverse DFTs and
-emits one hop of audio per submitted frame. Frames are expected in strictly
-increasing index order; the enhancement pipeline submits predicted frames
-(lookahead handled upstream), this module only does the transform math.
+emits one hop of audio per submitted frame. Keeping frames in order is the
+caller's job; the synthesizer has no frame-index contract and overlap-adds
+each frame at the next hop. The enhancement pipeline submits predicted
+frames (lookahead handled upstream), this module only does the transform
+math.
 
 Conventions, used everywhere:
   * forward DFT unnormalized, inverse scaled by 1/fft_size (numpy default);
@@ -39,7 +41,7 @@ __all__ = [
 
 
 class ContractViolationError(RuntimeError):
-    """A streaming contract was broken (e.g. out-of-order frame index)."""
+    """A streaming contract was broken (e.g. a solve before any update)."""
 
 
 class IndeterminateProcessorError(RuntimeError):
@@ -98,10 +100,6 @@ class StftConfig:
         return self.win // 2 + 1
 
     @property
-    def overlap(self) -> int:
-        return self.win // self.hop
-
-    @property
     def warmup(self) -> int:
         """Zero-padded-history span; also the identity-chain alignment offset."""
         return self.win - self.hop
@@ -135,7 +133,6 @@ class StreamingAnalyzer:
         self.channels = channels
         self._window = config.window[:, None]
         self._buf = np.zeros((config.win, channels), dtype=np.float64)
-        self.samples_consumed = 0
 
     def push(self, block: np.ndarray) -> np.ndarray:
         """Consume ``hop`` new samples per channel, return a [bins, channels] frame."""
@@ -149,7 +146,6 @@ class StreamingAnalyzer:
         hop = self.config.hop
         self._buf[:-hop] = self._buf[hop:]
         self._buf[-hop:] = block
-        self.samples_consumed += hop
         return np.fft.rfft(self._window * self._buf, axis=0)
 
     def analyze(self, signal: np.ndarray) -> np.ndarray:
@@ -182,29 +178,17 @@ class StreamingSynthesizer:
         self._window = config.window
         self._cola = config.cola_constant
         self._ola = np.zeros(config.win, dtype=np.float64)
-        self._next_index = 0
-        self.samples_emitted = 0
 
-    @property
-    def next_index(self) -> int:
-        return self._next_index
-
-    def push(self, frame: np.ndarray, *, index: int | None = None) -> np.ndarray:
+    def push(self, frame: np.ndarray) -> np.ndarray:
         """Overlap-add one [bins] frame; returns the next ``hop`` output samples."""
         frame = np.asarray(frame)
         if frame.shape != (self.config.bins,):
             raise ValueError(f"expected frame of shape ({self.config.bins},), got {frame.shape}")
-        if index is not None and index != self._next_index:
-            raise ContractViolationError(
-                f"frames must be submitted in order: expected index {self._next_index}, got {index}"
-            )
         hop = self.config.hop
         self._ola += self._window * np.fft.irfft(frame, n=self.config.fft_size)
         out = self._ola[:hop] / self._cola
         self._ola[:-hop] = self._ola[hop:]
         self._ola[-hop:] = 0.0
-        self._next_index += 1
-        self.samples_emitted += hop
         return out
 
 

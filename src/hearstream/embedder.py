@@ -26,15 +26,13 @@ import numpy as np
 
 from .gridnet import stack_ri
 from .kernels import conv1d, conv2d, linear, prelu
-from .weights import ParamSpec, WeightFormatError, WeightStore, seeded_init
+from .weights import ParamSpec, WeightFormatError, WeightStore
 
 __all__ = [
     "EmbedConfig",
     "SpeakerEmbedder",
     "cache_embedding",
-    "embed_param_count",
     "embed_weight_schema",
-    "init_embedder",
     "load_embedding",
 ]
 
@@ -109,14 +107,6 @@ def embed_weight_schema(config: EmbedConfig, prefix: str = "spk") -> list[ParamS
     return specs
 
 
-def embed_param_count(config: EmbedConfig) -> int:
-    return int(sum(np.prod(s.shape, dtype=np.int64) for s in embed_weight_schema(config)))
-
-
-def init_embedder(config: EmbedConfig, seed: int, prefix: str = "spk") -> WeightStore:
-    return seeded_init(embed_weight_schema(config, prefix), seed)
-
-
 class SpeakerEmbedder:
     """Pure function of (adaptation spectrogram, weights) -> 128-dim vector."""
 
@@ -136,7 +126,7 @@ class SpeakerEmbedder:
 
     def _conv_block(self, x: np.ndarray, name: str, stride: tuple[int, int]) -> np.ndarray:
         w = self.w
-        y = conv2d(x, w[f"{name}.w"], w[f"{name}.b"], stride=stride, causal_time=False)
+        y = conv2d(x, w[f"{name}.w"], w[f"{name}.b"], stride=stride)
         return prelu(y, w[f"{name}.alpha"])
 
     def embed(self, spect: np.ndarray) -> np.ndarray:

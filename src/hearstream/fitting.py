@@ -1,14 +1,16 @@
 """Listener compensation: prescription gains, FIR equalizer, compressor.
 
-The chain is frame-online: an 80-tap equalizer realized as a per-bin
-complex multiply (one STFT frame in, one out), followed by a broadband
-dynamic range compressor whose state advances one frame per call. The
-equalizer contributes a fixed 12-sample (0.375 ms) group delay on top of
-the enhancement path; it is reported separately by the latency checker.
+The chain is frame-online: an 80-tap (``EQ_TAPS``) equalizer realized as a
+per-bin complex multiply (one STFT frame in, one out), followed by a
+broadband dynamic range compressor whose state advances one frame per call.
+Both are built for one ``StftConfig``: the equalizer's DFT size and the
+compressor's hop time come from it. The equalizer contributes a fixed
+12-sample (``EQ_DELAY``, 0.375 ms) group delay on top of the enhancement
+path; it is reported separately by the latency checker.
 
 Prescription formula: insertion gain IG(f) = X + 0.31 * HTL(f) + k(f) with
 X = 0.05 * (HTL_500 + HTL_1000 + HTL_2000) and the standard frequency
-corrections k(f). Gains are not clamped unless asked.
+corrections k(f). Gains are not clamped.
 
 Filter design: weighted complex least squares over a dense log/linear grid
 against the interpolated gain curve with a linear 12-sample delay term.
@@ -28,14 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import StftConfig
+
 __all__ = [
     "Audiogram",
     "CATALOGUE_CFS",
     "DrcConfig",
     "DrcState",
+    "EQ_DELAY",
+    "EQ_TAPS",
     "ListenerFitting",
     "NalrPrescription",
-    "apply_fir_stft",
     "design_fir",
     "drc_static_gain",
     "frame_level_db",
@@ -45,6 +50,9 @@ __all__ = [
 ]
 
 CATALOGUE_CFS = (250.0, 500.0, 1000.0, 2000.0, 3000.0, 4000.0, 6000.0, 8000.0)
+
+EQ_TAPS = 80  # equalizer length
+EQ_DELAY = 12  # the equalizer's pure-delay term: its group delay, in samples
 
 # frequency corrections k(f), dB
 _NALR_K_DB = {
@@ -90,18 +98,15 @@ class Audiogram:
         return cls(CATALOGUE_CFS, (float(level_db),) * len(CATALOGUE_CFS))
 
 
-def nalr_gains(audiogram: Audiogram, *, clamp_negative: bool = False) -> np.ndarray:
+def nalr_gains(audiogram: Audiogram) -> np.ndarray:
     """Insertion gains in dB, aligned with ``audiogram.cfs``."""
     for needed in (500.0, 1000.0, 2000.0):
         if needed not in audiogram.cfs:
             raise ValueError(f"audiogram is missing the {needed:.0f} Hz entry")
     x = 0.05 * sum(audiogram.level_at(f) for f in (500.0, 1000.0, 2000.0))
-    gains = np.array(
+    return np.array(
         [x + 0.31 * htl + _NALR_K_DB[cf] for cf, htl in zip(audiogram.cfs, audiogram.levels)]
     )
-    if clamp_negative:
-        gains = np.maximum(gains, 0.0)
-    return gains
 
 
 def _interp_gain_curve(freqs_hz: np.ndarray, cfs, gains_db) -> np.ndarray:
@@ -117,9 +122,9 @@ def design_fir(
     gains_db,
     cfs=CATALOGUE_CFS,
     *,
-    taps: int = 80,
+    taps: int = EQ_TAPS,
     fs: int = 32000,
-    delay: int = 12,
+    delay: int = EQ_DELAY,
     anchor_weight: float = 30.0,
 ) -> np.ndarray:
     """Equalizer taps for dB gains stated at ``cfs``.
@@ -158,35 +163,17 @@ def design_fir(
 class NalrPrescription:
     gains_db: np.ndarray
     fir: np.ndarray
-    group_delay_samples: int = 12
 
     def __post_init__(self) -> None:
-        if len(self.fir) != 80:
-            raise ValueError(f"equalizer must have exactly 80 taps, got {len(self.fir)}")
+        if len(self.fir) != EQ_TAPS:
+            raise ValueError(f"equalizer must have exactly {EQ_TAPS} taps, got {len(self.fir)}")
         if not np.all(np.isfinite(self.gains_db)):
             raise ValueError("prescription gains must be finite")
 
 
-def prescribe(audiogram: Audiogram, *, clamp_negative: bool = False) -> NalrPrescription:
-    gains = nalr_gains(audiogram, clamp_negative=clamp_negative)
+def prescribe(audiogram: Audiogram) -> NalrPrescription:
+    gains = nalr_gains(audiogram)
     return NalrPrescription(gains, design_fir(gains, audiogram.cfs))
-
-
-def apply_fir_stft(frames: np.ndarray, fir: np.ndarray, fft_size: int = 512) -> np.ndarray:
-    """Per-bin multiply by the zero-padded DFT of the taps.
-
-    Circular-convolution approximation of time-domain filtering; the
-    mismatch against true convolution is bounded by test at 2 % relative
-    RMS on white noise. Accepts [..., bins] complex frames.
-    """
-    fir = np.asarray(fir, dtype=np.float64)
-    if fir.ndim != 1 or len(fir) > fft_size:
-        raise ValueError(f"taps must be a vector of length <= {fft_size}, got {fir.shape}")
-    frames = np.asarray(frames)
-    bins = fft_size // 2 + 1
-    if frames.shape[-1] != bins:
-        raise ValueError(f"expected {bins} bins on the last axis, got {frames.shape}")
-    return frames * np.fft.rfft(fir, fft_size)
 
 
 # -- dynamic range compression ------------------------------------------------
@@ -201,23 +188,14 @@ class DrcConfig:
     knee_width_db: float = 4.0
     attack_s: float = 0.05
     release_s: float = 0.2
-    hop_s: float = 0.004
 
     def __post_init__(self) -> None:
         if self.ratio < 1.0:
             raise ValueError(f"compression ratio must be >= 1, got {self.ratio}")
-        if self.attack_s <= 0.0 or self.release_s <= 0.0 or self.hop_s <= 0.0:
-            raise ValueError("attack, release, and hop times must be positive")
+        if self.attack_s <= 0.0 or self.release_s <= 0.0:
+            raise ValueError("attack and release times must be positive")
         if self.knee_width_db < 0.0:
             raise ValueError(f"knee width must be >= 0, got {self.knee_width_db}")
-
-    @property
-    def attack_coeff(self) -> float:
-        return float(np.exp(-self.hop_s / self.attack_s))
-
-    @property
-    def release_coeff(self) -> float:
-        return float(np.exp(-self.hop_s / self.release_s))
 
 
 def drc_static_gain(level_db, cfg: DrcConfig = DrcConfig()):
@@ -249,43 +227,44 @@ def frame_level_db(frame: np.ndarray, fft_size: int = 512) -> float:
 
 
 class DrcState:
-    """Sequential compressor state: one smoothed broadband gain in dB."""
+    """Sequential compressor state: one smoothed broadband gain in dB.
 
-    def __init__(self, cfg: DrcConfig = DrcConfig(), fft_size: int = 512) -> None:
+    One step per frame of ``stft``, so the attack and release smoothing
+    coefficients are exp(-hop time / time constant) for its hop.
+    """
+
+    def __init__(self, cfg: DrcConfig = DrcConfig(), stft: StftConfig = StftConfig()) -> None:
         self.cfg = cfg
-        self.fft_size = fft_size
+        self.fft_size = stft.fft_size
+        hop_s = stft.hop / stft.sample_rate
+        self.attack_coeff = float(np.exp(-hop_s / cfg.attack_s))
+        self.release_coeff = float(np.exp(-hop_s / cfg.release_s))
         self.gain_db = 0.0
-        self.frames = 0
 
     def step(self, frame: np.ndarray) -> np.ndarray:
         """Advance one frame: detect level, smooth the gain, apply it."""
         target = drc_static_gain(frame_level_db(frame, self.fft_size), self.cfg)
         # attack when the gain moves down (more compression), release up
-        coeff = self.cfg.attack_coeff if target < self.gain_db else self.cfg.release_coeff
+        coeff = self.attack_coeff if target < self.gain_db else self.release_coeff
         self.gain_db = coeff * self.gain_db + (1.0 - coeff) * target
-        self.frames += 1
         return frame * 10.0 ** (self.gain_db / 20.0)
 
 
 class ListenerFitting:
-    """Per-frame equalizer plus compressor for one ear's audiogram."""
+    """Per-frame equalizer plus compressor for one ear's audiogram, built
+    for the frames of ``stft``."""
 
     def __init__(
         self,
         audiogram: Audiogram,
         drc: DrcConfig = DrcConfig(),
         *,
-        fft_size: int = 512,
-        clamp_negative: bool = False,
+        stft: StftConfig = StftConfig(),
     ) -> None:
-        self.audiogram = audiogram
-        self.prescription = prescribe(audiogram, clamp_negative=clamp_negative)
-        self.spectrum = np.fft.rfft(self.prescription.fir, fft_size)
-        self.drc = DrcState(drc, fft_size)
-
-    @property
-    def group_delay_samples(self) -> int:
-        return self.prescription.group_delay_samples
+        self.stft = stft
+        self.prescription = prescribe(audiogram)
+        self.spectrum = np.fft.rfft(self.prescription.fir, stft.fft_size)
+        self.drc = DrcState(drc, stft)
 
     def step(self, frame: np.ndarray) -> np.ndarray:
         """One STFT frame in, one fitted frame out; no frame retiming."""

@@ -27,7 +27,7 @@ The second-stage network is the same architecture with extra input channels
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +41,12 @@ from .kernels import (
     masked_attention,
     prelu,
 )
-from .weights import ParamSpec, WeightStore, seeded_init
+from .weights import ParamSpec, WeightStore
 
 __all__ = [
     "GridNetConfig",
     "GridNetStream",
     "MisoGridNet",
-    "param_count",
     "stack_ri",
     "unstack_ri",
     "weight_schema",
@@ -60,8 +59,7 @@ class GridNetConfig:
 
     channels is the microphone count; extra_inputs counts additional real
     feature planes stacked after the mixture (4 for the second stage: RI of
-    the first-stage estimate and of the beamformer output). unfold_stride
-    must stay 1 so each output frame aligns with one input frame.
+    the first-stage estimate and of the beamformer output).
     """
 
     channels: int = 2
@@ -69,18 +67,14 @@ class GridNetConfig:
     d: int = 16
     blocks: int = 2
     unfold_kernel: int = 2
-    unfold_stride: int = 1
     hidden: int = 32
     heads: int = 2
     qk_channels: int = 2
     n_freq: int = 257
     emb_dim: int = 128
-    lookahead: int = 3
     causal_attention: bool = True
 
     def __post_init__(self) -> None:
-        if self.unfold_stride != 1:
-            raise ValueError("unfold_stride must be 1 (one output frame per input frame)")
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
         if self.extra_inputs % 2 or self.extra_inputs < 0:
@@ -192,27 +186,16 @@ def weight_schema(config: GridNetConfig, prefix: str = "dnn1") -> list[ParamSpec
     return specs
 
 
-def param_count(config: GridNetConfig) -> int:
-    return int(
-        sum(np.prod(s.shape, dtype=np.int64) for s in weight_schema(config, "x"))
-    )
-
-
-def init_gridnet(config: GridNetConfig, seed: int, prefix: str = "dnn1") -> WeightStore:
-    return seeded_init(weight_schema(config, prefix), seed)
-
-
 def infer_config(
     store: WeightStore,
     prefix: str = "dnn1",
     *,
     channels: int | None = None,
     n_freq: int = 257,
-    lookahead: int = 3,
 ) -> GridNetConfig:
     """Recover architecture hyperparameters from tensor shapes in a store.
 
-    Only n_freq and lookahead are not encoded in the weights; channels must
+    Only n_freq is not encoded in the weights; channels must
     be supplied for a model with extra feature inputs (the second stage) and
     is otherwise taken as half the input plane count.
     """
@@ -246,7 +229,6 @@ def infer_config(
         qk_channels=qk,
         n_freq=n_freq,
         emb_dim=emb,
-        lookahead=lookahead,
     )
 
 
@@ -439,7 +421,7 @@ class MisoGridNet:
             x = x + self._spectral(x, p)
             x = x + self._attention(x, p, block)
         window, state["deconv_out"] = _with_history(state["deconv_out"], x)
-        y = conv_transpose2d(window, w["deconv_out.w"], w["deconv_out.b"], pad_time=False)
+        y = conv_transpose2d(window, w["deconv_out.w"], w["deconv_out.b"])
         return unstack_ri(y)
 
     # -- block stages ----------------------------------------------------------
@@ -450,10 +432,9 @@ class MisoGridNet:
         out = view.transpose(0, 1, 3, 2)
         return np.ascontiguousarray(out).reshape(out.shape[0], out.shape[1], -1)
 
-    def _temporal(self, x: np.ndarray, p: str, state: dict | None = None) -> np.ndarray:
+    def _temporal(self, x: np.ndarray, p: str, st: dict) -> np.ndarray:
         """Causal sub-band temporal module over x[D, T, F], continuing the
-        block ``state`` (zero history when None)."""
-        st = self._zero_block() if state is None else state
+        block state ``st``."""
         w = self.w
         y = layer_norm(x, (0, 2), w[f"{p}.temporal.ln.gamma"], w[f"{p}.temporal.ln.beta"])
         seq, st["unfold"] = _with_history(st["unfold"], y.transpose(2, 1, 0))  # [F, I-1+T, D]
@@ -524,9 +505,6 @@ class MisoGridNet:
         o = o.transpose(1, 3, 0, 2).reshape(cfg.d, t_len, f_len)
         y = np.tensordot(w[f"{p}.attn.out.w"], o, axes=([1], [0]))
         return prelu(y + w[f"{p}.attn.out.b"][:, None, None], w[f"{p}.attn.out.alpha"])
-
-    def stream(self) -> "GridNetStream":
-        return GridNetStream(self)
 
 
 class GridNetStream:

@@ -11,8 +11,8 @@ Layout conventions (fixed; the weight container relies on them):
 Everything is float32 with float64 accumulation inside statistical
 reductions (means, variances, softmax); attention's value product, the
 softmax weights times the values, runs in float32. All functions are pure;
-causality claims (conv causal-time padding, forward LSTM, masked attention)
-hold as exact equality, not approximately.
+causality claims (convolutions over carried history frames, forward LSTM,
+masked attention) hold as exact equality, not approximately.
 """
 
 from __future__ import annotations
@@ -84,17 +84,15 @@ def conv2d(
     bias: np.ndarray | None = None,
     *,
     stride: tuple[int, int] = (1, 1),
-    causal_time: bool = True,
     pad_time: bool = True,
 ) -> np.ndarray:
     """2-D cross-correlation over [C_in, T, F] maps.
 
-    Time padding is applied entirely on the past side when ``causal_time``
-    (output frame t sees frames <= t only), symmetrically otherwise.
-    Frequency padding is always 'same'. With stride (st, sf) the stride-1
-    output is subsampled, giving ceil(T/st) x ceil(F/sf). ``pad_time=False``
-    pads no time at all: a streaming caller passes Kt-1 frames of history
-    ahead of the frames it wants and gets the last T-Kt+1 causal frames.
+    Time and frequency padding are 'same' (centered). With stride (st, sf)
+    the stride-1 output is subsampled, giving ceil(T/st) x ceil(F/sf).
+    ``pad_time=False`` pads no time at all: a streaming caller passes Kt-1
+    frames of history ahead of the frames it wants and gets the last T-Kt+1
+    causal frames.
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 3 or kernel.ndim != 4 or x.shape[0] != kernel.shape[1]:
@@ -102,12 +100,7 @@ def conv2d(
             f"conv2d: incompatible shapes, input {x.shape} vs kernel {kernel.shape}"
         )
     _, _, kt, kf = kernel.shape
-    if not pad_time:
-        pad_t = (0, 0)
-    elif causal_time:
-        pad_t = (kt - 1, 0)
-    else:
-        pad_t = ((kt - 1) // 2, kt // 2)
+    pad_t = ((kt - 1) // 2, kt // 2) if pad_time else (0, 0)
     pad_f = ((kf - 1) // 2, kf // 2)
     xp = np.pad(x, ((0, 0), pad_t, pad_f))
     y = _corr2d_valid(xp, np.asarray(kernel, dtype=np.float32), stride)
@@ -117,36 +110,27 @@ def conv2d(
 
 
 def conv_transpose2d(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    bias: np.ndarray | None = None,
-    *,
-    causal_time: bool = True,
-    pad_time: bool = True,
+    x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None
 ) -> np.ndarray:
-    """Stride-1 transposed 2-D convolution back to the input (T, F) extent.
+    """Stride-1 transposed 2-D convolution over [C_in, T, F] with no time padding.
 
-    Equivalent to full-padded correlation with the axis-flipped kernel.
-    The full output is cropped to keep frame t a function of inputs <= t
-    (head crop) and frequency centered. Kernel layout [C_in, C_out, Kt, Kf].
-    ``pad_time=False`` pads no time at all: a streaming caller passes Kt-1
-    frames of history ahead of the frames it wants and gets the last T-Kt+1
-    causal frames.
+    Equivalent to correlation with the axis-flipped kernel, full-padded over
+    frequency and cropped back to the input's F bins (centered). A streaming
+    caller passes Kt-1 frames of history ahead of the frames it wants and
+    gets the last T-Kt+1 frames, each a function of inputs up to its own
+    frame. Kernel layout [C_in, C_out, Kt, Kf].
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 3 or kernel.ndim != 4 or x.shape[0] != kernel.shape[0]:
         raise ValueError(
             f"conv_transpose2d: incompatible shapes, input {x.shape} vs kernel {kernel.shape}"
         )
-    c_in, c_out, kt, kf = kernel.shape
+    kf = kernel.shape[3]
     flipped = np.asarray(kernel, dtype=np.float32).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    pad_t = kt - 1 if pad_time else 0
-    xp = np.pad(x, ((0, 0), (pad_t, pad_t), (kf - 1, kf - 1)))
+    xp = np.pad(x, ((0, 0), (0, 0), (kf - 1, kf - 1)))
     y = _corr2d_valid(xp, np.ascontiguousarray(flipped))
-    _, t_in, f_in = x.shape
-    t0 = 0 if causal_time or not pad_time else (kt - 1) // 2
     f0 = (kf - 1) // 2
-    y = y[:, t0 : t0 + t_in, f0 : f0 + f_in]
+    y = y[:, :, f0 : f0 + x.shape[2]]
     if bias is not None:
         y = y + np.asarray(bias, dtype=np.float32)[:, None, None]
     return y
@@ -185,20 +169,16 @@ def conv1d(
 
 
 def conv_transpose1d(
-    x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None, *, stride: int = 1
+    x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None
 ) -> np.ndarray:
-    """Transposed 1-D convolution of x[L, C_in] with kernel[C_in, C_out, K].
+    """Stride-1 transposed 1-D convolution of x[N, L, C_in] with kernel[C_in, C_out, K].
 
-    Returns the full output of length (L - 1) * stride + K; callers crop.
-    out[o] sums x[i] * kernel[:, :, o - i*stride], so out[o] depends only on
-    inputs at positions i <= o when stride == 1 (head crop keeps causality).
-    A leading batch axis is accepted: x[N, L, C_in] -> [N, L_out, C_out].
+    Returns the full output [N, L + K - 1, C_out]; callers crop. out[o] sums
+    x[i] * kernel[:, :, o - i], so out[o] depends only on inputs at
+    positions i <= o (head crop keeps causality).
     """
     x = np.asarray(x, dtype=np.float32)
     c_in, c_out, k = kernel.shape
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
     if x.ndim != 3 or x.shape[2] != c_in:
         raise ValueError(f"conv_transpose1d: input {x.shape} vs kernel {kernel.shape}")
     n, length = x.shape[0], x.shape[1]
@@ -206,12 +186,12 @@ def conv_transpose1d(
         c_in, c_out * k
     )
     y = y.reshape(n, length, c_out, k)
-    out = np.zeros((n, (length - 1) * stride + k, c_out), dtype=np.float32)
+    out = np.zeros((n, length + k - 1, c_out), dtype=np.float32)
     for tap in range(k):
-        out[:, tap : tap + (length - 1) * stride + 1 : stride] += y[:, :, :, tap]
+        out[:, tap : tap + length] += y[:, :, :, tap]
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.float32)
-    return out[0] if squeeze else out
+    return out
 
 
 # -- normalization and modulation --------------------------------------------
@@ -267,7 +247,6 @@ def lstm_forward(
     r: np.ndarray,
     b: np.ndarray,
     *,
-    reverse: bool = False,
     backward: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     state: tuple[np.ndarray, np.ndarray] | None = None,
     return_state: bool = False,
@@ -275,8 +254,7 @@ def lstm_forward(
     """LSTM over x[T, D_in] or a batch x[N, T, D_in]; returns [.., T, H].
 
     Weights: w[4H, D_in] input projection, r[4H, H] recurrence, b[4H] bias,
-    gates packed (i, f, g, o). ``reverse`` runs right-to-left; the output
-    stays in input order. ``state`` carries (h, c) between calls for
+    gates packed (i, f, g, o). ``state`` carries (h, c) between calls for
     streaming.
 
     ``backward=(w_b, r_b, b_b)`` makes the call bidirectional: a reversed
@@ -299,10 +277,10 @@ def lstm_forward(
         x = x[None]
     n, t_len, d_in = x.shape
     four_h, h_size = r.shape
-    dirs = [(w, r, b, reverse)]
+    dirs = [(w, r, b, False)]
     if backward is not None:
-        if reverse or state is not None or return_state:
-            raise ValueError("lstm_forward: a bidirectional call takes no reverse or state")
+        if state is not None or return_state:
+            raise ValueError("lstm_forward: a bidirectional call takes no state")
         dirs.append((*backward, True))
     for dw, dr, db, _ in dirs:
         if (

@@ -47,12 +47,12 @@ class PipelineConfig:
     """Engine wiring: model geometry, STFT, beamformer constants.
 
     ``iterations`` counts Wiener-filter + second-stage passes; each extra
-    pass re-estimates the spatial filter from the previous refinement.
+    pass re-estimates the spatial filter from the previous refinement. The
+    output is referenced to channel 0, the reference microphone.
     """
 
     model: GridNetConfig = GridNetConfig()
     stft: StftConfig = StftConfig()
-    reference_channel: int = 0
     iterations: int = 1
     alpha: float = 0.5
     loading: float = 1e-4
@@ -61,14 +61,10 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not 0 <= self.reference_channel < self.model.channels:
-            raise ValueError("reference_channel out of range")
         if self.model.n_freq != self.stft.bins:
             raise ValueError(
                 f"model n_freq {self.model.n_freq} != STFT bins {self.stft.bins}"
             )
-        if self.model.lookahead != self.stft.lookahead:
-            raise ValueError("model and STFT lookahead disagree")
         # Prediction horizon must equal the analysis/synthesis chain offset,
         # otherwise output frames would not land on their own timeline.
         if self.stft.lookahead * self.stft.hop != self.stft.warmup:
@@ -180,6 +176,10 @@ class _Cascade:
         if not np.all(np.isfinite(self.embedding)):
             raise ValueError("embedding contains non-finite values")
         stft = config.stft
+        if fitting is not None and fitting.stft != stft:
+            raise ValueError(
+                f"fitting was built for {fitting.stft}, the pipeline runs {stft}"
+            )
         first = MisoGridNet(config.model, store, "dnn1")
         second = MisoGridNet(config.second_stage(), store, "dnn2")
         self.nets = [first] + [second] * config.iterations
@@ -257,8 +257,8 @@ class StreamingEnhancer:
     Accepts arbitrary block sizes; every completed 128-sample hop yields 128
     output samples, so the cut points never change the result. A block with
     a wrong shape or a non-finite sample raises ValueError and leaves the
-    engine as it was. A supplied ``fitting`` chain is stateful and owned by
-    this engine afterwards.
+    engine as it was. A supplied ``fitting`` chain must be built for
+    ``config.stft``; it is stateful and owned by this engine afterwards.
     """
 
     def __init__(

@@ -20,18 +20,18 @@ from hearstream.dsp import (
     istft_frames,
     sqrt_hann,
 )
-from hearstream.embedder import EmbedConfig, embed_param_count
+from hearstream.embedder import EmbedConfig, embed_weight_schema
 from hearstream.fitting import (
     CATALOGUE_CFS,
     Audiogram,
     DrcConfig,
     DrcState,
-    apply_fir_stft,
+    ListenerFitting,
     drc_static_gain,
     nalr_gains,
     prescribe,
 )
-from hearstream.gridnet import GridNetConfig, MisoGridNet, init_gridnet, param_count
+from hearstream.gridnet import GridNetConfig, GridNetStream, MisoGridNet, weight_schema
 from hearstream.kernels import conv2d, lstm_forward, masked_attention
 from hearstream.metrics import multires_si_loss, si_sdr
 from hearstream.pipeline import (
@@ -227,7 +227,7 @@ def test_criterion_06_nalr():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(16000)
     frames = StreamingAnalyzer(stft, 1).analyze(x)[:, :, 0]
-    fitted = apply_fir_stft(frames, taps)
+    fitted = frames * ListenerFitting(Audiogram.flat(40.0), stft=stft).spectrum
     y_stft = istft_frames(fitted, stft)[stft.warmup :]
     y_time = np.convolve(x, taps)[: len(y_stft)]
     rel = float(np.sqrt(np.mean((y_stft - y_time) ** 2)) / np.sqrt(np.mean(y_time**2)))
@@ -251,12 +251,12 @@ def test_criterion_07_drc():
     # Step from silence to a steady -20 dB frame: the dB gain relaxes toward
     # the static target with the attack coefficient exp(-hop/attack), so the
     # 1 - 1/e crossing lands at log(1 - 0.632) / log(coeff) frames.
-    state = DrcState(cfg)
+    state = DrcState(cfg, StftConfig())
     fft = 512
     amp = math.sqrt(fft) * 10.0 ** (-20.0 / 20.0)  # frame level exactly -20 dB
     frame = np.full(fft // 2 + 1, amp, dtype=complex)
     target = float(drc_static_gain(-20.0, cfg))
-    predicted = math.log(1.0 - 0.632) / math.log(cfg.attack_coeff)
+    predicted = math.log(1.0 - 0.632) / math.log(state.attack_coeff)
     crossing = None
     for n in range(200):
         state.step(frame)
@@ -291,16 +291,19 @@ def test_criterion_08_causal_kernels(toy_cfg, toy_store):
     def exact_prefix(full, perturbed):
         return np.array_equal(full[: cut + 1], perturbed[: cut + 1])
 
-    # causal 2-D convolution over [C, T, F] maps
+    # 2-D convolution over [C, T, F] maps as conv_in runs it: Kt-1 history
+    # frames (zeros at the start) ahead of the input, no time padding
     w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
     b = np.zeros(4, np.float32)
     x = rng.standard_normal((3, 12, 9)).astype(np.float32)
     xp = x.copy()
     xp[:, cut + 1 :] = rng.standard_normal(xp[:, cut + 1 :].shape)
-    conv_ok = exact_prefix(
-        conv2d(x, w, b, causal_time=True).transpose(1, 0, 2),
-        conv2d(xp, w, b, causal_time=True).transpose(1, 0, 2),
-    )
+    history = np.zeros((3, w.shape[2] - 1, 9), np.float32)
+
+    def conv_in(a):
+        return conv2d(np.concatenate([history, a], axis=1), w, b, pad_time=False)
+
+    conv_ok = exact_prefix(conv_in(x).transpose(1, 0, 2), conv_in(xp).transpose(1, 0, 2))
 
     # forward LSTM over [L, C] sequences
     wl = rng.standard_normal((16, 3)).astype(np.float32)
@@ -325,8 +328,8 @@ def test_criterion_08_causal_kernels(toy_cfg, toy_store):
     txp = tx.copy()
     txp[:, cut + 1 :] = rng.standard_normal(txp[:, cut + 1 :].shape)
     temporal_ok = np.array_equal(
-        model._temporal(tx, "block0")[:, : cut + 1],
-        model._temporal(txp, "block0")[:, : cut + 1],
+        model._temporal(tx, "block0", model._zero_block())[:, : cut + 1],
+        model._temporal(txp, "block0", model._zero_block())[:, : cut + 1],
     )
 
     emb = rng.standard_normal(128).astype(np.float32)
@@ -359,7 +362,7 @@ def test_criterion_09_streaming_equivalence(toy_cfg, toy_store):
     emb = rng.standard_normal(128).astype(np.float32)
     frames = rng.standard_normal((24, 257, 2)) + 1j * rng.standard_normal((24, 257, 2))
     full = model.forward(frames, emb)
-    stream = model.stream()
+    stream = GridNetStream(model)
     inc = np.stack([stream.step(frames[t], emb) for t in range(24)])
     scale = float(np.max(np.abs(full)))
     model_err = float(np.max(np.abs(inc - full))) / scale
@@ -382,8 +385,8 @@ def test_criterion_09_streaming_equivalence(toy_cfg, toy_store):
 
 
 def test_criterion_10_parameter_scale_reported():
-    dnn = param_count(GridNetConfig.full_scale())
-    spk = embed_param_count(EmbedConfig())
+    dnn = sum(np.prod(s.shape) for s in weight_schema(GridNetConfig.full_scale()))
+    spk = sum(np.prod(s.shape) for s in embed_weight_schema(EmbedConfig()))
     dnn_ok = abs(dnn - 8_000_000) <= 0.25 * 8_000_000
     spk_ok = abs(spk - 600_000) <= 0.25 * 600_000
     print(

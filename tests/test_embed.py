@@ -7,12 +7,10 @@ from hearstream.embedder import (
     EmbedConfig,
     SpeakerEmbedder,
     cache_embedding,
-    embed_param_count,
     embed_weight_schema,
-    init_embedder,
     load_embedding,
 )
-from hearstream.weights import WeightFormatError, WeightStore
+from hearstream.weights import WeightFormatError, WeightStore, seeded_init
 
 TINY = EmbedConfig(
     tcn_repeats=1, tcn_blocks=2, tcn_channels=8, encoder_hidden=4, encoder_stages=2, n_freq=33
@@ -20,8 +18,12 @@ TINY = EmbedConfig(
 
 
 def make_embedder(config=TINY, seed=11):
-    store = init_embedder(config, seed)
+    store = seeded_init(embed_weight_schema(config), seed)
     return SpeakerEmbedder(config, store), store
+
+
+def n_params(config):
+    return sum(int(np.prod(s.shape)) for s in embed_weight_schema(config))
 
 
 def rand_spect(t, f, seed=0):
@@ -54,20 +56,20 @@ class TestParams:
         # tcn: 2 blocks of pw1 80 + dw 40 + pw2 72 = 192 each
         expected = 80 + 2 * 600 + 176 + 2 * 192
         assert expected == 1840
-        assert embed_param_count(TINY) == expected
+        assert n_params(TINY) == expected
 
     def test_default_hand_audit(self):
         cfg = EmbedConfig()
         enc = 320 + 3 * (2336 + 4640 + 2336) + (128 * 272 + 128 + 128)
         tcn = 12 * (16640 + 640 + 16512)
-        assert embed_param_count(cfg) == enc + tcn == 468832
+        assert n_params(cfg) == enc + tcn == 468832
 
     def test_default_in_budget(self):
-        assert 450_000 <= embed_param_count(EmbedConfig()) <= 750_000
+        assert 450_000 <= n_params(EmbedConfig()) <= 750_000
 
     def test_store_matches_schema(self):
-        store = init_embedder(TINY, 0)
-        assert store.param_count() == embed_param_count(TINY)
+        store = seeded_init(embed_weight_schema(TINY), 0)
+        assert store.param_count() == n_params(TINY)
 
     def test_doubling_channels_quadruples_tcn(self):
         def tcn_params(cfg):
@@ -126,7 +128,7 @@ class TestEmbed:
     def test_mean_pooling_invariant_for_bias_only_weights(self):
         # zero kernels make every activation a time-constant bias stack, so
         # the temporal mean cannot depend on the clip length
-        store = init_embedder(TINY, 0)
+        store = seeded_init(embed_weight_schema(TINY), 0)
         rng = np.random.default_rng(17)
         for name in list(store.keys()):
             if name.endswith(".w"):
@@ -155,7 +157,7 @@ class TestEmbed:
             emb.embed(np.zeros((10, 33, 2), dtype=np.complex64))
 
     def test_missing_weight_rejected(self):
-        store = init_embedder(TINY, 0)
+        store = seeded_init(embed_weight_schema(TINY), 0)
         partial = WeightStore({n: store[n] for n in list(store.keys())[:-1]})
         with pytest.raises(KeyError):
             SpeakerEmbedder(TINY, partial)

@@ -11,21 +11,24 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from hearstream.gridnet import (
     GridNetConfig,
+    GridNetStream,
     MisoGridNet,
-    init_gridnet,
-    param_count,
     stack_ri,
     unstack_ri,
     weight_schema,
 )
-from hearstream.weights import WeightStore
+from hearstream.weights import WeightStore, seeded_init
 
 # small footprint for module-level tests; full toy defaults where counts matter
 SMALL = GridNetConfig(channels=1, d=8, blocks=1, unfold_kernel=2, hidden=8, heads=2, n_freq=33)
 
 
 def make_model(config, seed=0, prefix="dnn1"):
-    return MisoGridNet(config, init_gridnet(config, seed, prefix), prefix)
+    return MisoGridNet(config, seeded_init(weight_schema(config, prefix), seed), prefix)
+
+
+def n_params(config):
+    return sum(int(np.prod(s.shape)) for s in weight_schema(config))
 
 
 def rand_spect(rng, t, f, c):
@@ -39,14 +42,11 @@ class TestConfig:
         cfg = GridNetConfig()
         assert cfg.input_channels == 4
         assert cfg.value_channels == 8
-        assert cfg.unfold_stride == 1
 
     def test_second_stage_inputs(self):
         assert GridNetConfig(channels=6, extra_inputs=4).input_channels == 16
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            GridNetConfig(unfold_stride=2)
         with pytest.raises(ValueError):
             GridNetConfig(d=15, heads=2)
         with pytest.raises(ValueError):
@@ -104,10 +104,10 @@ class TestParamCount:
         deconv_out = d * 2 * 9 + 2
         expected = conv_in + ln_in + 2 * block + deconv_out
         assert expected == 66866
-        assert param_count(GridNetConfig()) == expected
+        assert n_params(GridNetConfig()) == expected
 
     def test_full_scale_within_soft_budget(self):
-        n = param_count(GridNetConfig.full_scale())
+        n = n_params(GridNetConfig.full_scale())
         assert 0.75 * 8_000_000 <= n <= 1.25 * 8_000_000
 
     def test_second_stage_differs_only_in_first_conv(self):
@@ -118,8 +118,8 @@ class TestParamCount:
         assert diff == ["m.conv_in.w"]
 
     def test_schema_matches_store(self):
-        store = init_gridnet(SMALL, 7)
-        assert store.param_count() == param_count(SMALL)
+        store = seeded_init(weight_schema(SMALL), 7)
+        assert store.param_count() == n_params(SMALL)
 
 
 class TestForward:
@@ -180,7 +180,7 @@ class TestForward:
         assert np.abs(a - b).max() > 0
 
     def test_film_identity_matches_unconditioned(self):
-        store = init_gridnet(SMALL, 3)
+        store = seeded_init(weight_schema(SMALL), 3)
         for b in range(SMALL.blocks):
             store[f"dnn1.block{b}.film.w_gamma"] = np.zeros((SMALL.d, 128), np.float32)
             store[f"dnn1.block{b}.film.b_gamma"] = np.ones(SMALL.d, np.float32)
@@ -199,7 +199,7 @@ class TestForward:
             model.forward(np.zeros((2, 33, 1), complex), np.zeros(64))
 
     def test_missing_weights(self):
-        store = init_gridnet(SMALL, 0)
+        store = seeded_init(weight_schema(SMALL), 0)
         with pytest.raises(KeyError):
             MisoGridNet(GridNetConfig(channels=1, d=8, blocks=2, unfold_kernel=2, hidden=8, heads=2, n_freq=33), store)
 
@@ -214,29 +214,29 @@ class TestForward:
 class TestTemporalModule:
     def test_zero_lstm_weights_zero_output(self):
         cfg = GridNetConfig(channels=1, d=8, blocks=1, unfold_kernel=1, hidden=8, heads=2, n_freq=17)
-        store = init_gridnet(cfg, 5)
+        store = seeded_init(weight_schema(cfg), 5)
         for part in ("w", "r", "b"):
             store[f"dnn1.block0.temporal.lstm.{part}"] = np.zeros(
                 store[f"dnn1.block0.temporal.lstm.{part}"].shape, np.float32
             )
         model = MisoGridNet(cfg, store)
         x = np.random.default_rng(11).standard_normal((8, 6, 17)).astype(np.float32)
-        assert_array_equal(model._temporal(x, "block0"), 0)
+        assert_array_equal(model._temporal(x, "block0", model._zero_block()), 0)
 
     def test_future_perturbation(self):
         model = make_model(SMALL, seed=6)
         rng = np.random.default_rng(12)
         x = rng.standard_normal((8, 9, 33)).astype(np.float32)
-        base = model._temporal(x, "block0")
+        base = model._temporal(x, "block0", model._zero_block())
         xp = x.copy()
         xp[:, 6:] = rng.standard_normal((8, 3, 33))
-        pert = model._temporal(xp, "block0")
+        pert = model._temporal(xp, "block0", model._zero_block())
         assert_array_equal(base[:, :6], pert[:, :6])
 
     def test_single_frame_sequence(self):
         model = make_model(SMALL, seed=7)
         x = np.random.default_rng(13).standard_normal((8, 1, 33)).astype(np.float32)
-        assert model._temporal(x, "block0").shape == (8, 1, 33)
+        assert model._temporal(x, "block0", model._zero_block()).shape == (8, 1, 33)
 
 
 class TestSpectralModule:
@@ -264,7 +264,7 @@ class TestSpectralModule:
         # (window-block-permuted) and deconv taps/halves mirrored, reverses
         # the output along frequency.
         cfg = GridNetConfig(channels=1, d=4, blocks=1, unfold_kernel=2, hidden=4, heads=2, n_freq=9)
-        base_store = init_gridnet(cfg, 9)
+        base_store = seeded_init(weight_schema(cfg), 9)
         model = MisoGridNet(cfg, base_store)
 
         d, h, i_k = cfg.d, cfg.hidden, cfg.unfold_kernel
@@ -300,7 +300,7 @@ class TestStreaming:
         emb = rng.standard_normal(128)
         x = rand_spect(rng, 12, 33, 1)
         offline = model.forward(x, emb)
-        stream = model.stream()
+        stream = GridNetStream(model)
         stepped = np.stack([stream.step(x[t], emb) for t in range(12)])
         assert np.abs(stepped - offline).max() <= 1e-5
 
@@ -312,7 +312,7 @@ class TestStreaming:
         x = rand_spect(rng, 9, 33, 1)
         ex = rand_spect(rng, 9, 33, 2)
         offline = model.forward(x, emb, extras=ex)
-        stream = model.stream()
+        stream = GridNetStream(model)
         stepped = np.stack([stream.step(x[t], emb, extras=ex[t]) for t in range(9)])
         assert np.abs(stepped - offline).max() <= 1e-5
 
@@ -321,7 +321,7 @@ class TestStreaming:
         rng = np.random.default_rng(19)
         x = rand_spect(rng, 6, 33, 1)
         offline = model.forward(x, None)
-        stream = model.stream()
+        stream = GridNetStream(model)
         stepped = np.stack([stream.step(x[t], None) for t in range(6)])
         assert np.abs(stepped - offline).max() <= 1e-5
 
@@ -346,7 +346,7 @@ def shared_path_cases(draw, causal=st.booleans()):
     extras = rand_spect(rng, t_len, cfg.n_freq, 2) if cfg.extra_inputs else None
     return {
         "config": cfg,
-        "store": init_gridnet(cfg, int(rng.integers(2**32))),
+        "store": seeded_init(weight_schema(cfg), int(rng.integers(2**32))),
         "x": rand_spect(rng, t_len, cfg.n_freq, 1),
         "extras": extras,
         "emb": rng.standard_normal(128) if draw(st.booleans()) else None,
@@ -382,7 +382,7 @@ class TestSharedPath:
         # stream of a non-causal model equals the causal forward
         cfg, store = case["config"], case["store"]
         x, ex, emb = case["x"], case["extras"], case["emb"]
-        stream = MisoGridNet(cfg, store).stream()
+        stream = GridNetStream(MisoGridNet(cfg, store))
         stepped = np.stack(
             [stream.step(x[t], emb, None if ex is None else ex[t]) for t in range(len(x))]
         )
@@ -402,7 +402,7 @@ class TestAttentionCache:
         rng = np.random.default_rng(21)
         emb = rng.standard_normal(128)
         x = rand_spect(rng, 70, self.CFG.n_freq, 1)
-        stream = model.stream()
+        stream = GridNetStream(model)
         stepped = np.stack([stream.step(x[t], emb) for t in range(len(x))])
         assert_close_to_peak(stepped, model.forward(x, emb))
         start = len(model._zero_block()["k"])
@@ -437,7 +437,7 @@ class TestAttentionCache:
         rng = np.random.default_rng(27)
         emb = rng.standard_normal(128)
         x = rand_spect(rng, 250, cfg.n_freq, 1)
-        stream = model.stream()
+        stream = GridNetStream(model)
         peaks = []
         tracemalloc.start()
         try:

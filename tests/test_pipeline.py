@@ -65,11 +65,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(iterations=0)
         with pytest.raises(ValueError):
-            PipelineConfig(reference_channel=5)
-        with pytest.raises(ValueError):
             PipelineConfig(model=GridNetConfig(n_freq=129))
-        with pytest.raises(ValueError):
-            PipelineConfig(model=GridNetConfig(lookahead=2))
         with pytest.raises(ValueError):
             PipelineConfig(alpha=1.0)
         with pytest.raises(ValueError):
@@ -79,10 +75,7 @@ class TestConfig:
 
     def test_lookahead_hop_coupling(self):
         with pytest.raises(ValueError):
-            PipelineConfig(
-                model=GridNetConfig(lookahead=1),
-                stft=StftConfig(win=512, hop=128, lookahead=1),
-            )
+            PipelineConfig(stft=StftConfig(win=512, hop=128, lookahead=1))
 
 
 class TestWeights:
@@ -217,9 +210,7 @@ class TestEngine:
             enhance_signal(np.zeros((0, 2)), cfg, store, emb)
 
     def test_missing_second_stage_weights(self, cfg, emb):
-        from hearstream.gridnet import init_gridnet
-
-        only_first = init_gridnet(cfg.model, seed=0, prefix="dnn1")
+        only_first = seeded_init(weight_schema(cfg.model, "dnn1"), seed=0)
         with pytest.raises(KeyError):
             StreamingEnhancer(cfg, only_first, emb)
 
@@ -347,6 +338,18 @@ class TestFittingIntegration:
         from hearstream.fitting import Audiogram, DrcConfig, ListenerFitting
 
         return ListenerFitting(Audiogram.flat(40.0), DrcConfig())
+
+    @pytest.mark.parametrize(
+        "stft", [StftConfig(win=256, hop=64), StftConfig(hop=64)], ids=["fft_size", "hop"]
+    )
+    def test_fitting_for_another_stft_rejected(self, cfg, store, emb, stft):
+        from hearstream.fitting import Audiogram, ListenerFitting
+
+        fitting = ListenerFitting(Audiogram.flat(40.0), stft=stft)
+        with pytest.raises(ValueError, match="fitting was built for"):
+            StreamingEnhancer(cfg, store, emb, fitting=fitting)
+        with pytest.raises(ValueError, match="fitting was built for"):
+            enhance_offline(np.zeros((256, 2)), cfg, store, emb, fitting=fitting)
 
     def test_stream_offline_parity_with_fitting(self, cfg, store, emb, scene):
         x = scene.mixture
