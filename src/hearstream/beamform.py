@@ -29,8 +29,8 @@ class CovarianceState:
     def __init__(self, bins: int, channels: int, *, alpha: float = 0.5, loading: float = 1e-4) -> None:
         if bins < 1 or channels < 1:
             raise ValueError("bins and channels must be >= 1")
-        if not abs(alpha) < 1.0:
-            raise ValueError(f"forgetting factor must satisfy |alpha| < 1, got {alpha}")
+        if not 0.0 <= alpha < 1.0:
+            raise ValueError(f"forgetting factor must be in [0, 1), got {alpha}")
         if loading < 0.0:
             raise ValueError(f"diagonal loading must be >= 0, got {loading}")
         self.bins = bins

@@ -97,7 +97,7 @@ def _load_store(path: str) -> WeightStore:
 
 
 def _pipeline_config(store: WeightStore, args) -> PipelineConfig:
-    model = infer_config(store, "dnn1")
+    model = infer_config(store)
     overrides: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
@@ -161,7 +161,7 @@ def _cmd_check_latency(args) -> int:
     if args.budget_samples < 0 or args.trials < 1:
         raise ValueError("budget-samples must be >= 0 and trials >= 1")
     store = _load_store(args.weights)
-    model = infer_config(store, "dnn1")
+    model = infer_config(store)
     config = PipelineConfig(model=model)
     scene = simulate_scene(
         SceneSpec(seed=100, channels=model.channels, duration_s=0.5, snr_db=0.0)

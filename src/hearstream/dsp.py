@@ -222,26 +222,28 @@ class CausalityReport:
         )
 
 
+_TOL = 1e-7  # largest output difference causality_check counts as equal
+
+
 def causality_check(
     processor: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     n: int,
     budget_samples: int,
     *,
-    tol: float = 1e-7,
     rng: np.random.Generator | None = None,
     baseline: np.ndarray | None = None,
 ) -> CausalityReport:
     """Verify that ``processor`` respects an algorithmic-latency budget.
 
     Runs the processor on ``x`` and on a copy perturbed from sample ``n``
-    onward (all channels). Passes iff the outputs agree (abs diff <= tol)
+    onward (all channels). Passes iff the outputs agree (abs diff <= 1e-7)
     at every sample index ``t < n - budget_samples``, i.e. output sample t
     depends only on inputs earlier than ``t + budget_samples``.
 
     ``baseline`` may carry a precomputed ``processor(x)`` so repeated trials
     on the same input amortize one run. Determinism is checked on the first
-    call (two runs on ``x`` must agree exactly within tol) unless a baseline
+    call (two runs on ``x`` must agree within 1e-7) unless a baseline
     is supplied.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -252,7 +254,7 @@ def causality_check(
     if baseline is None:
         baseline = np.asarray(processor(x))
         second = np.asarray(processor(x))
-        if second.shape != baseline.shape or np.max(np.abs(second - baseline), initial=0.0) > tol:
+        if second.shape != baseline.shape or np.max(np.abs(second - baseline), initial=0.0) > _TOL:
             raise IndeterminateProcessorError(
                 "processor is not deterministic: two runs on identical input differ"
             )
@@ -264,7 +266,7 @@ def causality_check(
 
     m = min(len(baseline), len(perturbed))
     diff = np.abs(perturbed[:m] - baseline[:m])
-    idx = np.flatnonzero(diff.reshape(m, -1).max(axis=1) > tol)
+    idx = np.flatnonzero(diff.reshape(m, -1).max(axis=1) > _TOL)
     first = int(idx[0]) if idx.size else None
     passed = first is None or first >= n - budget_samples
     return CausalityReport(

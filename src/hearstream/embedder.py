@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import StftConfig
 from .gridnet import stack_ri
 from .kernels import conv1d, conv2d, linear, prelu
 from .weights import ParamSpec, WeightFormatError, WeightStore
@@ -36,7 +37,8 @@ __all__ = [
     "load_embedding",
 ]
 
-EMBEDDING_NAME = "spk.embedding"
+_PREFIX = "spk"
+EMBEDDING_NAME = f"{_PREFIX}.embedding"
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class EmbedConfig:
     tcn_channels: int = 128
     encoder_hidden: int = 16
     encoder_stages: int = 3
-    n_freq: int = 257
+    n_freq: int = StftConfig().bins
 
     def __post_init__(self) -> None:
         if min(self.tcn_repeats, self.tcn_blocks, self.tcn_channels, self.encoder_hidden) < 1:
@@ -65,15 +67,15 @@ class EmbedConfig:
         return f
 
 
-def embed_weight_schema(config: EmbedConfig, prefix: str = "spk") -> list[ParamSpec]:
+def embed_weight_schema(config: EmbedConfig) -> list[ParamSpec]:
     h, c = config.encoder_hidden, config.tcn_channels
     specs = [
-        ParamSpec(f"{prefix}.enc.conv0.w", (h, 2, 3, 3), "weight", fan_in=2 * 9),
-        ParamSpec(f"{prefix}.enc.conv0.b", (h,), "bias"),
-        ParamSpec(f"{prefix}.enc.conv0.alpha", (h,), "prelu"),
+        ParamSpec(f"{_PREFIX}.enc.conv0.w", (h, 2, 3, 3), "weight", fan_in=2 * 9),
+        ParamSpec(f"{_PREFIX}.enc.conv0.b", (h,), "bias"),
+        ParamSpec(f"{_PREFIX}.enc.conv0.alpha", (h,), "prelu"),
     ]
     for s in range(config.encoder_stages):
-        p = f"{prefix}.enc.stage{s}"
+        p = f"{_PREFIX}.enc.stage{s}"
         specs += [
             ParamSpec(f"{p}.dense1.w", (h, h, 3, 3), "weight", fan_in=h * 9),
             ParamSpec(f"{p}.dense1.b", (h,), "bias"),
@@ -87,13 +89,13 @@ def embed_weight_schema(config: EmbedConfig, prefix: str = "spk") -> list[ParamS
         ]
     flat = h * config.encoder_out_bins
     specs += [
-        ParamSpec(f"{prefix}.enc.proj.w", (c, flat), "weight", fan_in=flat),
-        ParamSpec(f"{prefix}.enc.proj.b", (c,), "bias"),
-        ParamSpec(f"{prefix}.enc.proj.alpha", (c,), "prelu"),
+        ParamSpec(f"{_PREFIX}.enc.proj.w", (c, flat), "weight", fan_in=flat),
+        ParamSpec(f"{_PREFIX}.enc.proj.b", (c,), "bias"),
+        ParamSpec(f"{_PREFIX}.enc.proj.alpha", (c,), "prelu"),
     ]
     for r in range(config.tcn_repeats):
         for b in range(config.tcn_blocks):
-            p = f"{prefix}.tcn.r{r}.b{b}"
+            p = f"{_PREFIX}.tcn.r{r}.b{b}"
             specs += [
                 ParamSpec(f"{p}.pw1.w", (c, c, 1), "weight", fan_in=c),
                 ParamSpec(f"{p}.pw1.b", (c,), "bias"),
@@ -110,19 +112,9 @@ def embed_weight_schema(config: EmbedConfig, prefix: str = "spk") -> list[ParamS
 class SpeakerEmbedder:
     """Pure function of (adaptation spectrogram, weights) -> 128-dim vector."""
 
-    def __init__(self, config: EmbedConfig, store: WeightStore, prefix: str = "spk") -> None:
+    def __init__(self, config: EmbedConfig, store: WeightStore) -> None:
         self.config = config
-        self.prefix = prefix
-        for spec in embed_weight_schema(config, prefix):
-            if spec.name not in store:
-                raise KeyError(f"weight store is missing {spec.name!r}")
-            if store[spec.name].shape != spec.shape:
-                raise ValueError(
-                    f"{spec.name}: stored shape {store[spec.name].shape} != expected {spec.shape}"
-                )
-        self.w = {
-            s.name[len(prefix) + 1 :]: store[s.name] for s in embed_weight_schema(config, prefix)
-        }
+        self.w = store.resolve(embed_weight_schema(config), _PREFIX)
 
     def _conv_block(self, x: np.ndarray, name: str, stride: tuple[int, int]) -> np.ndarray:
         w = self.w

@@ -3,17 +3,18 @@
 The chain is frame-online: an 80-tap (``EQ_TAPS``) equalizer realized as a
 per-bin complex multiply (one STFT frame in, one out), followed by a
 broadband dynamic range compressor whose state advances one frame per call.
-Both are built for one ``StftConfig``: the equalizer's DFT size and the
-compressor's hop time come from it. The equalizer contributes a fixed
-12-sample (``EQ_DELAY``, 0.375 ms) group delay on top of the enhancement
-path; it is reported separately by the latency checker.
+Both are built for one ``StftConfig``, which sets the equalizer's design
+rate and DFT size and the compressor's hop time. The equalizer contributes a
+fixed 12-sample (``EQ_DELAY``, 0.375 ms at 32 kHz) group delay on top of the
+enhancement path; it is reported separately by the latency checker.
 
 Prescription formula: insertion gain IG(f) = X + 0.31 * HTL(f) + k(f) with
 X = 0.05 * (HTL_500 + HTL_1000 + HTL_2000) and the standard frequency
 corrections k(f). Gains are not clamped.
 
-Filter design: weighted complex least squares over a dense log/linear grid
-against the interpolated gain curve with a linear 12-sample delay term.
+Filter design: weighted complex least squares over a dense log grid plus
+the DFT bins of the ``StftConfig`` against the interpolated gain curve with
+a linear 12-sample delay term.
 Plain frequency sampling plus a Hamming window cannot hit the prescription
 at 250 Hz with only 80 taps at 32 kHz (the window mainlobe spans ~1.6 kHz),
 so the catalogue frequencies are anchored with extra weight; a flat
@@ -35,7 +36,11 @@ from .dsp import StftConfig
 __all__ = [
     "Audiogram",
     "CATALOGUE_CFS",
-    "DrcConfig",
+    "DRC_ATTACK_S",
+    "DRC_KNEE_DB",
+    "DRC_RATIO",
+    "DRC_RELEASE_S",
+    "DRC_THRESHOLD_DB",
     "DrcState",
     "EQ_DELAY",
     "EQ_TAPS",
@@ -53,6 +58,14 @@ CATALOGUE_CFS = (250.0, 500.0, 1000.0, 2000.0, 3000.0, 4000.0, 6000.0, 8000.0)
 
 EQ_TAPS = 80  # equalizer length
 EQ_DELAY = 12  # the equalizer's pure-delay term: its group delay, in samples
+_ANCHOR_WEIGHT = 30.0  # extra least-squares weight on the stated frequencies
+
+# broadband compressor: soft knee around the threshold, then a fixed ratio
+DRC_THRESHOLD_DB = -40.0
+DRC_RATIO = 1.2
+DRC_KNEE_DB = 4.0  # knee width
+DRC_ATTACK_S = 0.05
+DRC_RELEASE_S = 0.2
 
 # frequency corrections k(f), dB
 _NALR_K_DB = {
@@ -118,22 +131,15 @@ def _interp_gain_curve(freqs_hz: np.ndarray, cfs, gains_db) -> np.ndarray:
     return np.interp(lf, np.log(cfs), gains_db, left=gains_db[0], right=gains_db[-1])
 
 
-def design_fir(
-    gains_db,
-    cfs=CATALOGUE_CFS,
-    *,
-    taps: int = EQ_TAPS,
-    fs: int = 32000,
-    delay: int = EQ_DELAY,
-    anchor_weight: float = 30.0,
-) -> np.ndarray:
-    """Equalizer taps for dB gains stated at ``cfs``.
+def design_fir(gains_db, cfs=CATALOGUE_CFS, stft: StftConfig = StftConfig()) -> np.ndarray:
+    """``EQ_TAPS`` equalizer taps for dB gains stated at ``cfs``, at ``stft``'s rate.
 
     Weighted least squares against the interpolated curve with a pure
-    ``delay``-sample delay term; relative (per-amplitude) weighting makes
-    the residual behave like a dB error, and the stated frequencies get
-    ``anchor_weight`` times more weight so the prescription is met where it
-    is defined. A flat prescription solves exactly to a scaled delta.
+    ``EQ_DELAY``-sample delay term, over a log grid and the DFT bins of
+    ``stft``; relative (per-amplitude) weighting makes the residual behave
+    like a dB error, and the stated frequencies get ``_ANCHOR_WEIGHT`` times
+    more weight so the prescription is met where it is defined. A flat
+    prescription solves exactly to a scaled delta.
     """
     gains_db = np.asarray(gains_db, dtype=np.float64)
     cfs_arr = np.asarray(cfs, dtype=np.float64)
@@ -141,18 +147,15 @@ def design_fir(
         raise ValueError(f"gains {gains_db.shape} and cfs {cfs_arr.shape} differ")
     if not np.all(np.isfinite(gains_db)):
         raise ValueError("prescription gains must be finite")
-    if taps < 2 or taps % 2:
-        raise ValueError(f"tap count must be a positive even number, got {taps}")
-    if not 0 <= delay < taps:
-        raise ValueError(f"delay must lie inside the tap span, got {delay}")
-    f_log = np.geomspace(fs / 1024, fs / 2, 768)
-    f_lin = np.arange(257) * fs / 512.0
+    fs, n = stft.sample_rate, stft.fft_size
+    f_log = np.geomspace(fs / (2 * n), fs / 2, 768)
+    f_lin = np.arange(stft.bins) * fs / float(n)
     f = np.unique(np.concatenate([[0.0], f_log, f_lin, cfs_arr]))
     d = 10.0 ** (_interp_gain_curve(f, cfs_arr, gains_db) / 20.0)
-    target = d * np.exp(-2j * np.pi * f * delay / fs)
+    target = d * np.exp(-2j * np.pi * f * EQ_DELAY / fs)
     wgt = 1.0 / d
-    wgt[np.isin(f, cfs_arr)] *= anchor_weight
-    basis = np.exp(-2j * np.pi * np.outer(f, np.arange(taps)) / fs)
+    wgt[np.isin(f, cfs_arr)] *= _ANCHOR_WEIGHT
+    basis = np.exp(-2j * np.pi * np.outer(f, np.arange(EQ_TAPS)) / fs)
     a = np.vstack([basis.real * wgt[:, None], basis.imag * wgt[:, None]])
     b = np.concatenate([target.real * wgt, target.imag * wgt])
     taps_out, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -171,43 +174,22 @@ class NalrPrescription:
             raise ValueError("prescription gains must be finite")
 
 
-def prescribe(audiogram: Audiogram) -> NalrPrescription:
+def prescribe(audiogram: Audiogram, stft: StftConfig = StftConfig()) -> NalrPrescription:
+    """Insertion gains for ``audiogram`` and their equalizer at ``stft``'s rate."""
     gains = nalr_gains(audiogram)
-    return NalrPrescription(gains, design_fir(gains, audiogram.cfs))
+    return NalrPrescription(gains, design_fir(gains, audiogram.cfs, stft))
 
 
 # -- dynamic range compression ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DrcConfig:
-    """Broadband feed-forward compressor settings."""
-
-    threshold_db: float = -40.0
-    ratio: float = 1.2
-    knee_width_db: float = 4.0
-    attack_s: float = 0.05
-    release_s: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.ratio < 1.0:
-            raise ValueError(f"compression ratio must be >= 1, got {self.ratio}")
-        if self.attack_s <= 0.0 or self.release_s <= 0.0:
-            raise ValueError("attack and release times must be positive")
-        if self.knee_width_db < 0.0:
-            raise ValueError(f"knee width must be >= 0, got {self.knee_width_db}")
-
-
-def drc_static_gain(level_db, cfg: DrcConfig = DrcConfig()):
+def drc_static_gain(level_db):
     """Static compression gain in dB for an input level in dB (soft knee)."""
     level = np.asarray(level_db, dtype=np.float64)
-    t, w, r = cfg.threshold_db, cfg.knee_width_db, cfg.ratio
+    t, w, r = DRC_THRESHOLD_DB, DRC_KNEE_DB, DRC_RATIO
     above = (t + (level - t) / r) - level
-    if w > 0.0:
-        knee = (1.0 / r - 1.0) * (level - t + w / 2.0) ** 2 / (2.0 * w)
-        out = np.where(level < t - w / 2.0, 0.0, np.where(level <= t + w / 2.0, knee, above))
-    else:
-        out = np.where(level < t, 0.0, above)
+    knee = (1.0 / r - 1.0) * (level - t + w / 2.0) ** 2 / (2.0 * w)
+    out = np.where(level < t - w / 2.0, 0.0, np.where(level <= t + w / 2.0, knee, above))
     return out if out.ndim else float(out)
 
 
@@ -233,17 +215,16 @@ class DrcState:
     coefficients are exp(-hop time / time constant) for its hop.
     """
 
-    def __init__(self, cfg: DrcConfig = DrcConfig(), stft: StftConfig = StftConfig()) -> None:
-        self.cfg = cfg
+    def __init__(self, stft: StftConfig = StftConfig()) -> None:
         self.fft_size = stft.fft_size
         hop_s = stft.hop / stft.sample_rate
-        self.attack_coeff = float(np.exp(-hop_s / cfg.attack_s))
-        self.release_coeff = float(np.exp(-hop_s / cfg.release_s))
+        self.attack_coeff = float(np.exp(-hop_s / DRC_ATTACK_S))
+        self.release_coeff = float(np.exp(-hop_s / DRC_RELEASE_S))
         self.gain_db = 0.0
 
     def step(self, frame: np.ndarray) -> np.ndarray:
         """Advance one frame: detect level, smooth the gain, apply it."""
-        target = drc_static_gain(frame_level_db(frame, self.fft_size), self.cfg)
+        target = drc_static_gain(frame_level_db(frame, self.fft_size))
         # attack when the gain moves down (more compression), release up
         coeff = self.attack_coeff if target < self.gain_db else self.release_coeff
         self.gain_db = coeff * self.gain_db + (1.0 - coeff) * target
@@ -254,17 +235,11 @@ class ListenerFitting:
     """Per-frame equalizer plus compressor for one ear's audiogram, built
     for the frames of ``stft``."""
 
-    def __init__(
-        self,
-        audiogram: Audiogram,
-        drc: DrcConfig = DrcConfig(),
-        *,
-        stft: StftConfig = StftConfig(),
-    ) -> None:
+    def __init__(self, audiogram: Audiogram, *, stft: StftConfig = StftConfig()) -> None:
         self.stft = stft
-        self.prescription = prescribe(audiogram)
+        self.prescription = prescribe(audiogram, stft)
         self.spectrum = np.fft.rfft(self.prescription.fir, stft.fft_size)
-        self.drc = DrcState(drc, stft)
+        self.drc = DrcState(stft)
 
     def step(self, frame: np.ndarray) -> np.ndarray:
         """One STFT frame in, one fitted frame out; no frame retiming."""

@@ -4,12 +4,13 @@ A stack of dual-path blocks over a [D, T, F] feature grid mapped from the
 real/imaginary parts of a multichannel spectrogram. Each block applies, with
 residual connections around each stage:
 
-  1. feature-wise linear modulation by a 128-dim speaker embedding,
+  1. feature-wise linear modulation by the target speaker's 128-dim
+     embedding, which every forward and stream step requires,
   2. a sub-band temporal module (per-frame LN, causal unfold over past
      frames, unidirectional LSTM along time per frequency, transposed conv),
   3. an intra-frame spectral module (per-frame LN, unfold over frequency,
      bidirectional LSTM along frequency within the frame, transposed conv),
-  4. full-band self-attention over time with a causal mask.
+  4. full-band self-attention over time, always under a causal mask.
 
 Input enters through a causal 3x3 conv + per-frame LN; a transposed 3x3 conv
 maps back to a 2-channel real/imaginary head (direct complex spectral
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import StftConfig
 from .kernels import (
     conv2d,
     conv_transpose1d,
@@ -70,9 +72,8 @@ class GridNetConfig:
     hidden: int = 32
     heads: int = 2
     qk_channels: int = 2
-    n_freq: int = 257
+    n_freq: int = StftConfig().bins
     emb_dim: int = 128
-    causal_attention: bool = True
 
     def __post_init__(self) -> None:
         if self.channels < 1:
@@ -186,48 +187,36 @@ def weight_schema(config: GridNetConfig, prefix: str = "dnn1") -> list[ParamSpec
     return specs
 
 
-def infer_config(
-    store: WeightStore,
-    prefix: str = "dnn1",
-    *,
-    channels: int | None = None,
-    n_freq: int = 257,
-) -> GridNetConfig:
-    """Recover architecture hyperparameters from tensor shapes in a store.
+def infer_config(store: WeightStore) -> GridNetConfig:
+    """Recover the first-stage (``dnn1``) architecture from tensor shapes in a store.
 
-    Only n_freq is not encoded in the weights; channels must
-    be supplied for a model with extra feature inputs (the second stage) and
-    is otherwise taken as half the input plane count.
+    The weights encode every hyperparameter except n_freq, which keeps the
+    default STFT's bin count. The channel count is half the input planes:
+    the first stage has no extra inputs.
     """
-    key = f"{prefix}.conv_in.w"
+    key = "dnn1.conv_in.w"
     if key not in store:
-        raise ValueError(f"store holds no '{prefix}' model (missing {key})")
+        raise ValueError(f"store holds no 'dnn1' model (missing {key})")
     d, in_ch, _, _ = store[key].shape
-    if channels is None:
-        if in_ch % 2:
-            raise ValueError(f"{key}: odd input plane count {in_ch} needs explicit channels")
-        channels, extras = in_ch // 2, 0
-    else:
-        extras = in_ch - 2 * channels
+    if in_ch % 2:
+        raise ValueError(f"{key}: odd input plane count {in_ch}")
     blocks = 0
-    while f"{prefix}.block{blocks}.film.w_gamma" in store:
+    while f"dnn1.block{blocks}.film.w_gamma" in store:
         blocks += 1
-    emb = store[f"{prefix}.block0.film.w_gamma"].shape[1]
-    hidden, _, unfold_kernel = store[f"{prefix}.block0.temporal.deconv.w"].shape
+    emb = store["dnn1.block0.film.w_gamma"].shape[1]
+    hidden, _, unfold_kernel = store["dnn1.block0.temporal.deconv.w"].shape
     heads = 0
-    while f"{prefix}.block0.attn.head{heads}.q.w" in store:
+    while f"dnn1.block0.attn.head{heads}.q.w" in store:
         heads += 1
-    qk = store[f"{prefix}.block0.attn.head0.q.w"].shape[0]
+    qk = store["dnn1.block0.attn.head0.q.w"].shape[0]
     return GridNetConfig(
-        channels=channels,
-        extra_inputs=extras,
+        channels=in_ch // 2,
         d=d,
         blocks=blocks,
         unfold_kernel=unfold_kernel,
         hidden=hidden,
         heads=heads,
         qk_channels=qk,
-        n_freq=n_freq,
         emb_dim=emb,
     )
 
@@ -300,15 +289,7 @@ class MisoGridNet:
     def __init__(self, config: GridNetConfig, store: WeightStore, prefix: str = "dnn1") -> None:
         self.config = config
         self.prefix = prefix
-        missing = [s.name for s in weight_schema(config, prefix) if s.name not in store]
-        if missing:
-            raise KeyError(f"weight store is missing {len(missing)} tensors, e.g. {missing[0]!r}")
-        for spec in weight_schema(config, prefix):
-            if store[spec.name].shape != spec.shape:
-                raise ValueError(
-                    f"{spec.name}: stored shape {store[spec.name].shape} != expected {spec.shape}"
-                )
-        self.w = {s.name[len(prefix) + 1 :]: store[s.name] for s in weight_schema(config, prefix)}
+        self.w = store.resolve(weight_schema(config, prefix), prefix)
         # each block's per-head q, k and v projections stacked into one,
         # rows [q heads, k heads, v heads], so a block makes one projection
         self.qkv = {}
@@ -328,14 +309,13 @@ class MisoGridNet:
     def forward(
         self,
         mixture: np.ndarray,
-        embedding: np.ndarray | None,
+        embedding: np.ndarray,
         extras: np.ndarray | None = None,
         state: dict | None = None,
     ) -> np.ndarray:
         """mixture[T, F, C] complex (+ optional extras[T, F, K]) -> complex [T, F].
 
-        ``embedding`` must be a length-emb_dim vector; None disables the
-        conditioning stages entirely (unconditioned reference model).
+        ``embedding`` is the target speaker's length-emb_dim vector.
         ``state`` (from ``zero_state()``) is continued and updated in place;
         None runs from zero state.
         """
@@ -379,7 +359,7 @@ class MisoGridNet:
     def _run(
         self,
         mixture: np.ndarray,
-        embedding: np.ndarray | None,
+        embedding: np.ndarray,
         extras: np.ndarray | None,
         state: dict,
     ) -> np.ndarray:
@@ -390,12 +370,9 @@ class MisoGridNet:
         frames equals successive calls over any split of them.
         """
         cfg = self.config
-        if embedding is not None:
-            embedding = np.asarray(embedding, dtype=np.float32)
-            if embedding.shape != (cfg.emb_dim,):
-                raise ValueError(
-                    f"embedding must have shape ({cfg.emb_dim},), got {embedding.shape}"
-                )
+        embedding = np.asarray(embedding, dtype=np.float32)
+        if embedding.shape != (cfg.emb_dim,):
+            raise ValueError(f"embedding must have shape ({cfg.emb_dim},), got {embedding.shape}")
         x = stack_ri(mixture, extras)
         if x.shape[0] != cfg.input_channels or x.shape[2] != cfg.n_freq:
             raise ValueError(
@@ -408,15 +385,14 @@ class MisoGridNet:
         x = layer_norm(x, (0, 2), w["ln_in.gamma"], w["ln_in.beta"])
         for b, block in enumerate(state["blocks"]):
             p = f"block{b}"
-            if embedding is not None:
-                x = film(
-                    x,
-                    embedding,
-                    w[f"{p}.film.w_gamma"],
-                    w[f"{p}.film.b_gamma"],
-                    w[f"{p}.film.w_beta"],
-                    w[f"{p}.film.b_beta"],
-                )
+            x = film(
+                x,
+                embedding,
+                w[f"{p}.film.w_gamma"],
+                w[f"{p}.film.b_gamma"],
+                w[f"{p}.film.w_beta"],
+                w[f"{p}.film.b_beta"],
+            )
             x = x + self._temporal(x, p, block)
             x = x + self._spectral(x, p)
             x = x + self._attention(x, p, block)
@@ -474,7 +450,7 @@ class MisoGridNet:
     def _attention(self, x: np.ndarray, p: str, state: dict) -> np.ndarray:
         """Full-band self-attention over time: the keys and values of x's
         frames are written after those cached in the block ``state``, and
-        each frame of x attends to all of them."""
+        each frame of x attends to its own frame and every earlier one."""
         cfg = self.config
         heads, t_len, f_len = cfg.heads, x.shape[1], x.shape[2]
         w = self.w
@@ -499,7 +475,6 @@ class MisoGridNet:
             state["k"][:end],
             state["v"][:end],
             heads=heads,
-            causal=cfg.causal_attention,
         )
         o = out.reshape(t_len, heads, f_len, cfg.value_channels)
         o = o.transpose(1, 3, 0, 2).reshape(cfg.d, t_len, f_len)
@@ -523,7 +498,7 @@ class GridNetStream:
     def step(
         self,
         frame: np.ndarray,
-        embedding: np.ndarray | None,
+        embedding: np.ndarray,
         extras: np.ndarray | None = None,
     ) -> np.ndarray:
         """One complex frame [F, C] (+ extras [F, K]) -> complex estimate [F]."""

@@ -359,16 +359,16 @@ def masked_attention(
     v: np.ndarray,
     *,
     heads: int = 1,
-    causal: bool = True,
     return_weights: bool = False,
 ):
-    """Scaled dot-product attention over time with optional causal masking.
+    """Scaled dot-product attention over time with a causal mask.
 
-    q, k: [T, heads * E]; v: [T, heads * Dv]. Per head: softmax(Q Kᵀ / sqrt(E)) V,
-    with key indices greater than the query index masked out when causal.
+    q: [Tq, heads * E]; k: [Tk, heads * E]; v: [Tk, heads * Dv]. The queries
+    are the last Tq frames of the key timeline, and each sees keys up to its
+    own frame: per head softmax(Q Kᵀ / sqrt(E)) V, later keys masked.
     Softmax runs in float64 with max subtraction; its weights are cast to
     float32 for the value product, so v is never copied to float64. k and v
-    may be row slices of a larger cache. Returns [T, heads * Dv].
+    may be row slices of a larger cache. Returns [Tq, heads * Dv].
     """
     q, k, v = (np.asarray(a, dtype=np.float32) for a in (q, k, v))
     for name, a in (("q", q), ("k", k), ("v", v)):
@@ -385,10 +385,9 @@ def masked_attention(
     vh = v.reshape(t_k, heads, dv).transpose(1, 0, 2)
 
     scores = (qh @ kh.transpose(0, 2, 1)).astype(np.float64) / np.sqrt(e)
-    if causal:
-        # key strictly in the future of the query gets zero weight
-        future = np.arange(t_k)[None, :] > np.arange(t_q)[:, None] + (t_k - t_q)
-        scores[:, future] = -np.inf
+    # key strictly in the future of the query gets zero weight
+    future = np.arange(t_k)[None, :] > np.arange(t_q)[:, None] + (t_k - t_q)
+    scores[:, future] = -np.inf
     scores -= scores.max(axis=2, keepdims=True)
     weights = np.exp(scores)
     weights /= weights.sum(axis=2, keepdims=True)

@@ -8,25 +8,14 @@ conventions are fixed by oracle tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dsp import sqrt_hann
 
-__all__ = ["LossConfig", "fitted_loss", "multires_si_loss", "si_sdr", "si_sdri"]
+__all__ = ["fitted_loss", "multires_si_loss", "si_sdr", "si_sdri"]
 
-
-@dataclass(frozen=True)
-class LossConfig:
-    resolutions: tuple[int, ...] = (512, 1024, 2048, 256, 128)
-    cap_db: float = 60.0
-
-    def __post_init__(self) -> None:
-        if not self.resolutions or any(w < 2 or w % 2 for w in self.resolutions):
-            raise ValueError(f"window lengths must be positive even, got {self.resolutions}")
-        if self.cap_db <= 0.0:
-            raise ValueError(f"cap must be positive, got {self.cap_db}")
+_CAP_DB = 60.0  # si_sdr's clamp
+_RESOLUTIONS = (512, 1024, 2048, 256, 128)  # window lengths of the magnitude terms
 
 
 def _as_pair(est, ref) -> tuple[np.ndarray, np.ndarray]:
@@ -37,8 +26,8 @@ def _as_pair(est, ref) -> tuple[np.ndarray, np.ndarray]:
     return est, ref
 
 
-def si_sdr(est, ref, *, cap_db: float = 60.0) -> float:
-    """Scale-invariant SDR in dB, clamped to +-cap_db."""
+def si_sdr(est, ref) -> float:
+    """Scale-invariant SDR in dB, clamped to +-60 dB."""
     est, ref = _as_pair(est, ref)
     ref_energy = float(np.dot(ref, ref))
     if ref_energy == 0.0:
@@ -48,15 +37,15 @@ def si_sdr(est, ref, *, cap_db: float = 60.0) -> float:
     num = float(np.dot(target, target))
     den = float(np.dot(err, err))
     if den == 0.0:
-        return cap_db
+        return _CAP_DB
     if num == 0.0:
-        return -cap_db
-    return float(np.clip(10.0 * np.log10(num / den), -cap_db, cap_db))
+        return -_CAP_DB
+    return float(np.clip(10.0 * np.log10(num / den), -_CAP_DB, _CAP_DB))
 
 
-def si_sdri(est, mixture, ref, *, cap_db: float = 60.0) -> float:
+def si_sdri(est, mixture, ref) -> float:
     """Improvement of the estimate over the mixture reference channel, dB."""
-    return si_sdr(est, ref, cap_db=cap_db) - si_sdr(mixture, ref, cap_db=cap_db)
+    return si_sdr(est, ref) - si_sdr(mixture, ref)
 
 
 def _stft_mag(x: np.ndarray, win: int) -> np.ndarray:
@@ -69,7 +58,7 @@ def _stft_mag(x: np.ndarray, win: int) -> np.ndarray:
     return np.abs(np.fft.rfft(x[idx] * sqrt_hann(win), axis=1))
 
 
-def multires_si_loss(est, ref, config: LossConfig = LossConfig()) -> float:
+def multires_si_loss(est, ref) -> float:
     """Scale-invariant L1 waveform + multi-resolution magnitude distance.
 
     The estimate is rescaled by alpha* minimizing ||alpha * est - ref||_2,
@@ -84,7 +73,7 @@ def multires_si_loss(est, ref, config: LossConfig = LossConfig()) -> float:
     alpha = float(np.dot(est, ref)) / est_energy if est_energy > 0.0 else 0.0
     scaled = alpha * est
     loss = float(np.sum(np.abs(scaled - ref))) / ref_l1
-    for win in config.resolutions:
+    for win in _RESOLUTIONS:
         mag_ref = _stft_mag(ref, win)
         if mag_ref.size == 0 or float(np.sum(mag_ref)) == 0.0:
             continue
@@ -93,8 +82,8 @@ def multires_si_loss(est, ref, config: LossConfig = LossConfig()) -> float:
     return loss
 
 
-def fitted_loss(est, ref, prescription, config: LossConfig = LossConfig()) -> float:
+def fitted_loss(est, ref, prescription) -> float:
     """Loss between listener-equalized signals: both convolved with the taps."""
     est, ref = _as_pair(est, ref)
     fir = np.asarray(prescription.fir, dtype=np.float64)
-    return multires_si_loss(np.convolve(est, fir), np.convolve(ref, fir), config)
+    return multires_si_loss(np.convolve(est, fir), np.convolve(ref, fir))

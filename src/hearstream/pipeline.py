@@ -80,14 +80,12 @@ class PipelineConfig:
         return replace(self.model, extra_inputs=SECOND_STAGE_EXTRAS)
 
 
-def init_pipeline_weights(
-    config: PipelineConfig, seed: int, embed: EmbedConfig | None = None
-) -> WeightStore:
+def init_pipeline_weights(config: PipelineConfig, seed: int) -> WeightStore:
     """Seeded store holding both stages and the speaker embedder."""
     specs = (
         weight_schema(config.model, "dnn1")
         + weight_schema(config.second_stage(), "dnn2")
-        + embed_weight_schema(embed or EmbedConfig(), "spk")
+        + embed_weight_schema(EmbedConfig())
     )
     return seeded_init(specs, seed)
 

@@ -1,7 +1,7 @@
 """RIFF WAV reading and writing at the engine's fixed 32 kHz rate.
 
 Thin wrapper over :mod:`scipy.io.wavfile` that normalizes every supported
-sample format to float64 in [-1, 1] on read and writes float32 by default.
+sample format to float64 in [-1, 1] on read and writes float32.
 Channel 0 of a multichannel file is the reference microphone throughout the
 package.
 """
@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.io import wavfile
 
-SAMPLE_RATE = 32000
+from .dsp import StftConfig
+
+SAMPLE_RATE = StftConfig().sample_rate
 
 # Integer formats are rescaled by their full-scale magnitude.
 _INT_SCALE = {
@@ -20,15 +22,16 @@ _INT_SCALE = {
 }
 
 
-def read_wav(path: str, *, expected_rate: int | None = SAMPLE_RATE) -> np.ndarray:
-    """Read a WAV file as float64 [samples, channels].
+def read_wav(path: str) -> np.ndarray:
+    """Read a ``SAMPLE_RATE`` WAV file as float64 [samples, channels].
 
     Accepts float32/float64 (passed through) and int16/int32 PCM (divided by
-    full scale). Mono files come back with a trailing channel axis of 1.
+    full scale). Mono files come back with a trailing channel axis of 1. A
+    file at another rate raises ValueError.
     """
     rate, data = wavfile.read(path)
-    if expected_rate is not None and rate != expected_rate:
-        raise ValueError(f"{path}: sample rate {rate} Hz, expected {expected_rate} Hz")
+    if rate != SAMPLE_RATE:
+        raise ValueError(f"{path}: sample rate {rate} Hz, expected {SAMPLE_RATE} Hz")
     if data.dtype in _INT_SCALE:
         out = data.astype(np.float64) / _INT_SCALE[data.dtype]
     elif data.dtype in (np.float32, np.float64):
@@ -42,8 +45,8 @@ def read_wav(path: str, *, expected_rate: int | None = SAMPLE_RATE) -> np.ndarra
     return out
 
 
-def write_wav(path: str, data: np.ndarray, *, rate: int = SAMPLE_RATE) -> None:
-    """Write float32 WAV; data is [samples] or [samples, channels], finite."""
+def write_wav(path: str, data: np.ndarray) -> None:
+    """Write a float32 ``SAMPLE_RATE`` WAV; data is [samples] or [samples, channels], finite."""
     data = np.asarray(data)
     if data.ndim not in (1, 2) or data.shape[0] == 0:
         raise ValueError(f"expected non-empty [samples] or [samples, channels] array, got {data.shape}")
@@ -51,4 +54,4 @@ def write_wav(path: str, data: np.ndarray, *, rate: int = SAMPLE_RATE) -> None:
         raise ValueError("refusing to write non-finite samples")
     if data.ndim == 2 and data.shape[1] == 1:
         data = data[:, 0]
-    wavfile.write(path, rate, data.astype(np.float32))
+    wavfile.write(path, SAMPLE_RATE, data.astype(np.float32))

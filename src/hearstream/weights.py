@@ -95,6 +95,22 @@ class WeightStore:
     def param_count(self) -> int:
         return int(sum(t.size for t in self._tensors.values()))
 
+    def resolve(self, specs: list[ParamSpec], prefix: str) -> dict[str, np.ndarray]:
+        """The tensors a model schema names, keyed without ``prefix`` and its dot.
+
+        Raises KeyError when the store lacks any of them and ValueError when
+        one has another shape than its spec.
+        """
+        missing = [s.name for s in specs if s.name not in self]
+        if missing:
+            raise KeyError(f"weight store is missing {len(missing)} tensors, e.g. {missing[0]!r}")
+        for spec in specs:
+            if self[spec.name].shape != spec.shape:
+                raise ValueError(
+                    f"{spec.name}: stored shape {self[spec.name].shape} != expected {spec.shape}"
+                )
+        return {s.name[len(prefix) + 1 :]: self[s.name] for s in specs}
+
     # -- serialization ------------------------------------------------------
 
     def save(self, path: str) -> None:
@@ -129,7 +145,7 @@ class WeightStore:
                 data = np.frombuffer(_read(fh, 4 * n, f"data of {name!r}"), dtype="<f4")
                 if name in store:
                     raise WeightFormatError(f"{path}: duplicate tensor name {name!r}")
-                store._tensors[name] = data.reshape(shape).astype(np.float32)
+                store[name] = data.reshape(shape).astype(np.float32)
         return store
 
 

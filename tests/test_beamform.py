@@ -5,6 +5,7 @@ import pytest
 
 from hearstream.beamform import CovarianceState, apply_weights
 from hearstream.dsp import ContractViolationError
+from hearstream.pipeline import beamform_frames
 
 
 def rand_frames(t, bins, channels, seed):
@@ -89,6 +90,14 @@ class TestUpdate:
             CovarianceState(1, 1, loading=-1e-4)
         with pytest.raises(ValueError):
             CovarianceState(0, 1)
+
+    def test_negative_forgetting_factor_rejected(self):
+        # alpha < 0 weighs the old statistics negatively: an indefinite covariance
+        with pytest.raises(ValueError, match="forgetting factor"):
+            CovarianceState(1, 1, alpha=-0.5)
+        frames = np.ones((4, 3, 2), dtype=complex)
+        with pytest.raises(ValueError, match="forgetting factor"):
+            beamform_frames(frames, frames[:, :, 0], alpha=-0.5)
 
 
 class TestSolve:

@@ -1,7 +1,7 @@
 """Causal speaker-conditioned estimator: structure, causality, streaming."""
 
+import contextlib
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,19 +156,16 @@ class TestForward:
             assert_array_equal(base[:k], pert[:k])
             assert np.abs(base[k:] - pert[k:]).max() > 0
 
-    def test_noncausal_attention_leaks(self):
-        cfg = GridNetConfig(
-            channels=1, d=8, blocks=1, unfold_kernel=2, hidden=8, heads=2, n_freq=33,
-            causal_attention=False,
-        )
-        model = make_model(cfg, seed=1)
+    def test_noncausal_attention_leaks(self, leaky_attention):
+        model = make_model(SMALL, seed=1)
         rng = np.random.default_rng(7)
         emb = rng.standard_normal(128)
         x = rand_spect(rng, 10, 33, 1)
-        base = model.forward(x, emb)
         xp = x.copy()
         xp[5:] = rand_spect(rng, 5, 33, 1)
-        pert = model.forward(xp, emb)
+        with leaky_attention():
+            base = model.forward(x, emb)
+            pert = model.forward(xp, emb)
         assert np.abs(base[:5] - pert[:5]).max() > 1e-7
 
     def test_embedding_sensitivity(self):
@@ -180,6 +177,7 @@ class TestForward:
         assert np.abs(a - b).max() > 0
 
     def test_film_identity_matches_unconditioned(self):
+        # neutral FiLM weights make the output independent of the embedding
         store = seeded_init(weight_schema(SMALL), 3)
         for b in range(SMALL.blocks):
             store[f"dnn1.block{b}.film.w_gamma"] = np.zeros((SMALL.d, 128), np.float32)
@@ -189,9 +187,9 @@ class TestForward:
         model = MisoGridNet(SMALL, store)
         rng = np.random.default_rng(9)
         x = rand_spect(rng, 5, 33, 1)
-        conditioned = model.forward(x, rng.standard_normal(128))
-        unconditioned = model.forward(x, None)
-        assert_array_equal(conditioned, unconditioned)
+        a = model.forward(x, rng.standard_normal(128))
+        b = model.forward(x, rng.standard_normal(128))
+        assert_array_equal(a, b)
 
     def test_bad_embedding_length(self):
         model = make_model(SMALL)
@@ -316,19 +314,11 @@ class TestStreaming:
         stepped = np.stack([stream.step(x[t], emb, extras=ex[t]) for t in range(9)])
         assert np.abs(stepped - offline).max() <= 1e-5
 
-    def test_unconditioned_stream(self):
-        model = make_model(SMALL, seed=12)
-        rng = np.random.default_rng(19)
-        x = rand_spect(rng, 6, 33, 1)
-        offline = model.forward(x, None)
-        stream = GridNetStream(model)
-        stepped = np.stack([stream.step(x[t], None) for t in range(6)])
-        assert np.abs(stepped - offline).max() <= 1e-5
-
 
 @st.composite
-def shared_path_cases(draw, causal=st.booleans()):
-    """A small network, its weights and T frames of input, with cut points."""
+def shared_path_cases(draw, leaky=st.booleans()):
+    """A small network, its weights and T frames of input, with cut points;
+    ``leaky`` runs the case under the unmasked-attention mutant."""
     cfg = GridNetConfig(
         channels=1,
         extra_inputs=draw(st.sampled_from([0, 4])),
@@ -338,7 +328,6 @@ def shared_path_cases(draw, causal=st.booleans()):
         hidden=4,
         heads=draw(st.integers(1, 2)),
         n_freq=draw(st.integers(3, 9)),
-        causal_attention=draw(causal),
     )
     t_len = draw(st.integers(1, 12))
     cuts = draw(st.lists(st.booleans(), min_size=t_len - 1, max_size=t_len - 1))
@@ -349,7 +338,8 @@ def shared_path_cases(draw, causal=st.booleans()):
         "store": seeded_init(weight_schema(cfg), int(rng.integers(2**32))),
         "x": rand_spect(rng, t_len, cfg.n_freq, 1),
         "extras": extras,
-        "emb": rng.standard_normal(128) if draw(st.booleans()) else None,
+        "emb": rng.standard_normal(128),
+        "leaky": draw(leaky),
         "bounds": [0] + [t + 1 for t, cut in enumerate(cuts) if cut] + [t_len],
     }
 
@@ -364,7 +354,7 @@ class TestSharedPath:
     agree over generated configurations, lengths and splits."""
 
     @settings(max_examples=100)
-    @given(case=shared_path_cases(causal=st.just(True)))
+    @given(case=shared_path_cases(leaky=st.just(False)))
     def test_chunked_run_matches_forward(self, case):
         model = MisoGridNet(case["config"], case["store"])
         x, ex, emb = case["x"], case["extras"], case["emb"]
@@ -377,17 +367,17 @@ class TestSharedPath:
 
     @settings(max_examples=100)
     @given(case=shared_path_cases())
-    def test_stream_matches_forward(self, case):
+    def test_stream_matches_forward(self, case, leaky_attention):
         # one query frame attends to past keys only whatever the mask, so the
-        # stream of a non-causal model equals the causal forward
-        cfg, store = case["config"], case["store"]
+        # stream under unmasked attention equals the causal forward
+        model = MisoGridNet(case["config"], case["store"])
         x, ex, emb = case["x"], case["extras"], case["emb"]
-        stream = GridNetStream(MisoGridNet(cfg, store))
-        stepped = np.stack(
-            [stream.step(x[t], emb, None if ex is None else ex[t]) for t in range(len(x))]
-        )
-        causal = MisoGridNet(replace(cfg, causal_attention=True), store)
-        assert_close_to_peak(stepped, causal.forward(x, emb, extras=ex))
+        stream = GridNetStream(model)
+        with leaky_attention() if case["leaky"] else contextlib.nullcontext():
+            stepped = np.stack(
+                [stream.step(x[t], emb, None if ex is None else ex[t]) for t in range(len(x))]
+            )
+        assert_close_to_peak(stepped, model.forward(x, emb, extras=ex))
 
 
 class TestAttentionCache:
@@ -427,7 +417,7 @@ class TestAttentionCache:
         model = make_model(self.CFG, seed=24)
         rng = np.random.default_rng(25)
         state = model.zero_state()
-        model._run(rand_spect(rng, 40, self.CFG.n_freq, 1), None, None, state)
+        model._run(rand_spect(rng, 40, self.CFG.n_freq, 1), rng.standard_normal(128), None, state)
         assert all(len(block["k"]) == block["frames"] == 40 for block in state["blocks"])
 
     def test_per_hop_memory_bounded_as_stream_ages(self):

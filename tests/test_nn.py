@@ -82,6 +82,26 @@ class TestWeightStore:
         with pytest.raises(ValueError):
             WeightStore({"a": np.array([1.0, np.inf], dtype=np.float32)})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_load_rejects_non_finite(self, tmp_path, bad):
+        p = tmp_path / "w.inxw"
+        WeightStore({"a": np.zeros(3, dtype=np.float32)}).save(str(p))
+        raw = p.read_bytes()
+        p.write_bytes(raw[:-4] + np.float32(bad).astype("<f4").tobytes())
+        with pytest.raises(ValueError, match="non-finite"):
+            WeightStore.load(str(p))
+
+    def test_resolve_checks_schema(self):
+        specs = [ParamSpec("m.a", (2, 3), fan_in=3), ParamSpec("m.b", (4,), "bias")]
+        store = WeightStore({"m.a": np.ones((2, 3)), "m.b": np.zeros(4), "other": np.zeros(1)})
+        got = store.resolve(specs, "m")
+        assert list(got) == ["a", "b"] and got["a"] is store["m.a"]
+        with pytest.raises(KeyError, match="m.c"):
+            store.resolve(specs + [ParamSpec("m.c", (1,), "bias")], "m")
+        store["m.b"] = np.zeros(5)
+        with pytest.raises(ValueError, match="m.b"):
+            store.resolve(specs, "m")
+
     def test_param_count(self):
         s = WeightStore({"a": np.zeros((2, 3)), "b": np.zeros(5)})
         assert s.param_count() == 11
@@ -475,24 +495,16 @@ class TestMaskedAttention:
         q = np.ones((2, 2), dtype=np.float32)
         k = np.ones((2, 2), dtype=np.float32)
         v = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-        out = masked_attention(q, k, v, heads=1, causal=True)
+        out = masked_attention(q, k, v, heads=1)
         assert_allclose(out[0], [1.0, 2.0], atol=1e-6)
         assert_allclose(out[1], [2.0, 3.0], atol=1e-6)
-
-    def test_noncausal_identical_queries(self):
-        rng = np.random.default_rng(16)
-        q = np.tile(rng.standard_normal((1, 4)).astype(np.float32), (5, 1))
-        k = rng.standard_normal((5, 4)).astype(np.float32)
-        v = rng.standard_normal((5, 8)).astype(np.float32)
-        out = masked_attention(q, k, v, heads=2, causal=False)
-        assert_allclose(out, np.tile(out[:1], (5, 1)), atol=1e-6)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(17)
         q = rng.standard_normal((6, 4)).astype(np.float32)
         k = rng.standard_normal((6, 4)).astype(np.float32)
         v = rng.standard_normal((6, 4)).astype(np.float32)
-        _, wts = masked_attention(q, k, v, heads=2, causal=True, return_weights=True)
+        _, wts = masked_attention(q, k, v, heads=2, return_weights=True)
         assert_allclose(wts.sum(axis=2), 1.0, atol=1e-6)
 
     def test_causal_mask_blocks_future(self):
@@ -500,11 +512,11 @@ class TestMaskedAttention:
         q = rng.standard_normal((8, 4)).astype(np.float32)
         k = rng.standard_normal((8, 4)).astype(np.float32)
         v = rng.standard_normal((8, 4)).astype(np.float32)
-        out = masked_attention(q, k, v, heads=1, causal=True)
+        out = masked_attention(q, k, v, heads=1)
         kp, vp = k.copy(), v.copy()
         kp[5:] = rng.standard_normal((3, 4))
         vp[5:] = rng.standard_normal((3, 4))
-        outp = masked_attention(q, kp, vp, heads=1, causal=True)
+        outp = masked_attention(q, kp, vp, heads=1)
         assert_array_equal(out[:5], outp[:5])
 
     def test_streaming_query_against_cache(self):
@@ -513,8 +525,8 @@ class TestMaskedAttention:
         q = rng.standard_normal((6, 4)).astype(np.float32)
         k = rng.standard_normal((6, 4)).astype(np.float32)
         v = rng.standard_normal((6, 4)).astype(np.float32)
-        full = masked_attention(q, k, v, heads=2, causal=True)
-        last = masked_attention(q[5:], k, v, heads=2, causal=True)
+        full = masked_attention(q, k, v, heads=2)
+        last = masked_attention(q[5:], k, v, heads=2)
         assert_allclose(last[0], full[5], atol=1e-6)
 
     def test_nan_rejected(self):
@@ -532,10 +544,9 @@ class TestMaskedAttention:
         q = rng.standard_normal((3, 4)).astype(np.float32)
         k, v = k_buf[:20], v_buf[:20]
         assert not k.flags.owndata and not v.flags.owndata
-        for causal in (True, False):
-            out = masked_attention(q, k, v, heads=2, causal=causal)
-            ref = masked_attention(q, k.copy(), v.copy(), heads=2, causal=causal)
-            assert_array_equal(out, ref)
+        out = masked_attention(q, k, v, heads=2)
+        ref = masked_attention(q, k.copy(), v.copy(), heads=2)
+        assert_array_equal(out, ref)
 
     def test_nan_in_cached_key_view_rejected(self):
         rng = np.random.default_rng(21)

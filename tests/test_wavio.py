@@ -36,7 +36,6 @@ def test_wrong_rate_rejected(tmp_path):
     wavfile.write(path, 16000, np.zeros(100, dtype=np.float32))
     with pytest.raises(ValueError, match="sample rate"):
         read_wav(path)
-    assert read_wav(path, expected_rate=None).shape == (100, 1)
 
 
 def test_nonfinite_rejected(tmp_path):
