@@ -20,13 +20,16 @@ import numpy as np
 
 from .dsp import ContractViolationError
 
-__all__ = ["CovarianceState", "apply_weights"]
+__all__ = ["ALPHA", "LOADING", "CovarianceState", "apply_weights"]
+
+ALPHA = 0.5  # forgetting factor, in [0, 1)
+LOADING = 1e-4  # diagonal loading delta, >= 0
 
 
 class CovarianceState:
     """Per-bin second-order statistics of (mixture, target estimate) pairs."""
 
-    def __init__(self, bins: int, channels: int, *, alpha: float = 0.5, loading: float = 1e-4) -> None:
+    def __init__(self, bins: int, channels: int, *, alpha: float = ALPHA, loading: float = LOADING) -> None:
         if bins < 1 or channels < 1:
             raise ValueError("bins and channels must be >= 1")
         if not 0.0 <= alpha < 1.0:

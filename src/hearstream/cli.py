@@ -32,7 +32,7 @@ from .scenes import SceneSpec, simulate_scene
 from .wavio import read_wav, write_wav
 from .weights import WeightStore
 
-_CONFIG_KEYS = ("iterations", "alpha", "loading", "rescale_eps")
+_CONFIG_KEYS = ("iterations", "alpha", "loading")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,7 +124,7 @@ def _cmd_enhance(args) -> int:
     if args.embedding:
         embedding = load_embedding(args.embedding, emb_dim=config.model.emb_dim)
     else:
-        embedding = _enroll_embedding(store, args.enroll, config)
+        embedding = _enroll(store, args.enroll)
     fitting = None
     if args.listener and not args.no_fitting:
         listeners = load_listener(args.listener)
@@ -135,23 +135,15 @@ def _cmd_enhance(args) -> int:
     return 0
 
 
-def _enroll_embedding(store: WeightStore, wav_path: str, config: PipelineConfig) -> np.ndarray:
-    enroll = read_wav(wav_path)[:, 0]
-    embed_cfg = EmbedConfig()
-    if embed_cfg.emb_dim != config.model.emb_dim:
-        raise ValueError(
-            f"embedder produces {embed_cfg.emb_dim}-dim vectors, model wants {config.model.emb_dim}"
-        )
-    frames = StreamingAnalyzer(config.stft, 1).analyze(enroll)
-    return SpeakerEmbedder(embed_cfg, store).embed(frames[:, :, 0])
+def _enroll(store: WeightStore, wav_path: str) -> np.ndarray:
+    """The speaker embedding of a WAV's channel 0. The engine rejects it if
+    the model was built for another embedding size."""
+    frames = StreamingAnalyzer(StftConfig(), 1).analyze(read_wav(wav_path)[:, 0])
+    return SpeakerEmbedder(EmbedConfig(), store).embed(frames[:, :, 0])
 
 
 def _cmd_embed(args) -> int:
-    store = _load_store(args.weights)
-    enroll = read_wav(args.input)[:, 0]
-    config = EmbedConfig()
-    frames = StreamingAnalyzer(StftConfig(), 1).analyze(enroll)
-    embedding = SpeakerEmbedder(config, store).embed(frames[:, :, 0])
+    embedding = _enroll(_load_store(args.weights), args.input)
     cache_embedding(args.output, embedding)
     print(f"wrote {args.output} ({embedding.shape[0]}-dim embedding)")
     return 0

@@ -73,23 +73,21 @@ def _ola_sum(window_product: np.ndarray, hop: int) -> np.ndarray:
 class StftConfig:
     """STFT geometry: 512-sample (16 ms) window, 128-sample (4 ms) hop.
 
-    ``lookahead`` is the number of future frames the estimator predicts;
-    with the defaults ``lookahead * hop + hop == win`` so the prediction
-    horizon exactly covers the overlap-add span.
+    The window and the hop fix the prediction horizon: ``lookahead``, the
+    number of frames ahead the estimator predicts, is ``win // hop - 1`` (3
+    by default), so ``lookahead * hop == warmup`` and a predicted frame
+    lands on its own output position.
     """
 
     sample_rate: int = 32000
     win: int = 512
     hop: int = 128
-    lookahead: int = 3
 
     def __post_init__(self) -> None:
         if self.win < 2 or self.win % 2 != 0:
             raise ValueError(f"win must be an even integer >= 2, got {self.win}")
         if self.hop < 1 or self.win % self.hop != 0:
             raise ValueError(f"win ({self.win}) must be a multiple of hop ({self.hop})")
-        if self.lookahead < 0:
-            raise ValueError("lookahead must be non-negative")
 
     @property
     def fft_size(self) -> int:
@@ -98,6 +96,11 @@ class StftConfig:
     @property
     def bins(self) -> int:
         return self.win // 2 + 1
+
+    @property
+    def lookahead(self) -> int:
+        """Frames ahead the estimator predicts: the chain offset in hops."""
+        return self.win // self.hop - 1
 
     @property
     def warmup(self) -> int:
@@ -231,14 +234,14 @@ def causality_check(
     n: int,
     budget_samples: int,
     *,
-    rng: np.random.Generator | None = None,
     baseline: np.ndarray | None = None,
 ) -> CausalityReport:
     """Verify that ``processor`` respects an algorithmic-latency budget.
 
-    Runs the processor on ``x`` and on a copy perturbed from sample ``n``
-    onward (all channels). Passes iff the outputs agree (abs diff <= 1e-7)
-    at every sample index ``t < n - budget_samples``, i.e. output sample t
+    Runs the processor on ``x`` and on a copy whose samples from ``n`` onward
+    (all channels) are replaced by Gaussian noise at the input's RMS, drawn
+    from a fixed seed. Passes iff the outputs agree (abs diff <= 1e-7) at
+    every sample index ``t < n - budget_samples``, i.e. output sample t
     depends only on inputs earlier than ``t + budget_samples``.
 
     ``baseline`` may carry a precomputed ``processor(x)`` so repeated trials
@@ -249,8 +252,6 @@ def causality_check(
     x = np.asarray(x, dtype=np.float64)
     if not (0 < n <= x.shape[0]):
         raise ValueError(f"perturbation index {n} outside signal of length {x.shape[0]}")
-    rng = rng or np.random.default_rng(0)
-
     if baseline is None:
         baseline = np.asarray(processor(x))
         second = np.asarray(processor(x))
@@ -261,7 +262,7 @@ def causality_check(
 
     scale = max(float(np.sqrt(np.mean(x**2))), 1e-3)
     xp = x.copy()
-    xp[n:] = rng.normal(scale=scale, size=xp[n:].shape)
+    xp[n:] = np.random.default_rng(0).normal(scale=scale, size=xp[n:].shape)
     perturbed = np.asarray(processor(xp))
 
     m = min(len(baseline), len(perturbed))

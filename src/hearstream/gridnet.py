@@ -317,9 +317,41 @@ class MisoGridNet:
 
         ``embedding`` is the target speaker's length-emb_dim vector.
         ``state`` (from ``zero_state()``) is continued and updated in place;
-        None runs from zero state.
+        None runs from zero state. Each stage that looks back in time reads
+        its past frames from the state and leaves its own last frames there,
+        so one call over T frames equals successive calls over any split.
         """
-        return self._run(mixture, embedding, extras, self.zero_state() if state is None else state)
+        cfg = self.config
+        state = self.zero_state() if state is None else state
+        embedding = np.asarray(embedding, dtype=np.float32)
+        if embedding.shape != (cfg.emb_dim,):
+            raise ValueError(f"embedding must have shape ({cfg.emb_dim},), got {embedding.shape}")
+        x = stack_ri(mixture, extras)
+        if x.shape[0] != cfg.input_channels or x.shape[2] != cfg.n_freq:
+            raise ValueError(
+                f"input planes {x.shape} do not match config "
+                f"({cfg.input_channels} channels, {cfg.n_freq} bins)"
+            )
+        w = self.w
+        window, state["conv_in"] = _with_history(state["conv_in"], x)
+        x = conv2d(window, w["conv_in.w"], w["conv_in.b"], pad_time=False)
+        x = layer_norm(x, w["ln_in.gamma"], w["ln_in.beta"])
+        for b, block in enumerate(state["blocks"]):
+            p = f"block{b}"
+            x = film(
+                x,
+                embedding,
+                w[f"{p}.film.w_gamma"],
+                w[f"{p}.film.b_gamma"],
+                w[f"{p}.film.w_beta"],
+                w[f"{p}.film.b_beta"],
+            )
+            x = x + self._temporal(x, p, block)
+            x = x + self._spectral(x, p)
+            x = x + self._attention(x, p, block)
+        window, state["deconv_out"] = _with_history(state["deconv_out"], x)
+        y = conv_transpose2d(window, w["deconv_out.w"], w["deconv_out.b"])
+        return unstack_ri(y)
 
     def zero_state(self) -> dict:
         """The carried state before the first frame: every history is zeros.
@@ -356,50 +388,6 @@ class MisoGridNet:
             "frames": 0,
         }
 
-    def _run(
-        self,
-        mixture: np.ndarray,
-        embedding: np.ndarray,
-        extras: np.ndarray | None,
-        state: dict,
-    ) -> np.ndarray:
-        """The network over mixture[T, F, C] (+ extras) continuing ``state``.
-
-        Each stage that looks back in time reads its past frames from
-        ``state`` and leaves its own last frames there, so one call over T
-        frames equals successive calls over any split of them.
-        """
-        cfg = self.config
-        embedding = np.asarray(embedding, dtype=np.float32)
-        if embedding.shape != (cfg.emb_dim,):
-            raise ValueError(f"embedding must have shape ({cfg.emb_dim},), got {embedding.shape}")
-        x = stack_ri(mixture, extras)
-        if x.shape[0] != cfg.input_channels or x.shape[2] != cfg.n_freq:
-            raise ValueError(
-                f"input planes {x.shape} do not match config "
-                f"({cfg.input_channels} channels, {cfg.n_freq} bins)"
-            )
-        w = self.w
-        window, state["conv_in"] = _with_history(state["conv_in"], x)
-        x = conv2d(window, w["conv_in.w"], w["conv_in.b"], pad_time=False)
-        x = layer_norm(x, (0, 2), w["ln_in.gamma"], w["ln_in.beta"])
-        for b, block in enumerate(state["blocks"]):
-            p = f"block{b}"
-            x = film(
-                x,
-                embedding,
-                w[f"{p}.film.w_gamma"],
-                w[f"{p}.film.b_gamma"],
-                w[f"{p}.film.w_beta"],
-                w[f"{p}.film.b_beta"],
-            )
-            x = x + self._temporal(x, p, block)
-            x = x + self._spectral(x, p)
-            x = x + self._attention(x, p, block)
-        window, state["deconv_out"] = _with_history(state["deconv_out"], x)
-        y = conv_transpose2d(window, w["deconv_out.w"], w["deconv_out.b"])
-        return unstack_ri(y)
-
     # -- block stages ----------------------------------------------------------
 
     def _unfold_windows(self, seq: np.ndarray) -> np.ndarray:
@@ -412,7 +400,7 @@ class MisoGridNet:
         """Causal sub-band temporal module over x[D, T, F], continuing the
         block state ``st``."""
         w = self.w
-        y = layer_norm(x, (0, 2), w[f"{p}.temporal.ln.gamma"], w[f"{p}.temporal.ln.beta"])
+        y = layer_norm(x, w[f"{p}.temporal.ln.gamma"], w[f"{p}.temporal.ln.beta"])
         seq, st["unfold"] = _with_history(st["unfold"], y.transpose(2, 1, 0))  # [F, I-1+T, D]
         h, st["lstm"] = lstm_forward(
             self._unfold_windows(seq),
@@ -433,7 +421,7 @@ class MisoGridNet:
 
     def _spectral(self, x: np.ndarray, p: str) -> np.ndarray:
         w = self.w
-        y = layer_norm(x, (0, 2), w[f"{p}.spectral.ln.gamma"], w[f"{p}.spectral.ln.beta"])
+        y = layer_norm(x, w[f"{p}.spectral.ln.gamma"], w[f"{p}.spectral.ln.beta"])
         seq = np.ascontiguousarray(y.transpose(1, 2, 0))  # [T, F, D]
         u = self._unfold_windows(seq)
         fwd, bwd = f"{p}.spectral.lstm_fwd", f"{p}.spectral.lstm_bwd"
@@ -450,12 +438,16 @@ class MisoGridNet:
     def _attention(self, x: np.ndarray, p: str, state: dict) -> np.ndarray:
         """Full-band self-attention over time: the keys and values of x's
         frames are written after those cached in the block ``state``, and
-        each frame of x attends to its own frame and every earlier one."""
+        each frame of x attends to its own frame and every earlier one. A
+        NaN or Inf projection raises before any row is written, so the cached
+        rows and their ``frames`` count stay valid and are never rescanned."""
         cfg = self.config
         heads, t_len, f_len = cfg.heads, x.shape[1], x.shape[2]
         w = self.w
         w_qkv, b_qkv, alpha_qkv = self.qkv[p]
         z = prelu(np.tensordot(w_qkv, x, axes=([1], [0])) + b_qkv[:, None, None], alpha_qkv)
+        if not np.all(np.isfinite(z)):
+            raise ValueError(f"{self.prefix}.{p}.attn: non-finite query, key or value")
         # [heads * W, T, F] -> [T, heads, F, W]: masked_attention's row layout
         q, k, v = (
             part.reshape(heads, -1, t_len, f_len).transpose(2, 0, 3, 1)
@@ -483,7 +475,7 @@ class MisoGridNet:
 
 
 class GridNetStream:
-    """Frame-by-frame inference: ``MisoGridNet._run`` on one frame at a time.
+    """Frame-by-frame inference: ``MisoGridNet.forward`` on one frame at a time.
 
     The stream is the same code as the whole-sequence forward, run on one
     frame with carried state, so it matches that forward within float32
@@ -503,4 +495,4 @@ class GridNetStream:
     ) -> np.ndarray:
         """One complex frame [F, C] (+ extras [F, K]) -> complex estimate [F]."""
         extras = None if extras is None else np.asarray(extras)[None]
-        return self.model._run(np.asarray(frame)[None], embedding, extras, self.state)[0]
+        return self.model.forward(np.asarray(frame)[None], embedding, extras, self.state)[0]

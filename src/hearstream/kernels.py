@@ -41,12 +41,11 @@ def prelu(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, x, alpha * x)
 
 
-def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """x[..., D_in] @ weight[D_out, D_in].T + bias."""
     if x.shape[-1] != weight.shape[1]:
         raise ValueError(f"linear: input dim {x.shape[-1]} != weight fan-in {weight.shape[1]}")
-    y = x @ weight.T
-    return y if bias is None else y + bias
+    return x @ weight.T + bias
 
 
 # -- convolution -------------------------------------------------------------
@@ -81,7 +80,7 @@ def _corr2d_valid(
 def conv2d(
     x: np.ndarray,
     kernel: np.ndarray,
-    bias: np.ndarray | None = None,
+    bias: np.ndarray,
     *,
     stride: tuple[int, int] = (1, 1),
     pad_time: bool = True,
@@ -104,14 +103,10 @@ def conv2d(
     pad_f = ((kf - 1) // 2, kf // 2)
     xp = np.pad(x, ((0, 0), pad_t, pad_f))
     y = _corr2d_valid(xp, np.asarray(kernel, dtype=np.float32), stride)
-    if bias is not None:
-        y = y + np.asarray(bias, dtype=np.float32)[:, None, None]
-    return y
+    return y + np.asarray(bias, dtype=np.float32)[:, None, None]
 
 
-def conv_transpose2d(
-    x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None
-) -> np.ndarray:
+def conv_transpose2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Stride-1 transposed 2-D convolution over [C_in, T, F] with no time padding.
 
     Equivalent to correlation with the axis-flipped kernel, full-padded over
@@ -130,16 +125,13 @@ def conv_transpose2d(
     xp = np.pad(x, ((0, 0), (0, 0), (kf - 1, kf - 1)))
     y = _corr2d_valid(xp, np.ascontiguousarray(flipped))
     f0 = (kf - 1) // 2
-    y = y[:, :, f0 : f0 + x.shape[2]]
-    if bias is not None:
-        y = y + np.asarray(bias, dtype=np.float32)[:, None, None]
-    return y
+    return y[:, :, f0 : f0 + x.shape[2]] + np.asarray(bias, dtype=np.float32)[:, None, None]
 
 
 def conv1d(
     x: np.ndarray,
     kernel: np.ndarray,
-    bias: np.ndarray | None = None,
+    bias: np.ndarray,
     *,
     dilation: int = 1,
     groups: int = 1,
@@ -163,14 +155,10 @@ def conv1d(
         y = np.einsum("clk,ck->cl", view, kernel[:, 0, :], optimize=True)
     else:
         raise ValueError("conv1d: groups must be 1 or equal to the channel count")
-    if bias is not None:
-        y = y + np.asarray(bias, dtype=np.float32)[:, None]
-    return y.astype(np.float32)
+    return (y + np.asarray(bias, dtype=np.float32)[:, None]).astype(np.float32)
 
 
-def conv_transpose1d(
-    x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None
-) -> np.ndarray:
+def conv_transpose1d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Stride-1 transposed 1-D convolution of x[N, L, C_in] with kernel[C_in, C_out, K].
 
     Returns the full output [N, L + K - 1, C_out]; callers crop. out[o] sums
@@ -189,32 +177,29 @@ def conv_transpose1d(
     out = np.zeros((n, length + k - 1, c_out), dtype=np.float32)
     for tap in range(k):
         out[:, tap : tap + length] += y[:, :, :, tap]
-    if bias is not None:
-        out = out + np.asarray(bias, dtype=np.float32)
-    return out
+    return out + np.asarray(bias, dtype=np.float32)
 
 
 # -- normalization and modulation --------------------------------------------
 
 
-def layer_norm(
-    x: np.ndarray,
-    axes: tuple[int, ...],
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    eps: float = 1e-5,
-) -> np.ndarray:
-    """Zero-mean/unit-variance over ``axes`` (float64 statistics), then affine.
+_LN_EPS = 1e-5  # added to layer_norm's variance
 
-    gamma and beta must broadcast against x (e.g. shape [D, 1, 1] for
-    per-channel affine over a [D, T, F] map).
+
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Per-frame normalization of a [D, T, F] map, then a per-channel affine.
+
+    Each frame t is brought to zero mean and unit variance over its channels
+    and bins together (float64 statistics, variance plus ``_LN_EPS``), so no
+    frame's output depends on another frame. gamma and beta have shape
+    [D, 1, 1].
     """
-    if any(x.shape[a] == 0 for a in axes):
-        raise ValueError("layer_norm: cannot normalize over a zero-size axis")
+    if x.ndim != 3 or x.shape[0] == 0 or x.shape[2] == 0:
+        raise ValueError(f"layer_norm: expected a [D, T, F] map with D, F >= 1, got {x.shape}")
     x64 = np.asarray(x, dtype=np.float64)
-    mu = x64.mean(axis=axes, keepdims=True)
-    var = x64.var(axis=axes, keepdims=True)
-    y = (x64 - mu) / np.sqrt(var + eps)
+    mu = x64.mean(axis=(0, 2), keepdims=True)
+    var = x64.var(axis=(0, 2), keepdims=True)
+    y = (x64 - mu) / np.sqrt(var + _LN_EPS)
     return (np.asarray(gamma) * y.astype(np.float32) + np.asarray(beta)).astype(np.float32)
 
 
@@ -371,9 +356,6 @@ def masked_attention(
     may be row slices of a larger cache. Returns [Tq, heads * Dv].
     """
     q, k, v = (np.asarray(a, dtype=np.float32) for a in (q, k, v))
-    for name, a in (("q", q), ("k", k), ("v", v)):
-        if np.isnan(a).any():
-            raise ValueError(f"masked_attention: NaN in {name}")
     t_q, dq = q.shape
     t_k = k.shape[0]
     if dq % heads or v.shape[1] % heads or k.shape != (t_k, dq):

@@ -4,12 +4,13 @@ Cascade per 128-sample hop: STFT analysis, first-stage neural estimate,
 recursive multichannel Wiener filter, second-stage neural refinement,
 energy rescaling, optional hearing-aid fitting, overlap-add synthesis.
 
-Timing model. Both neural stages predict ``lookahead`` (3) frames ahead:
-after consuming mixture frame k a stage emits its estimate of target frame
-k+3, which is overlap-added at that frame's own position. The synthesis
-timeline therefore carries target content shifted by the analysis/synthesis
-chain offset of ``win - hop`` (384) samples, and dropping exactly that head
-leaves output sample n holding the target estimate for time n. The cascade
+Timing model. Both neural stages predict ``stft.lookahead`` frames ahead,
+``win // hop - 1`` (3 by default): after consuming mixture frame k a stage
+emits its estimate of target frame k+3, which is overlap-added at that
+frame's own position. The synthesis timeline therefore carries target
+content shifted by the analysis/synthesis chain offset of ``win - hop``
+(384) samples, and dropping exactly that head leaves output sample n
+holding the target estimate for time n. The cascade
 is primed on ``lookahead`` zero frames: their estimates are the first ones
 due, and their output falls entirely inside the dropped head. Net effect:
 one output hop per input hop, and output hop k is available as soon as
@@ -32,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beamform import CovarianceState
+from .beamform import ALPHA, LOADING, CovarianceState
 from .dsp import StftConfig, StreamingAnalyzer, StreamingSynthesizer
 from .embedder import EmbedConfig, embed_weight_schema
 from .fitting import ListenerFitting
@@ -40,23 +41,25 @@ from .gridnet import GridNetConfig, MisoGridNet, weight_schema
 from .weights import WeightStore, seeded_init
 
 SECOND_STAGE_EXTRAS = 4  # RI planes of first-stage estimate + beamformer output
+RESCALE_EPS = 1e-8  # floor of the rescale gain's denominator
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Engine wiring: model geometry, STFT, beamformer constants.
+    """Engine wiring: model geometry, STFT, Wiener-filter settings.
 
     ``iterations`` counts Wiener-filter + second-stage passes; each extra
-    pass re-estimates the spatial filter from the previous refinement. The
-    output is referenced to channel 0, the reference microphone.
+    pass re-estimates the spatial filter from the previous refinement.
+    ``alpha`` and ``loading`` are the filter's forgetting factor and diagonal
+    loading; ``CovarianceState`` checks their range when the engine is
+    built. The output is referenced to channel 0, the reference microphone.
     """
 
     model: GridNetConfig = GridNetConfig()
     stft: StftConfig = StftConfig()
     iterations: int = 1
-    alpha: float = 0.5
-    loading: float = 1e-4
-    rescale_eps: float = 1e-8
+    alpha: float = ALPHA
+    loading: float = LOADING
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -65,16 +68,6 @@ class PipelineConfig:
             raise ValueError(
                 f"model n_freq {self.model.n_freq} != STFT bins {self.stft.bins}"
             )
-        # Prediction horizon must equal the analysis/synthesis chain offset,
-        # otherwise output frames would not land on their own timeline.
-        if self.stft.lookahead * self.stft.hop != self.stft.warmup:
-            raise ValueError("lookahead * hop must equal win - hop")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must be in [0, 1)")
-        if self.loading < 0:
-            raise ValueError("loading must be non-negative")
-        if self.rescale_eps <= 0:
-            raise ValueError("rescale_eps must be positive")
 
     def second_stage(self) -> GridNetConfig:
         return replace(self.model, extra_inputs=SECOND_STAGE_EXTRAS)
@@ -94,15 +87,13 @@ class RescaleState:
     """Running projection of the refined estimate onto the beamformer output.
 
     Accumulates num = sum Re(z * conj(s)) and den = sum |s|^2 over all frames
-    and bins seen so far; the gain max(num, 0) / max(den, eps) restores the
-    spatial filter's energy scale to the network output without ever boosting
-    silence (zero mixture keeps num at zero, so the gain stays zero).
+    and bins seen so far; the gain max(num, 0) / max(den, RESCALE_EPS)
+    restores the spatial filter's energy scale to the network output without
+    ever boosting silence (zero mixture keeps num at zero, so the gain stays
+    zero).
     """
 
-    def __init__(self, eps: float = 1e-8) -> None:
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        self.eps = float(eps)
+    def __init__(self) -> None:
         self.num = 0.0
         self.den = 0.0
 
@@ -119,15 +110,15 @@ class RescaleState:
 
     @property
     def gain(self) -> float:
-        return max(self.num, 0.0) / max(self.den, self.eps)
+        return max(self.num, 0.0) / max(self.den, RESCALE_EPS)
 
 
 def beamform_frames(
     frames: np.ndarray,
     estimates: np.ndarray,
     *,
-    alpha: float = 0.5,
-    loading: float = 1e-4,
+    alpha: float = ALPHA,
+    loading: float = LOADING,
 ) -> np.ndarray:
     """Run the recursive Wiener filter over aligned frame sequences.
 
@@ -191,7 +182,7 @@ class _Cascade:
             )
             for _ in range(config.iterations)
         ]
-        self.rescale = RescaleState(config.rescale_eps)
+        self.rescale = RescaleState()
         self.fitting = fitting
         self.synth = StreamingSynthesizer(stft)
 

@@ -4,7 +4,8 @@ A scene is a target source spatialized over the array (per-channel sample
 delay and gain, optionally a short exponentially decaying random impulse
 response per channel) plus one interferer of the same spatial construction,
 scaled so the signal-to-noise ratio measured at the reference channel equals
-the requested value exactly. Everything is derived from one integer seed, so
+the requested value exactly. The reference channel is channel 0, as
+everywhere in the package. Everything is derived from one integer seed, so
 a spec simulates to bit-identical audio on every call.
 """
 
@@ -27,7 +28,7 @@ class SceneSpec:
 
     ``snr_db`` may be ``math.inf`` (or ``None``) for a noise-free scene.
     ``target_delays``/``target_gains`` override the seeded per-channel
-    spatialization; the reference channel defaults to delay 0, unit gain.
+    spatialization; the reference channel 0 defaults to delay 0, unit gain.
     ``rir_length`` of 0 keeps the scene anechoic.
     """
 
@@ -37,15 +38,12 @@ class SceneSpec:
     snr_db: float | None = 0.0
     interferer: str = "white_noise"
     rir_length: int = 0
-    reference_channel: int = 0
     target_delays: tuple[int, ...] | None = None
     target_gains: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
-        if not 0 <= self.reference_channel < self.channels:
-            raise ValueError("reference_channel out of range")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.interferer not in _INTERFERERS:
@@ -68,7 +66,8 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class Scene:
-    """Rendered audio: mixture [N, C], plus mono target references."""
+    """Rendered audio: mixture [N, C], the target's image at the reference
+    channel 0 (``target_ref``) and the dry target (``anechoic_target``)."""
 
     mixture: np.ndarray
     target_ref: np.ndarray
@@ -119,8 +118,8 @@ def simulate_scene(spec: SceneSpec) -> Scene:
 
     delays = rng.integers(1, 9, size=spec.channels)
     gains = rng.uniform(0.7, 1.0, size=spec.channels)
-    delays[spec.reference_channel] = 0
-    gains[spec.reference_channel] = 1.0
+    delays[0] = 0
+    gains[0] = 1.0
     if spec.target_delays is not None:
         delays = np.asarray(spec.target_delays, dtype=int)
     if spec.target_gains is not None:
@@ -144,8 +143,8 @@ def simulate_scene(spec: SceneSpec) -> Scene:
         n_delays = rng.integers(1, 9, size=spec.channels)
         n_gains = rng.uniform(0.7, 1.0, size=spec.channels)
         noise_img = _spatialize(noise, n_delays, n_gains, rirs_i)
-        ref_t = float(np.sum(target_img[:, spec.reference_channel] ** 2))
-        ref_n = float(np.sum(noise_img[:, spec.reference_channel] ** 2))
+        ref_t = float(np.sum(target_img[:, 0] ** 2))
+        ref_n = float(np.sum(noise_img[:, 0] ** 2))
         if ref_n <= 0:
             raise ValueError("interferer is silent at the reference channel")
         scale = math.sqrt(ref_t / ref_n) * 10.0 ** (-float(spec.snr_db) / 20.0)
@@ -153,6 +152,6 @@ def simulate_scene(spec: SceneSpec) -> Scene:
 
     return Scene(
         mixture=mixture,
-        target_ref=target_img[:, spec.reference_channel].copy(),
+        target_ref=target_img[:, 0].copy(),
         anechoic_target=target,
     )

@@ -162,6 +162,22 @@ class TestEmbedAndEnhance:
         assert code == 2
         assert "channels" in capsys.readouterr().err
 
+    def test_enroll_for_another_embedding_size_fails(self, scene_dir, tmp_path, capsys):
+        from hearstream.gridnet import GridNetConfig
+        from hearstream.pipeline import PipelineConfig, init_pipeline_weights
+
+        path = str(tmp_path / "emb64.inxw")
+        config = PipelineConfig(model=GridNetConfig.toy(emb_dim=64))
+        init_pipeline_weights(config, seed=0).save(path)
+        code = main(
+            ["enhance", "--input", f"{scene_dir}/mixture.wav", "--weights", path,
+             "--enroll", f"{scene_dir}/anechoic_target.wav",
+             "--output", str(tmp_path / "o.wav")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err and "(64,)" in err
+
     def test_enroll_and_embedding_mutually_exclusive(self, weights_path, tmp_path, capsys):
         wav = str(tmp_path / "w.wav")
         write_wav(wav, np.zeros((4000, 2)) + 0.01)

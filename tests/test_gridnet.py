@@ -350,8 +350,9 @@ def assert_close_to_peak(out, ref):
 
 
 class TestSharedPath:
-    """forward, chunked ``_run`` and the stream run one code path, so they
-    agree over generated configurations, lengths and splits."""
+    """forward, chunked forward with carried state and the stream run one
+    code path, so they agree over generated configurations, lengths and
+    splits."""
 
     @settings(max_examples=100)
     @given(case=shared_path_cases(leaky=st.just(False)))
@@ -360,7 +361,7 @@ class TestSharedPath:
         x, ex, emb = case["x"], case["extras"], case["emb"]
         state = model.zero_state()
         chunks = [
-            model._run(x[a:b], emb, None if ex is None else ex[a:b], state)
+            model.forward(x[a:b], emb, None if ex is None else ex[a:b], state)
             for a, b in zip(case["bounds"], case["bounds"][1:])
         ]
         assert_close_to_peak(np.concatenate(chunks), model.forward(x, emb, extras=ex))
@@ -409,7 +410,7 @@ class TestAttentionCache:
         x = rand_spect(rng, 70, self.CFG.n_freq, 1)
         state = model.zero_state()
         bounds = [0, 10, 20, 45, 70]
-        chunks = [model._run(x[a:b], emb, None, state) for a, b in zip(bounds, bounds[1:])]
+        chunks = [model.forward(x[a:b], emb, None, state) for a, b in zip(bounds, bounds[1:])]
         assert_close_to_peak(np.concatenate(chunks), model.forward(x, emb))
         assert all(len(block["k"]) == 128 for block in state["blocks"])
 
@@ -417,8 +418,25 @@ class TestAttentionCache:
         model = make_model(self.CFG, seed=24)
         rng = np.random.default_rng(25)
         state = model.zero_state()
-        model._run(rand_spect(rng, 40, self.CFG.n_freq, 1), rng.standard_normal(128), None, state)
+        model.forward(rand_spect(rng, 40, self.CFG.n_freq, 1), rng.standard_normal(128), None, state)
         assert all(len(block["k"]) == block["frames"] == 40 for block in state["blocks"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_frame_rejected_before_cache_write(self, bad):
+        model = make_model(self.CFG, seed=28)
+        rng = np.random.default_rng(29)
+        emb = rng.standard_normal(128)
+        state = model.zero_state()
+        model.forward(rand_spect(rng, 5, self.CFG.n_freq, 1), emb, None, state)
+        before = [(b["frames"], b["k"].copy(), b["v"].copy()) for b in state["blocks"]]
+        frame = rand_spect(rng, 1, self.CFG.n_freq, 1)
+        frame[0, 3, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
+            model.forward(frame, emb, None, state)
+        for block, (frames, k, v) in zip(state["blocks"], before):
+            assert block["frames"] == frames == 5
+            assert_array_equal(block["k"], k)
+            assert_array_equal(block["v"], v)
 
     def test_per_hop_memory_bounded_as_stream_ages(self):
         # a cache restacked on every hop reads 8.7x here

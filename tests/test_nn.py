@@ -204,30 +204,31 @@ class TestConv2d:
         k = np.zeros((3, 3, 1, 1), dtype=np.float32)
         for c in range(3):
             k[c, c, 0, 0] = 1.0
-        assert_allclose(conv2d(x, k), x, atol=1e-6)
+        assert_allclose(conv2d(x, k, np.zeros(3, np.float32)), x, atol=1e-6)
 
     def test_all_ones_interior(self):
         x = np.ones((1, 6, 6), dtype=np.float32)
         k = np.ones((1, 1, 3, 3), dtype=np.float32)
-        y = conv2d(x, k)
-        assert_allclose(y[0, 3, 3], 9.0, atol=0)
+        y = conv2d(x, k, np.full(1, 0.5, np.float32))
+        assert_allclose(y[0, 3, 3], 9.5, atol=0)
 
     def test_unpadded_time_gives_last_causal_frames(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 7, 5)).astype(np.float32)
         k = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
-        y = conv2d(x, k, pad_time=False)
+        b = rng.standard_normal(4).astype(np.float32)
+        y = conv2d(x, k, b, pad_time=False)
         assert y.shape == (4, 5, 5)
-        assert_allclose(y, conv2d(x, k)[:, 1:-1], atol=1e-6)
+        assert_allclose(y, conv2d(x, k, b)[:, 1:-1], atol=1e-6)
 
     def test_stride_subsamples(self):
         x = np.zeros((1, 8, 9), dtype=np.float32)
-        y = conv2d(x, np.zeros((2, 1, 3, 3), dtype=np.float32), stride=(2, 2))
+        y = conv2d(x, np.zeros((2, 1, 3, 3), np.float32), np.zeros(2, np.float32), stride=(2, 2))
         assert y.shape == (2, 4, 5)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            conv2d(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)))
+            conv2d(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1))
 
 
 class TestConvTranspose:
@@ -244,14 +245,14 @@ class TestConvTranspose:
                         full[o, t : t + 3, f : f + 3] += x[i, t, f] * k[i, o].astype(np.float64)
         # the history form: the first Kt-1 = 2 input frames are history
         expect = full[:, 2:6, 1:6]
-        got = conv_transpose2d(x, k)
+        got = conv_transpose2d(x, k, np.zeros(3, np.float32))
         assert_allclose(got, expect, atol=1e-4)
 
     def test_transpose1d_full_length_and_values(self):
         # single channel, kernel [1,1,2] = [1, 10]: out[o] = x[o] + 10*x[o-1]
         x = np.array([[[1.0], [2.0], [3.0]]], dtype=np.float32)
         k = np.array([[[1.0, 10.0]]], dtype=np.float32)
-        out = conv_transpose1d(x, k)
+        out = conv_transpose1d(x, k, np.zeros(1, np.float32))
         assert_allclose(out[0, :, 0], [1.0, 12.0, 23.0, 30.0], atol=0)
 
 
@@ -260,14 +261,15 @@ class TestConv1d:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((6, 20)).astype(np.float32)
         k = rng.standard_normal((6, 1, 3)).astype(np.float32)
-        y = conv1d(x, k, dilation=4, groups=6)
+        y = conv1d(x, k, np.zeros(6, np.float32), dilation=4, groups=6)
         assert y.shape == (6, 20)
 
     def test_pointwise_matches_matmul(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 9)).astype(np.float32)
         k = rng.standard_normal((7, 4, 1)).astype(np.float32)
-        assert_allclose(conv1d(x, k), k[:, :, 0] @ x, atol=1e-5)
+        b = rng.standard_normal(7).astype(np.float32)
+        assert_allclose(conv1d(x, k, b), k[:, :, 0] @ x + b[:, None], atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -276,19 +278,20 @@ class TestConv1d:
 
 class TestLayerNorm:
     def test_constant_input_zeroed(self):
-        x = np.full((3, 4), 2.5, dtype=np.float32)
-        y = layer_norm(x, (0, 1), np.float32(1), np.float32(0))
+        x = np.full((3, 2, 4), 2.5, dtype=np.float32)
+        y = layer_norm(x, np.float32(1), np.float32(0))
         assert_allclose(y, 0.0, atol=1e-6)
 
     def test_two_point_hand_case(self):
-        y = layer_norm(np.array([1.0, 3.0], dtype=np.float32), (0,), np.float32(1), np.float32(0))
+        # one frame of one channel over two bins
+        y = layer_norm(np.array([[[1.0, 3.0]]], dtype=np.float32), np.float32(1), np.float32(0))
         expect = (np.array([1.0, 3.0]) - 2.0) / np.sqrt(1.0 + 1e-5)
-        assert_allclose(y, expect, atol=1e-6)
+        assert_allclose(y[0, 0], expect, atol=1e-6)
 
     def test_statistics(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((8, 5, 11)).astype(np.float32) * 3 + 1
-        y = layer_norm(x, (0, 2), np.float32(1), np.float32(0)).astype(np.float64)
+        y = layer_norm(x, np.float32(1), np.float32(0)).astype(np.float64)
         mu = y.mean(axis=(0, 2))
         var = y.var(axis=(0, 2))
         assert np.abs(mu).max() <= 1e-5
@@ -299,15 +302,17 @@ class TestLayerNorm:
         x = rng.standard_normal((4, 6, 9)).astype(np.float32)
         g = np.ones((4, 1, 1), dtype=np.float32)
         b = np.zeros((4, 1, 1), dtype=np.float32)
-        y = layer_norm(x, (0, 2), g, b)
+        y = layer_norm(x, g, b)
         xp = x.copy()
         xp[:, 4:] = 99.0
-        yp = layer_norm(xp, (0, 2), g, b)
+        yp = layer_norm(xp, g, b)
         assert_array_equal(y[:, :4], yp[:, :4])
 
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError):
-            layer_norm(np.zeros((0, 3)), (0,), np.float32(1), np.float32(0))
+            layer_norm(np.zeros((0, 2, 3)), np.float32(1), np.float32(0))
+        with pytest.raises(ValueError):
+            layer_norm(np.zeros((2, 2, 0)), np.float32(1), np.float32(0))
 
 
 class TestFilm:
@@ -529,12 +534,6 @@ class TestMaskedAttention:
         last = masked_attention(q[5:], k, v, heads=2)
         assert_allclose(last[0], full[5], atol=1e-6)
 
-    def test_nan_rejected(self):
-        bad = np.full((2, 2), np.nan, dtype=np.float32)
-        good = np.zeros((2, 2), dtype=np.float32)
-        with pytest.raises(ValueError):
-            masked_attention(bad, good, good)
-
     def test_cache_views_match_copies(self):
         # a stream passes row slices of a larger preallocated cache
         rng = np.random.default_rng(20)
@@ -547,15 +546,6 @@ class TestMaskedAttention:
         out = masked_attention(q, k, v, heads=2)
         ref = masked_attention(q, k.copy(), v.copy(), heads=2)
         assert_array_equal(out, ref)
-
-    def test_nan_in_cached_key_view_rejected(self):
-        rng = np.random.default_rng(21)
-        k_buf = rng.standard_normal((32, 4)).astype(np.float32)
-        v_buf = rng.standard_normal((32, 4)).astype(np.float32)
-        k_buf[5, 1] = np.nan
-        q = rng.standard_normal((1, 4)).astype(np.float32)
-        with pytest.raises(ValueError, match="NaN in k"):
-            masked_attention(q, k_buf[:20], v_buf[:20], heads=2)
 
     def test_float32_value_product_long_cache(self):
         # softmax weights in float64, value product in float32

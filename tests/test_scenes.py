@@ -25,10 +25,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SceneSpec(channels=0)
 
-    def test_bad_reference(self):
-        with pytest.raises(ValueError):
-            SceneSpec(channels=2, reference_channel=2)
-
     def test_bad_duration(self):
         with pytest.raises(ValueError):
             SceneSpec(duration_s=0.0)
