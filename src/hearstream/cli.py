@@ -5,7 +5,11 @@ and cache a speaker embedding), check-latency (perturbation probe of the
 128-sample budget), simulate (render a synthetic scene), evaluate (score an
 estimate), init-weights (write a seeded random weight container).
 
-Every failure exits nonzero with one ``error: ...`` line on stderr.
+Each setting has one spelling: the engine's tunables (``iterations``,
+``alpha``, ``loading``) are ``enhance --config`` keys only, and fitting runs
+exactly when ``--listener`` is given. ``check-latency`` checks that the
+pipeline is deterministic, then prints one ``causality_check`` report per
+trial. Every failure exits nonzero with one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -57,8 +61,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--ear", choices=("left", "right"), default="left")
     p.add_argument("--config")
     p.add_argument("--output", required=True)
-    p.add_argument("--no-fitting", action="store_true")
-    p.add_argument("--iterations", type=int)
 
     p = sub.add_parser("embed", help="extract a speaker embedding")
     p.add_argument("--input", required=True)
@@ -90,43 +92,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_store(path: str) -> WeightStore:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"weights file not found: {path}")
-    return WeightStore.load(path)
-
-
 def _pipeline_config(store: WeightStore, args) -> PipelineConfig:
     model = infer_config(store)
     overrides: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
+            overrides = json.load(fh)
+        if not isinstance(overrides, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+        unknown = sorted(set(overrides) - set(_CONFIG_KEYS))
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {unknown}")
-        overrides.update(raw)
-    if getattr(args, "iterations", None) is not None:
-        overrides["iterations"] = args.iterations
     return PipelineConfig(model=model, **overrides)
 
 
 def _cmd_enhance(args) -> int:
-    store = _load_store(args.weights)
+    store = WeightStore.load(args.weights)
     config = _pipeline_config(store, args)
     mixture = read_wav(args.input)
-    if mixture.shape[1] != config.model.channels:
-        raise ValueError(
-            f"{args.input}: {mixture.shape[1]} channels, weights expect {config.model.channels}"
-        )
     if args.embedding:
         embedding = load_embedding(args.embedding, emb_dim=config.model.emb_dim)
     else:
         embedding = _enroll(store, args.enroll)
     fitting = None
-    if args.listener and not args.no_fitting:
+    if args.listener:
         listeners = load_listener(args.listener)
         fitting = ListenerFitting(listeners[args.ear], stft=config.stft)
     out = enhance_signal(mixture, config, store, embedding, fitting=fitting)
@@ -143,7 +132,7 @@ def _enroll(store: WeightStore, wav_path: str) -> np.ndarray:
 
 
 def _cmd_embed(args) -> int:
-    embedding = _enroll(_load_store(args.weights), args.input)
+    embedding = _enroll(WeightStore.load(args.weights), args.input)
     cache_embedding(args.output, embedding)
     print(f"wrote {args.output} ({embedding.shape[0]}-dim embedding)")
     return 0
@@ -152,7 +141,7 @@ def _cmd_embed(args) -> int:
 def _cmd_check_latency(args) -> int:
     if args.budget_samples < 0 or args.trials < 1:
         raise ValueError("budget-samples must be >= 0 and trials >= 1")
-    store = _load_store(args.weights)
+    store = WeightStore.load(args.weights)
     model = infer_config(store)
     config = PipelineConfig(model=model)
     scene = simulate_scene(
@@ -193,11 +182,7 @@ def _cmd_check_latency(args) -> int:
         report = causality_check(
             run, x, n=n, budget_samples=args.budget_samples, baseline=baseline
         )
-        verdict = "pass" if report.passed else "FAIL"
-        print(
-            f"trial {trial:02d}: n={n} first_diff={report.first_diff_index} "
-            f"budget={args.budget_samples} {verdict}"
-        )
+        print(f"trial {trial:02d}: {report}")
         failures += 0 if report.passed else 1
     print(f"note: fitting path adds a {EQ_DELAY}-sample static FIR group delay")
     if failures:

@@ -320,6 +320,8 @@ class MisoGridNet:
         None runs from zero state. Each stage that looks back in time reads
         its past frames from the state and leaves its own last frames there,
         so one call over T frames equals successive calls over any split.
+        Input that is NaN or Inf once cast to float32 raises ValueError
+        before any state moves.
         """
         cfg = self.config
         state = self.zero_state() if state is None else state
@@ -332,6 +334,8 @@ class MisoGridNet:
                 f"input planes {x.shape} do not match config "
                 f"({cfg.input_channels} channels, {cfg.n_freq} bins)"
             )
+        if not np.all(np.isfinite(x)):  # checked as float32, before any state moves
+            raise ValueError(f"{self.prefix}: non-finite input frame")
         w = self.w
         window, state["conv_in"] = _with_history(state["conv_in"], x)
         x = conv2d(window, w["conv_in.w"], w["conv_in.b"], pad_time=False)
@@ -408,7 +412,6 @@ class MisoGridNet:
             w[f"{p}.temporal.lstm.r"],
             w[f"{p}.temporal.lstm.b"],
             state=st["lstm"],
-            return_state=True,
         )
         # the head-cropped transposed conv as a valid correlation: frame t
         # sums LSTM steps t-I+1..t, the same windows the LSTM input uses

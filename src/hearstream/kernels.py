@@ -234,13 +234,13 @@ def lstm_forward(
     *,
     backward: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     state: tuple[np.ndarray, np.ndarray] | None = None,
-    return_state: bool = False,
 ):
     """LSTM over x[T, D_in] or a batch x[N, T, D_in]; returns [.., T, H].
 
     Weights: w[4H, D_in] input projection, r[4H, H] recurrence, b[4H] bias,
     gates packed (i, f, g, o). ``state`` carries (h, c) between calls for
-    streaming.
+    streaming: given it, the call continues from it and returns
+    ``(out, (h, c))`` with the state after the last step.
 
     ``backward=(w_b, r_b, b_b)`` makes the call bidirectional: a reversed
     recurrence with those weights runs in the same step loop as the forward
@@ -264,7 +264,7 @@ def lstm_forward(
     four_h, h_size = r.shape
     dirs = [(w, r, b, False)]
     if backward is not None:
-        if state is not None or return_state:
+        if state is not None:
             raise ValueError("lstm_forward: a bidirectional call takes no state")
         dirs.append((*backward, True))
     for dw, dr, db, _ in dirs:
@@ -335,7 +335,7 @@ def lstm_forward(
     if squeeze:
         out = out[0]
         h, c = h[0], c[0]
-    return (out, (h, c)) if return_state else out
+    return out if state is None else (out, (h, c))
 
 
 def masked_attention(

@@ -224,7 +224,7 @@ def _checked_audio(x: np.ndarray, channels: int) -> np.ndarray:
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[1] != channels:
-        raise ValueError(f"expected [samples, {channels}] audio, got {x.shape}")
+        raise ValueError(f"expected [samples, {channels} channels] audio, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("audio contains non-finite samples")
     return x

@@ -101,7 +101,9 @@ def test_criterion_02_latency_contract(weights_file, toy_cfg, toy_store, capsys,
         return enhance_offline(x, toy_cfg, toy_store, emb)
 
     with leaky_attention():
-        mutant = causality_check(run, scene.mixture, n=8000, budget_samples=128)
+        mutant = causality_check(
+            run, scene.mixture, n=8000, budget_samples=128, baseline=run(scene.mixture)
+        )
     report(
         2,
         trials_pass and not mutant.passed,

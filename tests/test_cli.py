@@ -1,11 +1,15 @@
 """CLI surface: subcommand wiring, file round-trips, exit codes."""
 
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hearstream import cli
 from hearstream.cli import main
 from hearstream.scenes import SceneSpec, simulate_scene
 from hearstream.wavio import read_wav, write_wav
@@ -69,6 +73,15 @@ class TestSimulate:
             read_wav(f"{out}/mixture.wav"), read_wav(f"{scene_dir}/mixture.wav")
         )
 
+    @pytest.mark.parametrize("snr", ["nan", "-inf"])
+    def test_undefined_snr_fails(self, tmp_path, capsys, snr):
+        # "--snr=-inf": a separate "-inf" argument would parse as an option
+        code = main(["simulate", "--seed", "3", f"--snr={snr}", "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err and "snr_db" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestEvaluate:
     def test_est_equals_ref_hits_cap(self, tmp_path, capsys):
@@ -115,7 +128,7 @@ class TestEmbedAndEnhance:
             ["enhance", "--input", f"{scene_dir}/mixture.wav",
              "--weights", weights_path,
              "--enroll", f"{scene_dir}/anechoic_target.wav",
-             "--output", out_path, "--no-fitting"]
+             "--output", out_path]
         )
         assert code == 0
         out = read_wav(out_path)
@@ -229,7 +242,42 @@ class TestCheckLatency:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_nondeterministic_pipeline_fails(self, weights_path, capsys, monkeypatch):
+        enhance = cli.enhance_offline
+        rng = np.random.default_rng(6)
+
+        def noisy(*args, **kwargs):
+            out = enhance(*args, **kwargs)
+            return out + rng.standard_normal(out.shape) * 1e-3
+
+        monkeypatch.setattr(cli, "enhance_offline", noisy)
+        code = main(["check-latency", "--weights", weights_path, "--trials", "1"])
+        assert code == 1
+        assert "not deterministic" in capsys.readouterr().err
+
     def test_missing_weights_file(self, capsys):
         code = main(["check-latency", "--weights", "/no/such.inxw"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+def _readme_flags() -> dict[str, set[str]]:
+    """The flags README.md lists per subcommand under "Subcommands and their
+    main flags"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Subcommands and their main flags:", 1)[1].split("\n\n", 2)[1]
+    flags = {}
+    for item in re.split(r"^- ", section, flags=re.M)[1:]:
+        name = re.match(r"`([a-z-]+)", item).group(1)
+        flags[name] = set(re.findall(r"--[a-z-]+", item))
+    return flags
+
+
+def test_readme_lists_every_flag():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    expected = {
+        name: {o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")}
+        for name, sub in commands.choices.items()
+    }
+    assert _readme_flags() == expected

@@ -438,6 +438,35 @@ class TestAttentionCache:
             assert_array_equal(block["k"], k)
             assert_array_equal(block["v"], v)
 
+    def test_nonfinite_projection_rejected_before_cache_write(self):
+        # a finite input can still overflow inside the network; attention
+        # checks its own projection before it writes a row
+        model = make_model(self.CFG, seed=28)
+        block = model._zero_block()
+        x = np.zeros((self.CFG.d, 1, self.CFG.n_freq), np.float32)
+        x[0, 0, 3] = np.inf
+        with pytest.raises(ValueError, match="non-finite query"), np.errstate(invalid="ignore"):
+            model._attention(x, "block0", block)
+        assert block["frames"] == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e39], ids=["nan", "float32_overflow"])
+    def test_rejected_frame_leaves_stream_unchanged(self, bad):
+        # 1e39 is finite as float64 but inf once cast to float32
+        model = make_model(self.CFG, seed=30)
+        rng = np.random.default_rng(31)
+        emb = rng.standard_normal(128)
+        x = rand_spect(rng, 6, self.CFG.n_freq, 1)
+        clean, hit = GridNetStream(model), GridNetStream(model)
+        expected = [clean.step(x[t], emb) for t in (0, 1, 3, 4, 5)]
+        frame = x[2].copy()
+        frame[4, 0] = bad
+        got = [hit.step(x[t], emb) for t in (0, 1)]
+        with pytest.raises(ValueError, match="non-finite input"), np.errstate(over="ignore"):
+            hit.step(frame, emb)
+        got += [hit.step(x[t], emb) for t in (3, 4, 5)]
+        for a, b in zip(got, expected):
+            assert_array_equal(a, b)
+
     def test_per_hop_memory_bounded_as_stream_ages(self):
         # a cache restacked on every hop reads 8.7x here
         cfg = GridNetConfig(channels=1, blocks=1, n_freq=33)

@@ -419,10 +419,10 @@ class TestLstm:
         w, r, b = self._weights(rng, 3, 4)
         x = rng.standard_normal((12, 3)).astype(np.float32)
         full = lstm_forward(x, w, r, b)
-        state = None
+        state = (np.zeros(4, np.float32), np.zeros(4, np.float32))
         parts = []
         for t in range(12):
-            out, state = lstm_forward(x[t : t + 1], w, r, b, state=state, return_state=True)
+            out, state = lstm_forward(x[t : t + 1], w, r, b, state=state)
             parts.append(out)
         assert_allclose(np.concatenate(parts), full, atol=1e-6)
 
@@ -478,7 +478,7 @@ class TestLstm:
         w, r, b = self._weights(rng, 3, 4)
         x = rng.standard_normal((5, 3)).astype(np.float32)
         with pytest.raises(ValueError):
-            lstm_forward(x, w, r, b, backward=(w, r, b), return_state=True)
+            lstm_forward(x, w, r, b, backward=(w, r, b), state=(np.zeros(4), np.zeros(4)))
         with pytest.raises(ValueError):
             lstm_forward(x, w, r, b, backward=(w[:, :2], r, b))
 

@@ -275,7 +275,9 @@ class TestLatencyContract:
             return enhance_offline(x, cfg, store, emb)
 
         with leaky_attention():
-            report = causality_check(run, scene.mixture, n=4000, budget_samples=128)
+            report = causality_check(
+                run, scene.mixture, n=4000, budget_samples=128, baseline=run(scene.mixture)
+            )
         assert not report.passed
         assert report.first_diff_index < 4000 - 128
 
@@ -360,7 +362,9 @@ class TestFittingIntegration:
         def run(x):
             return enhance_offline(x, cfg, store, emb, fitting=self.make_fitting())
 
-        report = causality_check(run, scene.mixture, n=4000, budget_samples=128)
+        report = causality_check(
+            run, scene.mixture, n=4000, budget_samples=128, baseline=run(scene.mixture)
+        )
         assert report.passed
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hearstream.scenes import MAX_RIR_LENGTH, Scene, SceneSpec, simulate_scene
+from hearstream.scenes import Scene, SceneSpec, simulate_scene
 
 
 def measured_snr_db(scene: Scene, ref: int) -> float:
@@ -26,22 +26,15 @@ class TestSpecValidation:
             SceneSpec(channels=0)
 
     def test_bad_duration(self):
-        with pytest.raises(ValueError):
-            SceneSpec(duration_s=0.0)
+        # 1e-5 s rounds to 0 samples at 32 kHz
+        for duration_s in (0.0, -1.0, 1e-5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="duration_s"):
+                SceneSpec(duration_s=duration_s)
 
-    def test_bad_interferer(self):
-        with pytest.raises(ValueError):
-            SceneSpec(interferer="hum")
-
-    def test_rir_too_long(self):
-        with pytest.raises(ValueError):
-            SceneSpec(rir_length=MAX_RIR_LENGTH + 1)
-
-    def test_geometry_length_mismatch(self):
-        with pytest.raises(ValueError):
-            SceneSpec(channels=2, target_delays=(0, 1, 2))
-        with pytest.raises(ValueError):
-            SceneSpec(channels=2, target_gains=(1.0,))
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_bad_snr(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            SceneSpec(snr_db=snr_db)
 
 
 class TestRendering:
@@ -52,8 +45,16 @@ class TestRendering:
         assert scene.anechoic_target.shape == (16000,)
         assert np.all(np.isfinite(scene.mixture))
 
+    def test_shorter_than_the_channel_delays(self):
+        # 5 samples, delays up to 8: late channels stay silent
+        scene = simulate_scene(
+            SceneSpec(seed=0, channels=6, duration_s=5 / 32000, snr_db=math.inf)
+        )
+        assert scene.mixture.shape == (5, 6)
+        assert np.array_equal(scene.mixture[:, 0], scene.anechoic_target)
+
     def test_same_seed_bit_identical(self):
-        spec = SceneSpec(seed=11, channels=3, duration_s=0.4, rir_length=256)
+        spec = SceneSpec(seed=11, channels=3, duration_s=0.4)
         a = simulate_scene(spec)
         b = simulate_scene(spec)
         assert np.array_equal(a.mixture, b.mixture)
@@ -66,17 +67,17 @@ class TestRendering:
         assert not np.array_equal(a.mixture, b.mixture)
 
     def test_noise_free_reference_equals_target(self):
-        for snr in (None, math.inf):
-            scene = simulate_scene(
-                SceneSpec(seed=5, channels=2, duration_s=0.3, snr_db=snr)
-            )
-            assert np.array_equal(scene.mixture[:, 0], scene.target_ref)
+        scene = simulate_scene(
+            SceneSpec(seed=5, channels=2, duration_s=0.3, snr_db=math.inf)
+        )
+        assert np.array_equal(scene.mixture[:, 0], scene.target_ref)
 
     def test_reference_channel_is_unmodified_target_when_anechoic(self):
-        scene = simulate_scene(
-            SceneSpec(seed=5, channels=2, duration_s=0.3, snr_db=None)
-        )
-        assert np.array_equal(scene.target_ref, scene.anechoic_target)
+        for snr_db in (0.0, math.inf):
+            scene = simulate_scene(
+                SceneSpec(seed=5, channels=2, duration_s=0.3, snr_db=snr_db)
+            )
+            assert np.array_equal(scene.target_ref, scene.anechoic_target)
 
     def test_snr_zero_db_calibrated(self):
         scene = simulate_scene(SceneSpec(seed=2, channels=2, duration_s=0.5, snr_db=0.0))
@@ -88,37 +89,18 @@ class TestRendering:
         )
         assert abs(measured_snr_db(scene, 0) - 10.0) <= 0.1
 
-    def test_snr_holds_with_rir(self):
-        scene = simulate_scene(
-            SceneSpec(seed=9, channels=2, duration_s=0.5, snr_db=5.0, rir_length=512)
-        )
-        assert abs(measured_snr_db(scene, 0) - 5.0) <= 0.1
-
     def test_custom_geometry(self):
+        # away from the reference, channel c is the dry target delayed by
+        # 1..8 samples and scaled by a gain in [0.7, 1.0], both seeded
         scene = simulate_scene(
-            SceneSpec(
-                seed=4,
-                channels=2,
-                duration_s=0.2,
-                snr_db=None,
-                target_delays=(0, 5),
-                target_gains=(1.0, 0.5),
-            )
+            SceneSpec(seed=4, channels=4, duration_s=0.2, snr_db=math.inf)
         )
         t = scene.anechoic_target
-        expected = np.zeros_like(t)
-        expected[5:] = 0.5 * t[:-5]
-        assert np.array_equal(scene.mixture[:, 1], expected)
-
-    def test_tonal_sweep_differs_from_white(self):
-        white = simulate_scene(SceneSpec(seed=6, channels=2, duration_s=0.25))
-        sweep = simulate_scene(
-            SceneSpec(seed=6, channels=2, duration_s=0.25, interferer="tonal_sweep")
-        )
-        assert np.array_equal(white.target_ref, sweep.target_ref)
-        assert not np.array_equal(white.mixture, sweep.mixture)
-
-    def test_rir_changes_mixture(self):
-        dry = simulate_scene(SceneSpec(seed=7, channels=2, duration_s=0.25))
-        wet = simulate_scene(SceneSpec(seed=7, channels=2, duration_s=0.25, rir_length=400))
-        assert not np.array_equal(dry.mixture, wet.mixture)
+        for c in range(1, 4):
+            y = scene.mixture[:, c]
+            d = int(np.flatnonzero(y)[0])
+            assert 1 <= d <= 8
+            assert not np.any(y[:d])
+            gain = y[d] / t[0]
+            assert 0.7 <= gain <= 1.0
+            np.testing.assert_allclose(y[d:], gain * t[: len(t) - d], rtol=1e-12, atol=0)
