@@ -122,7 +122,10 @@ class SpeakerEmbedder:
         return prelu(y, w[f"{name}.alpha"])
 
     def embed(self, spect: np.ndarray) -> np.ndarray:
-        """Adaptation spectrogram [T, F] (or [T, F, 1]) complex -> [emb_dim] float32."""
+        """Adaptation spectrogram [T, F] (or [T, F, 1]) complex -> [emb_dim] float32.
+
+        A value that is NaN or Inf as float32 raises ValueError.
+        """
         spect = np.asarray(spect)
         if spect.ndim == 3:
             if spect.shape[2] != 1:

@@ -225,7 +225,9 @@ def stack_ri(spect: np.ndarray, extras: np.ndarray | None = None) -> np.ndarray:
     """Interleave real/imag planes of spect[T, F, C] into float32 [2C(+2K), T, F].
 
     Channel order [Re ch0, Im ch0, Re ch1, ...]; extras[T, F, K] (complex)
-    are appended after the mixture channels in the same interleaving.
+    are appended after the mixture channels in the same interleaving. A value
+    that is NaN or Inf once cast to float32 raises ValueError, so a network
+    that stacks its input first rejects it before any state moves.
     """
     spect = np.asarray(spect)
     if spect.ndim == 2:
@@ -247,7 +249,10 @@ def stack_ri(spect: np.ndarray, extras: np.ndarray | None = None) -> np.ndarray:
         for c in range(block.shape[2]):
             planes.append(block[:, :, c].real)
             planes.append(block[:, :, c].imag)
-    return np.stack(planes, axis=0).astype(np.float32)
+    x = np.stack(planes, axis=0).astype(np.float32)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("stack_ri: non-finite input value (as float32)")
+    return x
 
 
 def unstack_ri(tensor: np.ndarray) -> np.ndarray:
@@ -334,8 +339,6 @@ class MisoGridNet:
                 f"input planes {x.shape} do not match config "
                 f"({cfg.input_channels} channels, {cfg.n_freq} bins)"
             )
-        if not np.all(np.isfinite(x)):  # checked as float32, before any state moves
-            raise ValueError(f"{self.prefix}: non-finite input frame")
         w = self.w
         window, state["conv_in"] = _with_history(state["conv_in"], x)
         x = conv2d(window, w["conv_in.w"], w["conv_in.b"], pad_time=False)

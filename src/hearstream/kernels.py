@@ -38,7 +38,8 @@ def prelu(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=x.dtype)
     if alpha.ndim == 1 and x.ndim > 1:
         alpha = alpha.reshape((-1,) + (1,) * (x.ndim - 1))
-    return np.where(x >= 0, x, alpha * x)
+    # equals np.where(x >= 0, x, alpha * x) for any finite alpha, without a mask
+    return np.maximum(x, 0) + alpha * np.minimum(x, 0)
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -51,9 +52,10 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
 # -- convolution -------------------------------------------------------------
 
 
-# im2col rows are built a slice of output frames at a time, so the patch
-# matrix stays near this many elements however long the input is
-_PATCH_BUDGET = 1 << 20
+# output frames are computed a slice at a time, so the patch buffer holds at
+# most this many elements (or one output frame's patches) however long the
+# input is
+_PATCH_BUDGET = 1 << 18
 
 
 def _corr2d_valid(
@@ -61,20 +63,37 @@ def _corr2d_valid(
 ) -> np.ndarray:
     """Valid cross-correlation of x[C_in, T, F] with kernel[C_out, C_in, Kt, Kf].
 
-    Only the outputs the stride keeps are computed.
+    Only the outputs the stride keeps are computed. Output frames go a
+    slice of ``rows`` at a time through an im2col patch buffer laid out
+    [C_in, Kt, Kf, rows, F_out]: each kernel tap (i, j) fills its
+    [C_in, rows, F_out] plane with one strided copy of x, the slice applying
+    the stride, and one GEMM of kernel[C_out, C_in * Kt * Kf] by the buffer
+    writes the slice straight into the [C_out, T_out, F_out] output. ``rows``
+    keeps the buffer within ``_PATCH_BUDGET`` elements (at least one frame).
     """
     c_out, c_in, kt, kf = kernel.shape
-    view = np.lib.stride_tricks.sliding_window_view(x, (kt, kf), axis=(1, 2))
-    view = view[:, :: stride[0], :: stride[1]]
-    t_out, f_out = view.shape[1], view.shape[2]
+    st, sf = stride
+    t_out = (x.shape[1] - kt) // st + 1
+    f_out = (x.shape[2] - kf) // sf + 1
     patch = c_in * kt * kf
-    weights = kernel.reshape(c_out, patch).T
-    out = np.empty((t_out, f_out, c_out), dtype=np.float32)
-    rows = max(1, _PATCH_BUDGET // max(1, f_out * patch))
+    weights = kernel.reshape(c_out, patch)
+    out = np.empty((c_out, t_out * f_out), dtype=np.float32)
+    rows = max(1, min(t_out, _PATCH_BUDGET // max(1, patch * f_out)))
+    buf = np.empty(patch * rows * f_out, dtype=np.float32)
+    f_span = (f_out - 1) * sf + 1
     for t0 in range(0, t_out, rows):
-        cols = view[:, t0 : t0 + rows].transpose(1, 2, 0, 3, 4).reshape(-1, patch)
-        out[t0 : t0 + rows] = (cols @ weights).reshape(-1, f_out, c_out)
-    return out.transpose(2, 0, 1)
+        n = min(rows, t_out - t0)
+        # a prefix of the flat buffer, so a short last slice stays contiguous
+        cols = buf[: patch * n * f_out].reshape(c_in, kt, kf, n, f_out)
+        for i in range(kt):
+            lo = t0 * st + i
+            frames = x[:, lo : lo + (n - 1) * st + 1 : st]
+            for j in range(kf):
+                cols[:, i, j] = frames[:, :, j : j + f_span : sf]
+        np.matmul(
+            weights, cols.reshape(patch, n * f_out), out=out[:, t0 * f_out : (t0 + n) * f_out]
+        )
+    return out.reshape(c_out, t_out, f_out)
 
 
 def conv2d(

@@ -217,22 +217,32 @@ class _Cascade:
         return np.concatenate(hops), taps
 
 
-def _checked_audio(x: np.ndarray, channels: int) -> np.ndarray:
-    """Input audio as float64 [samples, channels]; a wrong shape or a
-    non-finite sample raises ValueError."""
+def _checked_audio(x: np.ndarray, config: PipelineConfig) -> np.ndarray:
+    """Input audio as float64 [samples, channels]; a wrong shape, or a sample
+    that is non-finite or beyond float32 max / ``stft.win`` in magnitude,
+    raises ValueError.
+
+    Under that bound no analysis frame can overflow float32 on its way into
+    the networks: a bin sums at most ``win`` samples, each weighted by a
+    sqrt-Hann value of at most 1.
+    """
+    channels = config.model.channels
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[1] != channels:
         raise ValueError(f"expected [samples, {channels} channels] audio, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("audio contains non-finite samples")
+    limit = float(np.finfo(np.float32).max) / config.stft.win
+    if not np.all(np.abs(x) <= limit):  # NaN fails the comparison too
+        raise ValueError(
+            f"audio contains non-finite samples or samples beyond +/-{limit:.3g}"
+        )
     return x
 
 
 def _padded_signal(signal: np.ndarray, config: PipelineConfig) -> tuple[np.ndarray, int]:
     """A checked whole recording zero-padded to a hop multiple, and its length."""
-    x = _checked_audio(signal, config.model.channels)
+    x = _checked_audio(signal, config)
     n = x.shape[0]
     if n == 0:
         raise ValueError("signal is empty")
@@ -245,9 +255,10 @@ class StreamingEnhancer:
 
     Accepts arbitrary block sizes; every completed 128-sample hop yields 128
     output samples, so the cut points never change the result. A block with
-    a wrong shape or a non-finite sample raises ValueError and leaves the
-    engine as it was. A supplied ``fitting`` chain must be built for
-    ``config.stft``; it is stateful and owned by this engine afterwards.
+    a wrong shape, or a sample that is non-finite or out of range (see
+    ``_checked_audio``), raises ValueError and leaves the engine as it was.
+    A supplied ``fitting`` chain must be built for ``config.stft``; it is
+    stateful and owned by this engine afterwards.
     """
 
     def __init__(
@@ -273,7 +284,7 @@ class StreamingEnhancer:
 
     def process(self, block: np.ndarray) -> np.ndarray:
         """Consume samples; returns 128 output samples per completed hop."""
-        block = _checked_audio(block, self.analyzer.channels)
+        block = _checked_audio(block, self.config)
         self._buffer = np.concatenate([self._buffer, block])
         hop = self.config.stft.hop
         emitted = []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hearstream.dsp import StftConfig, StreamingAnalyzer
 from hearstream.embedder import (
     EmbedConfig,
     SpeakerEmbedder,
@@ -145,6 +146,19 @@ class TestEmbed:
         emb, _ = make_embedder()
         with pytest.raises(ValueError):
             emb.embed(np.zeros((0, 33), dtype=np.complex64))
+
+    @pytest.mark.parametrize("bad", ["nan_bin", "float32_overflow"])
+    def test_nonfinite_input_planes_rejected(self, bad):
+        emb, _ = make_embedder()
+        if bad == "nan_bin":
+            spect = rand_spect(10, 33)
+            spect[4, 7] = complex(np.nan, 0.0)
+        else:
+            # loud enough audio that a bin, finite in float64, is inf as float32
+            audio = np.full(256, 1e37)
+            spect = StreamingAnalyzer(StftConfig(win=64, hop=16)).analyze(audio)
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            emb.embed(spect)
 
     def test_wrong_bins_rejected(self):
         emb, _ = make_embedder()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from hearstream import kernels
 from hearstream.kernels import (
     conv1d,
     conv2d,
@@ -198,7 +199,62 @@ class TestSeededStreams:
 # convolution kernels
 
 
+def _correlate64(xp, k):
+    """Stride-1 valid cross-correlation in float64, one kernel tap at a time."""
+    c_out, _, kt, kf = k.shape
+    t_out, f_out = xp.shape[1] - kt + 1, xp.shape[2] - kf + 1
+    y = np.zeros((c_out, t_out, f_out))
+    for a in range(kt):
+        for b in range(kf):
+            y += np.einsum("oc,ctf->otf", k[:, :, a, b], xp[:, a : a + t_out, b : b + f_out])
+    return y
+
+
+def _assert_near(got, expect):
+    # 1e-5 of the output's largest magnitude: float32 products summed in
+    # another order than the float64 reference
+    assert got.dtype == np.float32 and got.shape == expect.shape
+    assert np.max(np.abs(got - expect), initial=0.0) <= 1e-5 * np.max(np.abs(expect), initial=1.0)
+
+
+_CONV_CASES = dict(
+    c_in=st.integers(1, 4),
+    c_out=st.integers(1, 4),
+    t_len=st.integers(1, 9),
+    bins=st.integers(1, 12),
+    kt=st.integers(1, 3),
+    kf=st.integers(1, 3),
+    # a few patch elements per slice, so most calls run several slices and
+    # end on a short one
+    budget=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
 class TestConv2d:
+    @settings(max_examples=200)
+    @given(
+        stride=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+        pad_time=st.booleans(),
+        **_CONV_CASES,
+    )
+    def test_matches_float64_tap_sum(
+        self, c_in, c_out, t_len, bins, kt, kf, budget, seed, stride, pad_time
+    ):
+        rng = np.random.default_rng(seed)
+        if not pad_time:
+            t_len += kt - 1  # the history frames an unpadded caller passes
+        x = rng.standard_normal((c_in, t_len, bins)).astype(np.float32)
+        k = rng.standard_normal((c_out, c_in, kt, kf)).astype(np.float32)
+        b = rng.standard_normal(c_out).astype(np.float32)
+        pad_t = ((kt - 1) // 2, kt // 2) if pad_time else (0, 0)
+        xp = np.pad(x.astype(np.float64), ((0, 0), pad_t, ((kf - 1) // 2, kf // 2)))
+        expect = _correlate64(xp, k.astype(np.float64))[:, :: stride[0], :: stride[1]]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_PATCH_BUDGET", budget)
+            got = conv2d(x, k, b, stride=stride, pad_time=pad_time)
+        _assert_near(got, expect + b[:, None, None])
+
     def test_one_by_one_identity(self):
         x = np.random.default_rng(0).standard_normal((3, 5, 7)).astype(np.float32)
         k = np.zeros((3, 3, 1, 1), dtype=np.float32)
@@ -247,6 +303,29 @@ class TestConvTranspose:
         expect = full[:, 2:6, 1:6]
         got = conv_transpose2d(x, k, np.zeros(3, np.float32))
         assert_allclose(got, expect, atol=1e-4)
+
+    @settings(max_examples=100)
+    @given(**_CONV_CASES)
+    def test_transpose2d_matches_float64_scatter(
+        self, c_in, c_out, t_len, bins, kt, kf, budget, seed
+    ):
+        rng = np.random.default_rng(seed)
+        t_len += kt - 1  # history frames ahead of the frames wanted
+        x = rng.standard_normal((c_in, t_len, bins)).astype(np.float32)
+        k = rng.standard_normal((c_in, c_out, kt, kf)).astype(np.float32)
+        b = rng.standard_normal(c_out).astype(np.float32)
+        full = np.zeros((c_out, t_len + kt - 1, bins + kf - 1))
+        for a in range(kt):
+            for f in range(kf):
+                full[:, a : a + t_len, f : f + bins] += np.einsum(
+                    "io,itf->otf", k[:, :, a, f].astype(np.float64), x.astype(np.float64)
+                )
+        f0 = (kf - 1) // 2
+        expect = full[:, kt - 1 : t_len, f0 : f0 + bins] + b[:, None, None]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_PATCH_BUDGET", budget)
+            got = conv_transpose2d(x, k, b)
+        _assert_near(got, expect)
 
     def test_transpose1d_full_length_and_values(self):
         # single channel, kernel [1,1,2] = [1, 10]: out[o] = x[o] + 10*x[o-1]
@@ -364,6 +443,24 @@ class TestPrelu:
         y = prelu(x, np.array([0.5, 0.1], dtype=np.float32))
         assert_allclose(y[0], -0.5, atol=0)
         assert_allclose(y[1], -0.1, atol=1e-7)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [0.25, -0.5, 0.0, 3.0, [0.25, -0.5, 0.0, 3.0]],
+        ids=["scalar", "negative", "zero", "above_one", "per_channel"],
+    )
+    def test_equals_the_masked_form_exactly(self, alpha):
+        alpha = np.asarray(alpha, dtype=np.float32)
+        x = 10 * np.random.default_rng(5).standard_normal((4, 3, 6)).astype(np.float32)
+        x[:, 0, :4] = [np.inf, -np.inf, np.nan, 0.0]
+        before = x.copy()
+        a = alpha.reshape(-1, 1, 1) if alpha.ndim else alpha
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN in both forms
+            expect = np.where(x >= 0, x, a * x)
+            got = prelu(x, alpha)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, expect, equal_nan=True)
+        assert np.array_equal(x, before, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

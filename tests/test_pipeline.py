@@ -17,6 +17,7 @@ from hearstream.pipeline import (
     beamform_frames,
     enhance_offline,
     enhance_signal,
+    _checked_audio,
     init_pipeline_weights,
 )
 from hearstream.scenes import SceneSpec, simulate_scene
@@ -230,6 +231,29 @@ class TestEngine:
         for enhance in (enhance_signal, enhance_offline):
             with pytest.raises(ValueError, match="non-finite"):
                 enhance(x, cfg, store, emb)
+
+    @pytest.mark.parametrize("big", [1e300, 1e37], ids=["float64_scale", "float32_scale"])
+    def test_out_of_range_block_is_a_no_op(self, cfg, store, emb, scene, big):
+        hop = cfg.stft.hop
+        x = scene.mixture[: 6 * hop]
+        engine = StreamingEnhancer(cfg, store, emb)
+        got = [engine.process(x[:hop])]
+        with pytest.raises(ValueError, match="beyond"):
+            engine.process(np.full((hop, 2), big))
+        got += [engine.process(x[k * hop : (k + 1) * hop]) for k in range(1, 6)]
+        assert np.array_equal(np.concatenate(got), StreamingEnhancer(cfg, store, emb).process(x))
+
+    def test_sample_bound(self, cfg, store, emb):
+        limit = float(np.finfo(np.float32).max) / cfg.stft.win  # about 6.6e35
+        block = np.zeros((cfg.stft.hop, 2))
+        block[5, 1] = -limit
+        assert np.array_equal(_checked_audio(block, cfg), block)
+        block[5, 1] = -np.nextafter(limit, np.inf)
+        with pytest.raises(ValueError, match="beyond"):
+            _checked_audio(block, cfg)
+        for enhance in (enhance_signal, enhance_offline):
+            with pytest.raises(ValueError, match="beyond"):
+                enhance(block, cfg, store, emb)
 
     def test_collected_mcwf_is_the_filter_over_est1(self, cfg, store, emb, scene):
         _, taps = enhance_offline(scene.mixture, cfg, store, emb, collect=True)
