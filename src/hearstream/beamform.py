@@ -16,6 +16,8 @@ solving for it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dsp import ContractViolationError
@@ -32,10 +34,17 @@ class CovarianceState:
     def __init__(self, bins: int, channels: int, *, alpha: float = ALPHA, loading: float = LOADING) -> None:
         if bins < 1 or channels < 1:
             raise ValueError("bins and channels must be >= 1")
+        for name, value in (("alpha", alpha), ("loading", loading)):
+            try:
+                finite = not isinstance(value, bool) and math.isfinite(value)
+            except (TypeError, OverflowError):  # not a number, or an int beyond float range
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"forgetting factor must be in [0, 1), got {alpha}")
+            raise ValueError(f"alpha (forgetting factor) must be in [0, 1), got {alpha}")
         if loading < 0.0:
-            raise ValueError(f"diagonal loading must be >= 0, got {loading}")
+            raise ValueError(f"loading (diagonal loading) must be >= 0, got {loading}")
         self.bins = bins
         self.channels = channels
         self.alpha = float(alpha)

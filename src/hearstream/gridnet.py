@@ -5,7 +5,8 @@ real/imaginary parts of a multichannel spectrogram. Each block applies, with
 residual connections around each stage:
 
   1. feature-wise linear modulation by the target speaker's 128-dim
-     embedding, which every forward and stream step requires,
+     embedding; a model is built for one embedding, so each block's scale
+     and shift are fixed when it is built,
   2. a sub-band temporal module (per-frame LN, causal unfold over past
      frames, unidirectional LSTM along time per frequency, transposed conv),
   3. an intra-frame spectral module (per-frame LN, unfold over frequency,
@@ -39,6 +40,7 @@ from .kernels import (
     conv_transpose2d,
     film,
     layer_norm,
+    linear,
     lstm_forward,
     masked_attention,
     prelu,
@@ -285,42 +287,63 @@ def _with_history(history: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, 
 
 
 class MisoGridNet:
-    """The network over frames with carried state; one instance per (weights, prefix).
+    """The network over frames with carried state; one instance per (weights,
+    speaker embedding, prefix).
 
     ``forward`` runs frames from zero state or continuing a given one;
     ``GridNetStream`` runs the same code one frame at a time with its own state.
     """
 
-    def __init__(self, config: GridNetConfig, store: WeightStore, prefix: str = "dnn1") -> None:
+    def __init__(
+        self, config: GridNetConfig, store: WeightStore, embedding: np.ndarray, prefix: str = "dnn1"
+    ) -> None:
+        """``embedding`` is the target speaker's length-emb_dim vector; one
+        with another shape, or a value that is NaN or Inf as float32, raises
+        ValueError. The model keeps only what the blocks derive from it."""
+        embedding = np.asarray(embedding, dtype=np.float32)
+        if embedding.shape != (config.emb_dim,):
+            raise ValueError(
+                f"embedding must have shape ({config.emb_dim},), got {embedding.shape}"
+            )
+        if not np.all(np.isfinite(embedding)):
+            raise ValueError("embedding contains non-finite values")
         self.config = config
         self.prefix = prefix
-        self.w = store.resolve(weight_schema(config, prefix), prefix)
-        # each block's per-head q, k and v projections stacked into one,
-        # rows [q heads, k heads, v heads], so a block makes one projection
-        self.qkv = {}
+        self.w = w = store.resolve(weight_schema(config, prefix), prefix)
+        # per block: the per-head q, k and v projections stacked into one,
+        # rows [q heads, k heads, v heads], so a block makes one projection;
+        # FiLM's per-channel (gamma, beta) for this speaker; and the temporal
+        # deconv as [I*H, D] taps, row block k weighing LSTM step t-I+1+k
+        self.qkv, self.film, self.taps = {}, {}, {}
         for b in range(config.blocks):
+            p = f"block{b}"
             names = [
-                f"block{b}.attn.head{l}.{proj}"
+                f"{p}.attn.head{l}.{proj}"
                 for proj in ("q", "k", "v")
                 for l in range(config.heads)
             ]
-            self.qkv[f"block{b}"] = tuple(
-                np.concatenate([self.w[f"{n}.{part}"] for n in names])
+            self.qkv[p] = tuple(
+                np.concatenate([w[f"{n}.{part}"] for n in names])
                 for part in ("w", "b", "alpha")
             )
+            self.film[p] = tuple(
+                linear(embedding, w[f"{p}.film.w_{part}"], w[f"{p}.film.b_{part}"])
+                for part in ("gamma", "beta")
+            )
+            kernel = w[f"{p}.temporal.deconv.w"]  # [H, D, I], tap k weighs step t-k
+            self.taps[p] = kernel[:, :, ::-1].transpose(2, 0, 1).reshape(-1, kernel.shape[1])
 
     # -- forward -------------------------------------------------------------
 
     def forward(
         self,
         mixture: np.ndarray,
-        embedding: np.ndarray,
         extras: np.ndarray | None = None,
         state: dict | None = None,
     ) -> np.ndarray:
         """mixture[T, F, C] complex (+ optional extras[T, F, K]) -> complex [T, F].
 
-        ``embedding`` is the target speaker's length-emb_dim vector.
+        The estimate is for the speaker the model was built for.
         ``state`` (from ``zero_state()``) is continued and updated in place;
         None runs from zero state. Each stage that looks back in time reads
         its past frames from the state and leaves its own last frames there,
@@ -330,9 +353,6 @@ class MisoGridNet:
         """
         cfg = self.config
         state = self.zero_state() if state is None else state
-        embedding = np.asarray(embedding, dtype=np.float32)
-        if embedding.shape != (cfg.emb_dim,):
-            raise ValueError(f"embedding must have shape ({cfg.emb_dim},), got {embedding.shape}")
         x = stack_ri(mixture, extras)
         if x.shape[0] != cfg.input_channels or x.shape[2] != cfg.n_freq:
             raise ValueError(
@@ -345,14 +365,7 @@ class MisoGridNet:
         x = layer_norm(x, w["ln_in.gamma"], w["ln_in.beta"])
         for b, block in enumerate(state["blocks"]):
             p = f"block{b}"
-            x = film(
-                x,
-                embedding,
-                w[f"{p}.film.w_gamma"],
-                w[f"{p}.film.b_gamma"],
-                w[f"{p}.film.w_beta"],
-                w[f"{p}.film.b_beta"],
-            )
+            x = film(x, *self.film[p])
             x = x + self._temporal(x, p, block)
             x = x + self._spectral(x, p)
             x = x + self._attention(x, p, block)
@@ -420,9 +433,7 @@ class MisoGridNet:
         # sums LSTM steps t-I+1..t, the same windows the LSTM input uses
         h, st["deconv"] = _with_history(st["deconv"], h)  # [F, I-1+T, H]
         u = self._unfold_windows(h)
-        kernel = w[f"{p}.temporal.deconv.w"]  # [H, D, I], tap k weighs step t-k
-        taps = kernel[:, :, ::-1].transpose(2, 0, 1).reshape(-1, kernel.shape[1])
-        out = u.reshape(-1, u.shape[2]) @ taps + w[f"{p}.temporal.deconv.b"]
+        out = u.reshape(-1, u.shape[2]) @ self.taps[p] + w[f"{p}.temporal.deconv.b"]
         return out.reshape(u.shape[0], u.shape[1], -1).transpose(2, 1, 0)
 
     def _spectral(self, x: np.ndarray, p: str) -> np.ndarray:
@@ -493,12 +504,7 @@ class GridNetStream:
         self.model = model
         self.state = model.zero_state()
 
-    def step(
-        self,
-        frame: np.ndarray,
-        embedding: np.ndarray,
-        extras: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def step(self, frame: np.ndarray, extras: np.ndarray | None = None) -> np.ndarray:
         """One complex frame [F, C] (+ extras [F, K]) -> complex estimate [F]."""
         extras = None if extras is None else np.asarray(extras)[None]
-        return self.model.forward(np.asarray(frame)[None], embedding, extras, self.state)[0]
+        return self.model.forward(np.asarray(frame)[None], extras, self.state)[0]

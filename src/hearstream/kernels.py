@@ -222,23 +222,10 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     return (np.asarray(gamma) * y.astype(np.float32) + np.asarray(beta)).astype(np.float32)
 
 
-def film(
-    x: np.ndarray,
-    embedding: np.ndarray,
-    w_gamma: np.ndarray,
-    b_gamma: np.ndarray,
-    w_beta: np.ndarray,
-    b_beta: np.ndarray,
-) -> np.ndarray:
-    """Feature-wise linear modulation of x[D, T, F] by a conditioning vector."""
-    embedding = np.asarray(embedding, dtype=np.float32)
-    if embedding.ndim != 1 or w_gamma.shape[1] != embedding.shape[0]:
-        raise ValueError(
-            f"film: embedding length {embedding.shape} does not match projection "
-            f"fan-in {w_gamma.shape[1]}"
-        )
-    gamma = linear(embedding, w_gamma, b_gamma)
-    beta = linear(embedding, w_beta, b_beta)
+def film(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Feature-wise linear modulation: channel d of x[D, T, F] scaled by
+    gamma[d] and shifted by beta[d], where (gamma, beta) are the conditioning
+    vector's projections."""
     return (gamma[:, None, None] * x + beta[:, None, None]).astype(np.float32)
 
 

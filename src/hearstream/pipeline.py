@@ -29,6 +29,7 @@ while a streaming wrapper is causal by construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,11 +49,12 @@ RESCALE_EPS = 1e-8  # floor of the rescale gain's denominator
 class PipelineConfig:
     """Engine wiring: model geometry, STFT, Wiener-filter settings.
 
-    ``iterations`` counts Wiener-filter + second-stage passes; each extra
-    pass re-estimates the spatial filter from the previous refinement.
-    ``alpha`` and ``loading`` are the filter's forgetting factor and diagonal
-    loading; ``CovarianceState`` checks their range when the engine is
-    built. The output is referenced to channel 0, the reference microphone.
+    ``iterations`` counts Wiener-filter + second-stage passes, an int >= 1;
+    each extra pass re-estimates the spatial filter from the previous
+    refinement. ``alpha`` and ``loading`` are the filter's forgetting factor
+    and diagonal loading; ``CovarianceState`` checks their type and range
+    when the engine is built. The output is referenced to channel 0, the
+    reference microphone.
     """
 
     model: GridNetConfig = GridNetConfig()
@@ -62,8 +64,9 @@ class PipelineConfig:
     loading: float = LOADING
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        its = self.iterations
+        if isinstance(its, bool) or not isinstance(its, numbers.Integral) or its < 1:
+            raise ValueError(f"iterations must be an int >= 1, got {its!r}")
         if self.model.n_freq != self.stft.bins:
             raise ValueError(
                 f"model n_freq {self.model.n_freq} != STFT bins {self.stft.bins}"
@@ -158,29 +161,23 @@ class _Cascade:
         embedding: np.ndarray,
         fitting: ListenerFitting | None,
     ) -> None:
-        emb_dim = config.model.emb_dim
-        self.embedding = np.asarray(embedding, dtype=np.float32)
-        if self.embedding.shape != (emb_dim,):
-            raise ValueError(f"embedding must have shape ({emb_dim},), got {self.embedding.shape}")
-        if not np.all(np.isfinite(self.embedding)):
-            raise ValueError("embedding contains non-finite values")
         stft = config.stft
         if fitting is not None and fitting.stft != stft:
             raise ValueError(
                 f"fitting was built for {fitting.stft}, the pipeline runs {stft}"
             )
-        first = MisoGridNet(config.model, store, "dnn1")
-        second = MisoGridNet(config.second_stage(), store, "dnn2")
-        self.nets = [first] + [second] * config.iterations
-        self.states = [net.zero_state() for net in self.nets]
-        self.ledgers = [
-            np.zeros((stft.lookahead, stft.bins), dtype=np.complex64) for _ in self.nets
-        ]
         self.covs = [
             CovarianceState(
                 stft.bins, config.model.channels, alpha=config.alpha, loading=config.loading
             )
             for _ in range(config.iterations)
+        ]
+        first = MisoGridNet(config.model, store, embedding, "dnn1")
+        second = MisoGridNet(config.second_stage(), store, embedding, "dnn2")
+        self.nets = [first] + [second] * config.iterations
+        self.states = [net.zero_state() for net in self.nets]
+        self.ledgers = [
+            np.zeros((stft.lookahead, stft.bins), dtype=np.complex64) for _ in self.nets
         ]
         self.rescale = RescaleState()
         self.fitting = fitting
@@ -191,7 +188,7 @@ class _Cascade:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Network ``i`` over frames: (the estimates due at these frames, the
         fresh estimates of the frames ``lookahead`` ahead)."""
-        fresh = self.nets[i].forward(frames, self.embedding, extras, state=self.states[i])
+        fresh = self.nets[i].forward(frames, extras, state=self.states[i])
         due, self.ledgers[i] = np.split(np.concatenate([self.ledgers[i], fresh]), [len(frames)])
         return due, fresh
 

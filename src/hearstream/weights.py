@@ -21,6 +21,8 @@ converted by name.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator
@@ -47,7 +49,7 @@ class WeightFormatError(ValueError):
 
 
 class TruncatedFileError(OSError):
-    """File ended mid-record."""
+    """File ended mid-record, or a record claims more bytes than are left."""
 
 
 class WeightStore:
@@ -140,20 +142,30 @@ class WeightStore:
                 dtype, ndim = struct.unpack("<BI", _read(fh, 5, "dtype/ndim"))
                 if dtype != _DTYPE_F32:
                     raise WeightFormatError(f"{path}: unknown dtype tag {dtype} for {name!r}")
-                shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim, "dims"))
-                n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-                data = np.frombuffer(_read(fh, 4 * n, f"data of {name!r}"), dtype="<f4")
+                shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim, f"dims of {name!r}"))
+                n = 4 * math.prod(shape)  # in Python ints, so no header size wraps
+                data = np.frombuffer(_read(fh, n, f"data of {name!r}"), dtype="<f4")
                 if name in store:
                     raise WeightFormatError(f"{path}: duplicate tensor name {name!r}")
-                store[name] = data.reshape(shape).astype(np.float32)
+                try:
+                    data = data.reshape(shape)
+                except ValueError as exc:  # no data, but a dim too large for numpy
+                    msg = f"{path}: tensor {name!r} dims {shape}: {exc}"
+                    raise WeightFormatError(msg) from None
+                store[name] = data.astype(np.float32)
         return store
 
 
 def _read(fh: BinaryIO, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise TruncatedFileError(f"file truncated while reading {what}")
-    return buf
+    """Exactly ``n`` bytes of the open file ``fh``. A length beyond the bytes
+    left raises TruncatedFileError before any read, so a corrupt header size
+    never becomes an allocation."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise TruncatedFileError(
+            f"{fh.name}: file truncated while reading {what} ({n} bytes needed, {left} left)"
+        )
+    return fh.read(n)
 
 
 # -- deterministic pseudo-random streams ------------------------------------

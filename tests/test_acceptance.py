@@ -325,30 +325,31 @@ def test_criterion_08_causal_kernels(toy_cfg, toy_store):
     )
 
     # sub-band temporal module and full model, via the assembled network
-    model = MisoGridNet(toy_cfg.model, toy_store, "dnn1")
     tx = rng.standard_normal((toy_cfg.model.d, 12, 257)).astype(np.float32)
     txp = tx.copy()
     txp[:, cut + 1 :] = rng.standard_normal(txp[:, cut + 1 :].shape)
+    emb = rng.standard_normal(128).astype(np.float32)
+    model = MisoGridNet(toy_cfg.model, toy_store, emb, "dnn1")
     temporal_ok = np.array_equal(
         model._temporal(tx, "block0", model._zero_block())[:, : cut + 1],
         model._temporal(txp, "block0", model._zero_block())[:, : cut + 1],
     )
 
-    emb = rng.standard_normal(128).astype(np.float32)
     frames = rng.standard_normal((12, 257, 2)) + 1j * rng.standard_normal((12, 257, 2))
     framesp = frames.copy()
     framesp[cut + 1 :] = rng.standard_normal(framesp[cut + 1 :].shape)
-    model_ok = exact_prefix(model.forward(frames, emb), model.forward(framesp, emb))
+    model_ok = exact_prefix(model.forward(frames), model.forward(framesp))
 
     # FiLM identity: zeroed projections with unit gamma make the output
-    # independent of the embedding, bit for bit
+    # independent of the embedding, bit for bit: a model built for emb and
+    # one built for -emb agree
     neutered = init_pipeline_weights(toy_cfg, seed=0)
     for name in list(neutered.keys()):
         if ".film.w_gamma" in name or ".film.w_beta" in name:
             neutered[name] = np.zeros_like(neutered[name])
-    neutral = MisoGridNet(toy_cfg.model, neutered, "dnn1")
     film_ok = np.array_equal(
-        neutral.forward(frames, emb), neutral.forward(frames, -emb)
+        MisoGridNet(toy_cfg.model, neutered, emb, "dnn1").forward(frames),
+        MisoGridNet(toy_cfg.model, neutered, -emb, "dnn1").forward(frames),
     )
     report(
         8,
@@ -360,12 +361,12 @@ def test_criterion_08_causal_kernels(toy_cfg, toy_store):
 
 def test_criterion_09_streaming_equivalence(toy_cfg, toy_store):
     rng = np.random.default_rng(9)
-    model = MisoGridNet(toy_cfg.model, toy_store, "dnn1")
     emb = rng.standard_normal(128).astype(np.float32)
+    model = MisoGridNet(toy_cfg.model, toy_store, emb, "dnn1")
     frames = rng.standard_normal((24, 257, 2)) + 1j * rng.standard_normal((24, 257, 2))
-    full = model.forward(frames, emb)
+    full = model.forward(frames)
     stream = GridNetStream(model)
-    inc = np.stack([stream.step(frames[t], emb) for t in range(24)])
+    inc = np.stack([stream.step(frames[t]) for t in range(24)])
     scale = float(np.max(np.abs(full)))
     model_err = float(np.max(np.abs(inc - full))) / scale
 

@@ -1,7 +1,11 @@
 """Multi-channel Wiener filter tests."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hearstream.beamform import CovarianceState, apply_weights
 from hearstream.dsp import ContractViolationError
@@ -90,6 +94,42 @@ class TestUpdate:
             CovarianceState(1, 1, loading=-1e-4)
         with pytest.raises(ValueError):
             CovarianceState(0, 1)
+
+    @settings(max_examples=200)
+    @given(
+        alpha=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(-2, 2),
+            st.booleans(),
+            st.text(max_size=3),
+            st.none(),
+        ),
+        loading=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(-2, 10**400),
+            st.booleans(),
+            st.text(max_size=3),
+            st.none(),
+        ),
+    )
+    def test_settings_accepted_iff_finite_real_in_range(self, alpha, loading):
+        # the one home of the filter's range rule also rejects NaN, +-inf,
+        # bools, strings, None and ints beyond float range, naming the field
+        def finite_real(v):
+            return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+        bad = set()
+        if not (finite_real(alpha) and 0 <= alpha < 1):
+            bad.add("alpha")
+        if not (finite_real(loading) and loading >= 0):
+            bad.add("loading")
+        if not bad:
+            state = CovarianceState(2, 2, alpha=alpha, loading=loading)
+            assert (state.alpha, state.loading) == (float(alpha), float(loading))
+        else:
+            with pytest.raises(ValueError) as err:
+                CovarianceState(2, 2, alpha=alpha, loading=loading)
+            assert str(err.value).split()[0] in bad
 
     def test_negative_forgetting_factor_rejected(self):
         # alpha < 0 weighs the old statistics negatively: an indefinite covariance

@@ -4,6 +4,8 @@ import argparse
 import json
 import math
 import re
+import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +227,63 @@ class TestEmbedAndEnhance:
         )
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"alpha": NaN}',
+            '{"alpha": Infinity}',
+            '{"alpha": -Infinity}',
+            '{"alpha": "0.5"}',
+            '{"alpha": true}',
+            '{"loading": NaN}',
+            '{"loading": Infinity}',
+            '{"loading": "1e-4"}',
+            '{"loading": false}',
+            '{"iterations": 1.5}',
+            '{"iterations": true}',
+            '{"iterations": "2"}',
+            '{"iterations": NaN}',
+        ],
+    )
+    def test_bad_config_value_fails_cleanly(self, weights_path, scene_dir, tmp_path, capsys, text):
+        # Python's json reads NaN and Infinity, so they reach the engine
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out_path = tmp_path / "out.wav"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["enhance", "--input", f"{scene_dir}/mixture.wav",
+                 "--weights", weights_path,
+                 "--enroll", f"{scene_dir}/anechoic_target.wav",
+                 "--config", str(cfg), "--output", str(out_path)]
+            )
+        assert code == 2 and caught == [] and not out_path.exists()
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
+        assert next(iter(json.loads(text))) in err
+
+    @pytest.mark.parametrize("dims", [[2**36], [2**62, 4], [2**64 - 1]], ids=str)
+    def test_weight_header_beyond_file_fails_cleanly(self, scene_dir, tmp_path, capsys, dims):
+        # sizes no file holds: a 256 GB read, an int64 product that wraps to
+        # 0, and a length beyond a signed read
+        name = b"dnn1.conv_in.w"
+        path = tmp_path / "bad.inxw"
+        path.write_bytes(
+            b"INXW" + struct.pack("<III", 1, 1, len(name)) + name
+            + struct.pack(f"<BI{len(dims)}Q", 0, len(dims), *dims) + b"\0" * 16
+        )
+        code = main(
+            ["enhance", "--input", f"{scene_dir}/mixture.wav", "--weights", str(path),
+             "--enroll", f"{scene_dir}/anechoic_target.wav",
+             "--output", str(tmp_path / "o.wav")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
+        assert "bad.inxw" in err and "'dnn1.conv_in.w'" in err
 
 
 class TestCheckLatency:

@@ -1,6 +1,7 @@
 """Causal speaker-conditioned estimator: structure, causality, streaming."""
 
 import contextlib
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -23,8 +24,11 @@ from hearstream.weights import WeightStore, seeded_init
 SMALL = GridNetConfig(channels=1, d=8, blocks=1, unfold_kernel=2, hidden=8, heads=2, n_freq=33)
 
 
-def make_model(config, seed=0, prefix="dnn1"):
-    return MisoGridNet(config, seeded_init(weight_schema(config, prefix), seed), prefix)
+EMB = np.zeros(128, np.float32)  # for tests of stages that FiLM does not touch
+
+
+def make_model(config, emb=EMB, seed=0, prefix="dnn1"):
+    return MisoGridNet(config, seeded_init(weight_schema(config, prefix), seed), emb, prefix)
 
 
 def n_params(config):
@@ -125,55 +129,53 @@ class TestParamCount:
 class TestForward:
     def test_zero_weights_zero_output(self):
         store = WeightStore({s.name: np.zeros(s.shape, np.float32) for s in weight_schema(SMALL)})
-        model = MisoGridNet(SMALL, store)
+        model = MisoGridNet(SMALL, store, np.ones(128, np.float32))
         rng = np.random.default_rng(3)
-        out = model.forward(rand_spect(rng, 5, 33, 1), np.ones(128, np.float32))
+        out = model.forward(rand_spect(rng, 5, 33, 1))
         assert_array_equal(out, 0)
 
     def test_output_shape(self):
-        model = make_model(SMALL)
         rng = np.random.default_rng(4)
-        out = model.forward(rand_spect(rng, 6, 33, 1), rng.standard_normal(128))
+        x = rand_spect(rng, 6, 33, 1)
+        out = make_model(SMALL, rng.standard_normal(128)).forward(x)
         assert out.shape == (6, 33)
         assert np.all(np.isfinite(out))
 
     def test_single_frame(self):
-        model = make_model(SMALL)
         rng = np.random.default_rng(5)
-        out = model.forward(rand_spect(rng, 1, 33, 1), rng.standard_normal(128))
+        x = rand_spect(rng, 1, 33, 1)
+        out = make_model(SMALL, rng.standard_normal(128)).forward(x)
         assert out.shape == (1, 33)
 
     def test_causality_exact(self):
-        model = make_model(SMALL, seed=1)
         rng = np.random.default_rng(6)
-        emb = rng.standard_normal(128)
+        model = make_model(SMALL, rng.standard_normal(128), seed=1)
         x = rand_spect(rng, 10, 33, 1)
-        base = model.forward(x, emb)
+        base = model.forward(x)
         for k in (2, 5, 9):
             xp = x.copy()
             xp[k:] = rand_spect(rng, 10 - k, 33, 1)
-            pert = model.forward(xp, emb)
+            pert = model.forward(xp)
             assert_array_equal(base[:k], pert[:k])
             assert np.abs(base[k:] - pert[k:]).max() > 0
 
     def test_noncausal_attention_leaks(self, leaky_attention):
-        model = make_model(SMALL, seed=1)
         rng = np.random.default_rng(7)
-        emb = rng.standard_normal(128)
+        model = make_model(SMALL, rng.standard_normal(128), seed=1)
         x = rand_spect(rng, 10, 33, 1)
         xp = x.copy()
         xp[5:] = rand_spect(rng, 5, 33, 1)
         with leaky_attention():
-            base = model.forward(x, emb)
-            pert = model.forward(xp, emb)
+            base = model.forward(x)
+            pert = model.forward(xp)
         assert np.abs(base[:5] - pert[:5]).max() > 1e-7
 
     def test_embedding_sensitivity(self):
-        model = make_model(SMALL, seed=2)
+        # one model per speaker: the same weights built for two embeddings
         rng = np.random.default_rng(8)
         x = rand_spect(rng, 4, 33, 1)
-        a = model.forward(x, rng.standard_normal(128))
-        b = model.forward(x, rng.standard_normal(128))
+        a = make_model(SMALL, rng.standard_normal(128), seed=2).forward(x)
+        b = make_model(SMALL, rng.standard_normal(128), seed=2).forward(x)
         assert np.abs(a - b).max() > 0
 
     def test_film_identity_matches_unconditioned(self):
@@ -184,28 +186,43 @@ class TestForward:
             store[f"dnn1.block{b}.film.b_gamma"] = np.ones(SMALL.d, np.float32)
             store[f"dnn1.block{b}.film.w_beta"] = np.zeros((SMALL.d, 128), np.float32)
             store[f"dnn1.block{b}.film.b_beta"] = np.zeros(SMALL.d, np.float32)
-        model = MisoGridNet(SMALL, store)
         rng = np.random.default_rng(9)
         x = rand_spect(rng, 5, 33, 1)
-        a = model.forward(x, rng.standard_normal(128))
-        b = model.forward(x, rng.standard_normal(128))
+        a = MisoGridNet(SMALL, store, rng.standard_normal(128)).forward(x)
+        b = MisoGridNet(SMALL, store, rng.standard_normal(128)).forward(x)
         assert_array_equal(a, b)
 
     def test_bad_embedding_length(self):
-        model = make_model(SMALL)
-        with pytest.raises(ValueError):
-            model.forward(np.zeros((2, 33, 1), complex), np.zeros(64))
+        # checked once, when the model is built for its speaker
+        with pytest.raises(ValueError, match=r"shape \(128,\)"):
+            make_model(SMALL, np.zeros(64))
+
+    def test_embedding_read_once_at_build(self):
+        # the model keeps what FiLM derives from the embedding, not the
+        # caller's array: changing that array later changes nothing
+        rng = np.random.default_rng(32)
+        emb = rng.standard_normal(128).astype(np.float32)
+        x = rand_spect(rng, 3, 33, 1)
+        model = make_model(SMALL, emb, seed=2)
+        before = model.forward(x)
+        emb[:] = rng.standard_normal(128)
+        assert_array_equal(model.forward(x), before)
+
+    def test_hop_entry_points_take_no_embedding(self):
+        params = inspect.signature(MisoGridNet.forward).parameters
+        assert list(params) == ["self", "mixture", "extras", "state"]
+        assert list(inspect.signature(GridNetStream.step).parameters) == ["self", "frame", "extras"]
 
     def test_missing_weights(self):
         store = seeded_init(weight_schema(SMALL), 0)
         with pytest.raises(KeyError):
-            MisoGridNet(GridNetConfig(channels=1, d=8, blocks=2, unfold_kernel=2, hidden=8, heads=2, n_freq=33), store)
+            MisoGridNet(GridNetConfig(channels=1, d=8, blocks=2, unfold_kernel=2, hidden=8, heads=2, n_freq=33), store, EMB)
 
     def test_extras_second_stage(self):
         cfg = GridNetConfig(channels=1, extra_inputs=4, d=8, blocks=1, unfold_kernel=2, hidden=8, heads=2, n_freq=33)
-        model = make_model(cfg, seed=4, prefix="dnn2")
         rng = np.random.default_rng(10)
-        out = model.forward(rand_spect(rng, 4, 33, 1), rng.standard_normal(128), extras=rand_spect(rng, 4, 33, 2))
+        x, emb, ex = rand_spect(rng, 4, 33, 1), rng.standard_normal(128), rand_spect(rng, 4, 33, 2)
+        out = make_model(cfg, emb, seed=4, prefix="dnn2").forward(x, extras=ex)
         assert out.shape == (4, 33)
 
 
@@ -217,7 +234,7 @@ class TestTemporalModule:
             store[f"dnn1.block0.temporal.lstm.{part}"] = np.zeros(
                 store[f"dnn1.block0.temporal.lstm.{part}"].shape, np.float32
             )
-        model = MisoGridNet(cfg, store)
+        model = MisoGridNet(cfg, store, EMB)
         x = np.random.default_rng(11).standard_normal((8, 6, 17)).astype(np.float32)
         assert_array_equal(model._temporal(x, "block0", model._zero_block()), 0)
 
@@ -253,7 +270,7 @@ class TestSpectralModule:
     def test_zero_weights(self):
         cfg = SMALL
         store = WeightStore({s.name: np.zeros(s.shape, np.float32) for s in weight_schema(cfg)})
-        model = MisoGridNet(cfg, store)
+        model = MisoGridNet(cfg, store, EMB)
         x = np.random.default_rng(15).standard_normal((8, 4, 33)).astype(np.float32)
         assert_array_equal(model._spectral(x, "block0"), 0)
 
@@ -263,7 +280,7 @@ class TestSpectralModule:
         # the output along frequency.
         cfg = GridNetConfig(channels=1, d=4, blocks=1, unfold_kernel=2, hidden=4, heads=2, n_freq=9)
         base_store = seeded_init(weight_schema(cfg), 9)
-        model = MisoGridNet(cfg, base_store)
+        model = MisoGridNet(cfg, base_store, EMB)
 
         d, h, i_k = cfg.d, cfg.hidden, cfg.unfold_kernel
 
@@ -283,7 +300,7 @@ class TestSpectralModule:
         k_orig = base_store[f"{pre}.deconv.w"]  # [2H, D, I]
         swapped = np.concatenate([k_orig[h:], k_orig[:h]], axis=0)
         mirror[f"{pre}.deconv.w"] = swapped[:, :, ::-1]
-        model_m = MisoGridNet(cfg, mirror)
+        model_m = MisoGridNet(cfg, mirror, EMB)
 
         x = np.random.default_rng(16).standard_normal((d, 3, cfg.n_freq)).astype(np.float32)
         out = model._spectral(x, "block0")
@@ -293,25 +310,23 @@ class TestSpectralModule:
 
 class TestStreaming:
     def test_matches_offline(self):
-        model = make_model(SMALL, seed=10)
         rng = np.random.default_rng(17)
-        emb = rng.standard_normal(128)
+        model = make_model(SMALL, rng.standard_normal(128), seed=10)
         x = rand_spect(rng, 12, 33, 1)
-        offline = model.forward(x, emb)
+        offline = model.forward(x)
         stream = GridNetStream(model)
-        stepped = np.stack([stream.step(x[t], emb) for t in range(12)])
+        stepped = np.stack([stream.step(x[t]) for t in range(12)])
         assert np.abs(stepped - offline).max() <= 1e-5
 
     def test_matches_offline_with_extras(self):
         cfg = GridNetConfig(channels=1, extra_inputs=4, d=8, blocks=1, unfold_kernel=3, hidden=8, heads=2, n_freq=33)
-        model = make_model(cfg, seed=11, prefix="dnn2")
         rng = np.random.default_rng(18)
-        emb = rng.standard_normal(128)
+        model = make_model(cfg, rng.standard_normal(128), seed=11, prefix="dnn2")
         x = rand_spect(rng, 9, 33, 1)
         ex = rand_spect(rng, 9, 33, 2)
-        offline = model.forward(x, emb, extras=ex)
+        offline = model.forward(x, extras=ex)
         stream = GridNetStream(model)
-        stepped = np.stack([stream.step(x[t], emb, extras=ex[t]) for t in range(9)])
+        stepped = np.stack([stream.step(x[t], extras=ex[t]) for t in range(9)])
         assert np.abs(stepped - offline).max() <= 1e-5
 
 
@@ -357,28 +372,28 @@ class TestSharedPath:
     @settings(max_examples=100)
     @given(case=shared_path_cases(leaky=st.just(False)))
     def test_chunked_run_matches_forward(self, case):
-        model = MisoGridNet(case["config"], case["store"])
-        x, ex, emb = case["x"], case["extras"], case["emb"]
+        model = MisoGridNet(case["config"], case["store"], case["emb"])
+        x, ex = case["x"], case["extras"]
         state = model.zero_state()
         chunks = [
-            model.forward(x[a:b], emb, None if ex is None else ex[a:b], state)
+            model.forward(x[a:b], None if ex is None else ex[a:b], state)
             for a, b in zip(case["bounds"], case["bounds"][1:])
         ]
-        assert_close_to_peak(np.concatenate(chunks), model.forward(x, emb, extras=ex))
+        assert_close_to_peak(np.concatenate(chunks), model.forward(x, extras=ex))
 
     @settings(max_examples=100)
     @given(case=shared_path_cases())
     def test_stream_matches_forward(self, case, leaky_attention):
         # one query frame attends to past keys only whatever the mask, so the
         # stream under unmasked attention equals the causal forward
-        model = MisoGridNet(case["config"], case["store"])
-        x, ex, emb = case["x"], case["extras"], case["emb"]
+        model = MisoGridNet(case["config"], case["store"], case["emb"])
+        x, ex = case["x"], case["extras"]
         stream = GridNetStream(model)
         with leaky_attention() if case["leaky"] else contextlib.nullcontext():
             stepped = np.stack(
-                [stream.step(x[t], emb, None if ex is None else ex[t]) for t in range(len(x))]
+                [stream.step(x[t], None if ex is None else ex[t]) for t in range(len(x))]
             )
-        assert_close_to_peak(stepped, model.forward(x, emb, extras=ex))
+        assert_close_to_peak(stepped, model.forward(x, extras=ex))
 
 
 class TestAttentionCache:
@@ -389,13 +404,12 @@ class TestAttentionCache:
 
     def test_stream_across_growth(self):
         # 70 frames from a 16-row start: the cache doubles three times
-        model = make_model(self.CFG, seed=20)
         rng = np.random.default_rng(21)
-        emb = rng.standard_normal(128)
+        model = make_model(self.CFG, rng.standard_normal(128), seed=20)
         x = rand_spect(rng, 70, self.CFG.n_freq, 1)
         stream = GridNetStream(model)
-        stepped = np.stack([stream.step(x[t], emb) for t in range(len(x))])
-        assert_close_to_peak(stepped, model.forward(x, emb))
+        stepped = np.stack([stream.step(x[t]) for t in range(len(x))])
+        assert_close_to_peak(stepped, model.forward(x))
         start = len(model._zero_block()["k"])
         for block in stream.state["blocks"]:
             assert block["frames"] == len(x)
@@ -404,35 +418,34 @@ class TestAttentionCache:
 
     def test_chunked_run_across_growth(self):
         # chunk ends 10, 20, 45, 70 each cross the capacity left by the last
-        model = make_model(self.CFG, seed=22)
         rng = np.random.default_rng(23)
-        emb = rng.standard_normal(128)
+        model = make_model(self.CFG, rng.standard_normal(128), seed=22)
         x = rand_spect(rng, 70, self.CFG.n_freq, 1)
         state = model.zero_state()
         bounds = [0, 10, 20, 45, 70]
-        chunks = [model.forward(x[a:b], emb, None, state) for a, b in zip(bounds, bounds[1:])]
-        assert_close_to_peak(np.concatenate(chunks), model.forward(x, emb))
+        chunks = [model.forward(x[a:b], None, state) for a, b in zip(bounds, bounds[1:])]
+        assert_close_to_peak(np.concatenate(chunks), model.forward(x))
         assert all(len(block["k"]) == 128 for block in state["blocks"])
 
     def test_offline_fills_cache_in_one_write(self):
-        model = make_model(self.CFG, seed=24)
         rng = np.random.default_rng(25)
+        x = rand_spect(rng, 40, self.CFG.n_freq, 1)
+        model = make_model(self.CFG, rng.standard_normal(128), seed=24)
         state = model.zero_state()
-        model.forward(rand_spect(rng, 40, self.CFG.n_freq, 1), rng.standard_normal(128), None, state)
+        model.forward(x, None, state)
         assert all(len(block["k"]) == block["frames"] == 40 for block in state["blocks"])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_frame_rejected_before_cache_write(self, bad):
-        model = make_model(self.CFG, seed=28)
         rng = np.random.default_rng(29)
-        emb = rng.standard_normal(128)
+        model = make_model(self.CFG, rng.standard_normal(128), seed=28)
         state = model.zero_state()
-        model.forward(rand_spect(rng, 5, self.CFG.n_freq, 1), emb, None, state)
+        model.forward(rand_spect(rng, 5, self.CFG.n_freq, 1), None, state)
         before = [(b["frames"], b["k"].copy(), b["v"].copy()) for b in state["blocks"]]
         frame = rand_spect(rng, 1, self.CFG.n_freq, 1)
         frame[0, 3, 0] = bad
         with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
-            model.forward(frame, emb, None, state)
+            model.forward(frame, None, state)
         for block, (frames, k, v) in zip(state["blocks"], before):
             assert block["frames"] == frames == 5
             assert_array_equal(block["k"], k)
@@ -452,27 +465,25 @@ class TestAttentionCache:
     @pytest.mark.parametrize("bad", [np.nan, 1e39], ids=["nan", "float32_overflow"])
     def test_rejected_frame_leaves_stream_unchanged(self, bad):
         # 1e39 is finite as float64 but inf once cast to float32
-        model = make_model(self.CFG, seed=30)
         rng = np.random.default_rng(31)
-        emb = rng.standard_normal(128)
+        model = make_model(self.CFG, rng.standard_normal(128), seed=30)
         x = rand_spect(rng, 6, self.CFG.n_freq, 1)
         clean, hit = GridNetStream(model), GridNetStream(model)
-        expected = [clean.step(x[t], emb) for t in (0, 1, 3, 4, 5)]
+        expected = [clean.step(x[t]) for t in (0, 1, 3, 4, 5)]
         frame = x[2].copy()
         frame[4, 0] = bad
-        got = [hit.step(x[t], emb) for t in (0, 1)]
+        got = [hit.step(x[t]) for t in (0, 1)]
         with pytest.raises(ValueError, match="non-finite input"), np.errstate(over="ignore"):
-            hit.step(frame, emb)
-        got += [hit.step(x[t], emb) for t in (3, 4, 5)]
+            hit.step(frame)
+        got += [hit.step(x[t]) for t in (3, 4, 5)]
         for a, b in zip(got, expected):
             assert_array_equal(a, b)
 
     def test_per_hop_memory_bounded_as_stream_ages(self):
         # a cache restacked on every hop reads 8.7x here
         cfg = GridNetConfig(channels=1, blocks=1, n_freq=33)
-        model = make_model(cfg, seed=26)
         rng = np.random.default_rng(27)
-        emb = rng.standard_normal(128)
+        model = make_model(cfg, rng.standard_normal(128), seed=26)
         x = rand_spect(rng, 250, cfg.n_freq, 1)
         stream = GridNetStream(model)
         peaks = []
@@ -481,7 +492,7 @@ class TestAttentionCache:
             for frame in x:
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                stream.step(frame, emb)
+                stream.step(frame)
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()

@@ -1,5 +1,7 @@
 """Tensor kernels and the weight container."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,18 @@ from hearstream.weights import (
 
 # ---------------------------------------------------------------------------
 # weight container
+
+# headers whose element count no file holds: a 256 GB read, an int64
+# product that wraps to 0, and a length beyond a signed read
+HUGE_DIMS = [[2**36], [2**62, 4], [2**64 - 1]]
+
+
+def write_one_tensor(path, dims, data=b"\0" * 16, name=b"t.w"):
+    """An INXW file whose one tensor claims ``dims`` and carries ``data``."""
+    raw = b"INXW" + struct.pack("<III", 1, 1, len(name)) + name
+    raw += struct.pack(f"<BI{len(dims)}Q", 0, len(dims), *dims) + data
+    path.write_bytes(raw)
+    return str(path)
 
 
 class TestWeightStore:
@@ -78,6 +92,52 @@ class TestWeightStore:
         p.write_bytes(raw[: len(raw) - 10])
         with pytest.raises(TruncatedFileError):
             WeightStore.load(str(p))
+
+    @pytest.mark.parametrize("dims", HUGE_DIMS, ids=str)
+    def test_header_size_checked_against_file(self, tmp_path, dims):
+        path = write_one_tensor(tmp_path / "w.inxw", dims)
+        with pytest.raises(TruncatedFileError, match=r"w\.inxw: .*'t\.w'.*16 left"):
+            WeightStore.load(path)
+
+    @settings(max_examples=100)
+    @given(
+        dims=st.lists(st.one_of(st.integers(0, 6), st.integers(0, 2**64 - 1)), max_size=3),
+        n_bytes=st.integers(0, 64),
+    )
+    def test_random_header_dims(self, tmp_path_factory, dims, n_bytes):
+        # a header loads exactly when the file holds its data; otherwise it
+        # fails with a documented error that names the file
+        path = tmp_path_factory.getbasetemp() / "random_dims.inxw"
+        path = write_one_tensor(path, dims, data=b"\0" * n_bytes)
+        count = int(np.prod(dims, dtype=object)) if dims else 1
+        try:
+            store = WeightStore.load(path)
+        except (TruncatedFileError, WeightFormatError) as exc:
+            assert path in str(exc)
+            assert isinstance(exc, TruncatedFileError) == (4 * count > n_bytes)
+        else:
+            assert 4 * count <= n_bytes and store["t.w"].size == count
+
+    @settings(max_examples=50)
+    @given(cut=st.integers(0, 10**6))
+    def test_truncation_at_any_offset(self, tmp_path_factory, cut):
+        p = tmp_path_factory.getbasetemp() / "truncated.inxw"
+        WeightStore({"a.w": np.ones((3, 2)), "b": np.zeros(0), "c": np.ones(5)}).save(str(p))
+        raw = p.read_bytes()
+        p.write_bytes(raw[: cut % len(raw)])
+        with pytest.raises(TruncatedFileError, match=r"truncated\.inxw: file truncated"):
+            WeightStore.load(str(p))
+
+    def test_dims_beyond_numpy_rejected(self, tmp_path):
+        # zero elements, so the data fits, but no array can have this shape
+        path = write_one_tensor(tmp_path / "w.inxw", [0, 2**64 - 1], data=b"")
+        with pytest.raises(WeightFormatError, match=r"w\.inxw: tensor 't\.w'"):
+            WeightStore.load(path)
+
+    def test_exact_size_header_loads(self, tmp_path):
+        data = np.arange(4, dtype="<f4").tobytes()
+        path = write_one_tensor(tmp_path / "w.inxw", [2, 2], data=data)
+        assert_array_equal(WeightStore.load(path)["t.w"], [[0, 1], [2, 3]])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -397,40 +457,51 @@ class TestLayerNorm:
 class TestFilm:
     def test_identity_modulation(self):
         x = np.random.default_rng(8).standard_normal((4, 3, 5)).astype(np.float32)
-        wg = np.zeros((4, 16), dtype=np.float32)
-        wb = np.zeros((4, 16), dtype=np.float32)
-        y = film(x, np.ones(16, dtype=np.float32), wg, np.ones(4, np.float32), wb, np.zeros(4, np.float32))
+        y = film(x, np.ones(4, np.float32), np.zeros(4, np.float32))
         assert_array_equal(y, x)
 
     def test_constant_override(self):
         x = np.random.default_rng(9).standard_normal((2, 3, 4)).astype(np.float32)
-        wg = np.zeros((2, 8), dtype=np.float32)
-        wb = np.zeros((2, 8), dtype=np.float32)
         beta = np.array([5.0, -1.0], dtype=np.float32)
-        y = film(x, np.zeros(8, np.float32), wg, np.zeros(2, np.float32), wb, beta)
+        y = film(x, np.zeros(2, np.float32), beta)
         assert_allclose(y[0], 5.0, atol=0)
         assert_allclose(y[1], -1.0, atol=0)
 
     def test_embedding_sensitivity(self):
+        # FiLM's scale and shift are projections of the embedding, made once
+        # per model; two embeddings give two modulations
         rng = np.random.default_rng(10)
         x = rng.standard_normal((3, 4, 5)).astype(np.float32)
         wg = rng.standard_normal((3, 6)).astype(np.float32)
         wb = rng.standard_normal((3, 6)).astype(np.float32)
         zero = np.zeros(3, dtype=np.float32)
-        y1 = film(x, rng.standard_normal(6).astype(np.float32), wg, zero, wb, zero)
-        y2 = film(x, rng.standard_normal(6).astype(np.float32), wg, zero, wb, zero)
+
+        def modulate(emb):
+            return film(x, kernels.linear(emb, wg, zero), kernels.linear(emb, wb, zero))
+
+        y1 = modulate(rng.standard_normal(6).astype(np.float32))
+        y2 = modulate(rng.standard_normal(6).astype(np.float32))
         assert np.abs(y1 - y2).max() > 0
+
+    def test_per_channel_affine(self):
+        # each channel takes its own scale and shift, so two conditionings
+        # that differ in one channel differ in that channel only
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((3, 4, 5)).astype(np.float32)
+        gamma, beta = rng.standard_normal((2, 3)).astype(np.float32)
+        y = film(x, gamma, beta)
+        assert y.dtype == np.float32
+        for d in range(3):
+            assert_array_equal(y[d], gamma[d] * x[d] + beta[d])
+        other = gamma.copy()
+        other[1] += 1.0
+        z = film(x, other, beta)
+        assert_array_equal(z[[0, 2]], y[[0, 2]])
+        assert np.abs(z[1] - y[1]).max() > 0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            film(
-                np.zeros((2, 2, 2), np.float32),
-                np.zeros(5, np.float32),
-                np.zeros((2, 8), np.float32),
-                np.zeros(2, np.float32),
-                np.zeros((2, 8), np.float32),
-                np.zeros(2, np.float32),
-            )
+            film(np.zeros((2, 2, 2), np.float32), np.zeros(5, np.float32), np.zeros(5, np.float32))
 
 
 class TestPrelu:

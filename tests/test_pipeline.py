@@ -1,5 +1,6 @@
 """End-to-end engine: timing contract, equivalences, rescale, integration."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hearstream import gridnet, kernels
 from hearstream.dsp import StftConfig, StreamingAnalyzer, causality_check, istft_frames
-from hearstream.gridnet import GridNetConfig, infer_config, weight_schema
+from hearstream.gridnet import GridNetConfig, MisoGridNet, infer_config, weight_schema
 from hearstream.metrics import si_sdr
 from hearstream.pipeline import (
     PipelineConfig,
@@ -24,6 +26,35 @@ from hearstream.scenes import SceneSpec, simulate_scene
 from hearstream.weights import WeightStore, seeded_init
 
 EMB_SEED = 2  # embedding whose random-weight gain is comfortably live
+
+# settings that pass no engine: each names its field in the error
+BAD_SETTINGS = [
+    ("alpha", np.nan),
+    ("alpha", np.inf),
+    ("alpha", -np.inf),
+    ("alpha", "0.5"),
+    ("alpha", True),
+    ("alpha", None),
+    ("alpha", 1.0),
+    ("loading", np.nan),
+    ("loading", np.inf),
+    ("loading", -np.inf),
+    ("loading", "1e-4"),
+    ("loading", False),
+    ("loading", -1e-6),
+    ("iterations", 1.5),
+    ("iterations", 2.0),
+    ("iterations", np.nan),
+    ("iterations", np.inf),
+    ("iterations", True),
+    ("iterations", "2"),
+    ("iterations", 0),
+]
+
+
+def no_state(model):
+    """Stands in for ``MisoGridNet.zero_state`` where building state is a fault."""
+    raise AssertionError("network state built for a bad input")
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +104,35 @@ class TestConfig:
             StreamingEnhancer(PipelineConfig(alpha=1.0), store, emb)
         with pytest.raises(ValueError, match="diagonal loading"):
             StreamingEnhancer(PipelineConfig(loading=-1e-6), store, emb)
+
+    @pytest.mark.parametrize("field, value", BAD_SETTINGS, ids=repr)
+    def test_bad_setting_rejected_at_build(self, store, emb, field, value):
+        # a NaN loading would fail mid-hop and an infinite one would emit
+        # silence, so every bad value must fail before any network state
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("error")
+            patch.setattr(MisoGridNet, "zero_state", no_state)
+            with pytest.raises(ValueError, match=field):
+                StreamingEnhancer(PipelineConfig(**{field: value}), store, emb)
+            with pytest.raises(ValueError, match=field):
+                enhance_offline(np.zeros((256, 2)), PipelineConfig(**{field: value}), store, emb)
+
+    @settings(max_examples=100)
+    @given(
+        value=st.one_of(
+            st.integers(-3, 4),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.booleans(),
+            st.text(max_size=2),
+            st.none(),
+        )
+    )
+    def test_iterations_must_be_a_positive_int(self, value):
+        if type(value) is int and value >= 1:
+            assert PipelineConfig(iterations=value).iterations == value
+        else:
+            with pytest.raises(ValueError, match="iterations"):
+                PipelineConfig(iterations=value)
 
 
 class TestWeights:
@@ -183,6 +243,45 @@ class TestEngine:
     def test_deterministic(self, cfg, store, emb, scene, streamed):
         again = StreamingEnhancer(cfg, store, emb).process(scene.mixture)
         assert np.array_equal(again, streamed)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_bad_embedding_rejected_before_any_state(self, cfg, store, data):
+        # a NaN or Inf at any index, a wrong length or a wrong rank
+        if data.draw(st.booleans(), label="nonfinite"):
+            emb = np.random.default_rng(data.draw(st.integers(0, 99))).standard_normal(128)
+            emb[data.draw(st.integers(0, 127))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        else:
+            shape = data.draw(
+                st.one_of(
+                    st.tuples(st.integers(0, 300).filter(lambda n: n != 128)),
+                    st.sampled_from([(), (1, 128), (128, 1)]),
+                ),
+                label="shape",
+            )
+            emb = np.ones(shape, np.float32)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MisoGridNet, "zero_state", no_state)
+            with pytest.raises(ValueError, match="embedding"):
+                MisoGridNet(cfg.model, store, emb, "dnn1")
+            with pytest.raises(ValueError, match="embedding"):
+                StreamingEnhancer(cfg, store, emb)
+            with pytest.raises(ValueError, match="embedding"):
+                enhance_offline(np.zeros((256, 2)), cfg, store, emb)
+
+    def test_hops_project_no_embedding(self, cfg, store, emb, scene, streamed):
+        # FiLM's scale and shift are fixed when the engine is built, so a hop
+        # never runs the embedding through a linear projection again
+        engine = StreamingEnhancer(cfg, store, emb)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("linear projection during a hop")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "linear", refuse)
+            patch.setattr(gridnet, "linear", refuse)
+            out = engine.process(scene.mixture)
+        assert np.array_equal(out, streamed)
 
     def test_embedding_validation(self, cfg, store):
         with pytest.raises(ValueError):
