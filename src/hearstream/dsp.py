@@ -59,15 +59,6 @@ def sqrt_hann(win: int) -> np.ndarray:
     return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * i / win))
 
 
-def _ola_sum(window_product: np.ndarray, hop: int) -> np.ndarray:
-    """Brute-force shifted sum of ``window_product`` over one hop period."""
-    win = len(window_product)
-    out = np.zeros(hop, dtype=np.float64)
-    for k in range(win // hop):
-        out += window_product[k * hop : (k + 1) * hop]
-    return out
-
-
 @dataclass(frozen=True)
 class StftConfig:
     """STFT geometry: 512-sample (16 ms) window, 128-sample (4 ms) hop.
@@ -75,7 +66,9 @@ class StftConfig:
     The window and the hop fix the prediction horizon: ``lookahead``, the
     number of frames ahead the estimator predicts, is ``win // hop - 1`` (3
     by default), so ``lookahead * hop == warmup`` and a predicted frame
-    lands on its own output position.
+    lands on its own output position. ``win`` must be a multiple of ``hop``
+    and at least twice it: the shifted windows then overlap-add to a
+    constant (``cola_constant``), which synthesis divides out.
     """
 
     sample_rate: int = 32000
@@ -85,8 +78,11 @@ class StftConfig:
     def __post_init__(self) -> None:
         if self.win < 2 or self.win % 2 != 0:
             raise ValueError(f"win must be an even integer >= 2, got {self.win}")
-        if self.hop < 1 or self.win % self.hop != 0:
-            raise ValueError(f"win ({self.win}) must be a multiple of hop ({self.hop})")
+        if self.hop < 1 or self.win % self.hop != 0 or self.win // self.hop < 2:
+            raise ValueError(
+                f"win ({self.win}) must be a multiple of hop ({self.hop}) and at least "
+                "twice it, so the shifted windows overlap-add to a constant"
+            )
 
     @property
     def fft_size(self) -> int:
@@ -112,13 +108,9 @@ class StftConfig:
 
     @property
     def cola_constant(self) -> float:
-        """Overlap-add sum of analysis*synthesis window (2.0 under defaults)."""
-        s = _ola_sum(self.window**2, self.hop)
-        if s.max() - s.min() > 1e-9:
-            raise ValueError(
-                f"window/hop pair is not constant-overlap-add (spread {s.max() - s.min():.3g})"
-            )
-        return float(s.mean())
+        """Overlap-add sum of analysis*synthesis window (2.0 under defaults). The
+        product is a periodic Hann window; any win/hop >= 2 shifts of it sum to this."""
+        return self.win / (2 * self.hop)
 
 
 class StreamingAnalyzer:

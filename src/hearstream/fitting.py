@@ -45,13 +45,11 @@ __all__ = [
     "EQ_DELAY",
     "EQ_TAPS",
     "ListenerFitting",
-    "NalrPrescription",
     "design_fir",
     "drc_static_gain",
     "frame_level_db",
     "load_listener",
     "nalr_gains",
-    "prescribe",
 ]
 
 CATALOGUE_CFS = (250.0, 500.0, 1000.0, 2000.0, 3000.0, 4000.0, 6000.0, 8000.0)
@@ -162,24 +160,6 @@ def design_fir(gains_db, cfs=CATALOGUE_CFS, stft: StftConfig = StftConfig()) -> 
     return taps_out.astype(np.float64)
 
 
-@dataclass(frozen=True)
-class NalrPrescription:
-    gains_db: np.ndarray
-    fir: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.fir) != EQ_TAPS:
-            raise ValueError(f"equalizer must have exactly {EQ_TAPS} taps, got {len(self.fir)}")
-        if not np.all(np.isfinite(self.gains_db)):
-            raise ValueError("prescription gains must be finite")
-
-
-def prescribe(audiogram: Audiogram, stft: StftConfig = StftConfig()) -> NalrPrescription:
-    """Insertion gains for ``audiogram`` and their equalizer at ``stft``'s rate."""
-    gains = nalr_gains(audiogram)
-    return NalrPrescription(gains, design_fir(gains, audiogram.cfs, stft))
-
-
 # -- dynamic range compression ------------------------------------------------
 
 
@@ -233,12 +213,12 @@ class DrcState:
 
 class ListenerFitting:
     """Per-frame equalizer plus compressor for one ear's audiogram, built
-    for the frames of ``stft``."""
+    for the frames of ``stft``; ``fir`` holds the equalizer's taps."""
 
     def __init__(self, audiogram: Audiogram, *, stft: StftConfig = StftConfig()) -> None:
         self.stft = stft
-        self.prescription = prescribe(audiogram, stft)
-        self.spectrum = np.fft.rfft(self.prescription.fir, stft.fft_size)
+        self.fir = design_fir(nalr_gains(audiogram), audiogram.cfs, stft)
+        self.spectrum = np.fft.rfft(self.fir, stft.fft_size)
         self.drc = DrcState(stft)
 
     def step(self, frame: np.ndarray) -> np.ndarray:

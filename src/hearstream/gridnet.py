@@ -20,7 +20,8 @@ past frames, so the whole model is causal frame by frame. Each stage has one
 implementation, which reads the past frames it needs from an explicit
 carried state: `MisoGridNet.forward` runs it over any number of frames, from
 zero state or continuing a given one, and `GridNetStream` runs the same code
-on one frame at a time.
+on one frame at a time. A model resolves its weights when it is built, into
+one record per block that each stage takes its kernel arguments from.
 
 The second-stage network is the same architecture with extra input channels
 (first-stage estimate and beamformer output stacked after the mixture).
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -286,10 +288,36 @@ def _with_history(history: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, 
     return joined, joined[:, joined.shape[1] - history.shape[1] :].copy()
 
 
+class _Stem(NamedTuple):
+    """The outer layers' kernel arguments, grouped as each kernel takes them."""
+
+    conv_in: tuple  # (w, b)
+    ln_in: tuple  # (gamma, beta)
+    deconv_out: tuple  # (w, b)
+
+
+class _Block(NamedTuple):
+    """One block's kernel arguments, grouped as each kernel takes them."""
+
+    name: str  # "<prefix>.block<b>", for error messages
+    film: tuple  # this speaker's (gamma, beta)
+    temporal_ln: tuple  # (gamma, beta)
+    temporal_lstm: tuple  # (w, r, b), the store's own arrays
+    temporal_deconv: tuple  # ([I*H, D] taps, row block k weighing LSTM step t-I+1+k; b)
+    spectral_ln: tuple  # (gamma, beta)
+    spectral_fwd: tuple  # (w, r, b)
+    spectral_bwd: tuple  # (w, r, b)
+    spectral_deconv: tuple  # (w, b)
+    qkv: tuple  # (w, b, alpha), head projections stacked as [q heads, k heads, v heads]
+    out: tuple  # (w, b, alpha)
+
+
 class MisoGridNet:
     """The network over frames with carried state; one instance per (weights,
     speaker embedding, prefix).
 
+    Building it resolves the store into ``stem`` and ``blocks``, one
+    ``_Block`` record per block, so no hop looks up a weight by name.
     ``forward`` runs frames from zero state or continuing a given one;
     ``GridNetStream`` runs the same code one frame at a time with its own state.
     """
@@ -309,29 +337,35 @@ class MisoGridNet:
             raise ValueError("embedding contains non-finite values")
         self.config = config
         self.prefix = prefix
-        self.w = w = store.resolve(weight_schema(config, prefix), prefix)
-        # per block: the per-head q, k and v projections stacked into one,
-        # rows [q heads, k heads, v heads], so a block makes one projection;
-        # FiLM's per-channel (gamma, beta) for this speaker; and the temporal
-        # deconv as [I*H, D] taps, row block k weighing LSTM step t-I+1+k
-        self.qkv, self.film, self.taps = {}, {}, {}
+        w = store.resolve(weight_schema(config, prefix), prefix)
+
+        def group(name: str, parts=("w", "b")) -> tuple:
+            return tuple(w[f"{name}.{part}"] for part in parts)
+
+        norm, lstm, act = ("gamma", "beta"), ("w", "r", "b"), ("w", "b", "alpha")
+        self.stem = _Stem(group("conv_in"), group("ln_in", norm), group("deconv_out"))
+        self.blocks = []
         for b in range(config.blocks):
             p = f"block{b}"
-            names = [
-                f"{p}.attn.head{l}.{proj}"
-                for proj in ("q", "k", "v")
-                for l in range(config.heads)
-            ]
-            self.qkv[p] = tuple(
-                np.concatenate([w[f"{n}.{part}"] for n in names])
-                for part in ("w", "b", "alpha")
+            heads = [f"{p}.attn.head{l}.{proj}" for proj in "qkv" for l in range(config.heads)]
+            films = (group(f"{p}.film", (f"w_{part}", f"b_{part}")) for part in norm)
+            kernel, bias = group(f"{p}.temporal.deconv")  # [H, D, I], tap k weighs step t-k
+            taps = kernel[:, :, ::-1].transpose(2, 0, 1).reshape(-1, kernel.shape[1])
+            self.blocks.append(
+                _Block(
+                    name=f"{prefix}.{p}",
+                    film=tuple(linear(embedding, *wb) for wb in films),
+                    temporal_ln=group(f"{p}.temporal.ln", norm),
+                    temporal_lstm=group(f"{p}.temporal.lstm", lstm),
+                    temporal_deconv=(taps, bias),
+                    spectral_ln=group(f"{p}.spectral.ln", norm),
+                    spectral_fwd=group(f"{p}.spectral.lstm_fwd", lstm),
+                    spectral_bwd=group(f"{p}.spectral.lstm_bwd", lstm),
+                    spectral_deconv=group(f"{p}.spectral.deconv"),
+                    qkv=tuple(np.concatenate(ws) for ws in zip(*(group(n, act) for n in heads))),
+                    out=group(f"{p}.attn.out", act),
+                )
             )
-            self.film[p] = tuple(
-                linear(embedding, w[f"{p}.film.w_{part}"], w[f"{p}.film.b_{part}"])
-                for part in ("gamma", "beta")
-            )
-            kernel = w[f"{p}.temporal.deconv.w"]  # [H, D, I], tap k weighs step t-k
-            self.taps[p] = kernel[:, :, ::-1].transpose(2, 0, 1).reshape(-1, kernel.shape[1])
 
     # -- forward -------------------------------------------------------------
 
@@ -359,18 +393,16 @@ class MisoGridNet:
                 f"input planes {x.shape} do not match config "
                 f"({cfg.input_channels} channels, {cfg.n_freq} bins)"
             )
-        w = self.w
+        stem = self.stem
         window, state["conv_in"] = _with_history(state["conv_in"], x)
-        x = conv2d(window, w["conv_in.w"], w["conv_in.b"], pad_time=False)
-        x = layer_norm(x, w["ln_in.gamma"], w["ln_in.beta"])
-        for b, block in enumerate(state["blocks"]):
-            p = f"block{b}"
-            x = film(x, *self.film[p])
-            x = x + self._temporal(x, p, block)
-            x = x + self._spectral(x, p)
-            x = x + self._attention(x, p, block)
+        x = layer_norm(conv2d(window, *stem.conv_in, pad_time=False), *stem.ln_in)
+        for blk, st in zip(self.blocks, state["blocks"]):
+            x = film(x, *blk.film)
+            x = x + self._temporal(x, blk, st)
+            x = x + self._spectral(x, blk)
+            x = x + self._attention(x, blk, st)
         window, state["deconv_out"] = _with_history(state["deconv_out"], x)
-        y = conv_transpose2d(window, w["deconv_out.w"], w["deconv_out.b"])
+        y = conv_transpose2d(window, *stem.deconv_out)
         return unstack_ri(y)
 
     def zero_state(self) -> dict:
@@ -416,43 +448,29 @@ class MisoGridNet:
         out = view.transpose(0, 1, 3, 2)
         return np.ascontiguousarray(out).reshape(out.shape[0], out.shape[1], -1)
 
-    def _temporal(self, x: np.ndarray, p: str, st: dict) -> np.ndarray:
+    def _temporal(self, x: np.ndarray, blk: _Block, st: dict) -> np.ndarray:
         """Causal sub-band temporal module over x[D, T, F], continuing the
         block state ``st``."""
-        w = self.w
-        y = layer_norm(x, w[f"{p}.temporal.ln.gamma"], w[f"{p}.temporal.ln.beta"])
+        y = layer_norm(x, *blk.temporal_ln)
         seq, st["unfold"] = _with_history(st["unfold"], y.transpose(2, 1, 0))  # [F, I-1+T, D]
-        h, st["lstm"] = lstm_forward(
-            self._unfold_windows(seq),
-            w[f"{p}.temporal.lstm.w"],
-            w[f"{p}.temporal.lstm.r"],
-            w[f"{p}.temporal.lstm.b"],
-            state=st["lstm"],
-        )
+        windows = self._unfold_windows(seq)
+        h, st["lstm"] = lstm_forward(windows, *blk.temporal_lstm, state=st["lstm"])
         # the head-cropped transposed conv as a valid correlation: frame t
         # sums LSTM steps t-I+1..t, the same windows the LSTM input uses
         h, st["deconv"] = _with_history(st["deconv"], h)  # [F, I-1+T, H]
         u = self._unfold_windows(h)
-        out = u.reshape(-1, u.shape[2]) @ self.taps[p] + w[f"{p}.temporal.deconv.b"]
+        taps, bias = blk.temporal_deconv
+        out = u.reshape(-1, u.shape[2]) @ taps + bias
         return out.reshape(u.shape[0], u.shape[1], -1).transpose(2, 1, 0)
 
-    def _spectral(self, x: np.ndarray, p: str) -> np.ndarray:
-        w = self.w
-        y = layer_norm(x, w[f"{p}.spectral.ln.gamma"], w[f"{p}.spectral.ln.beta"])
+    def _spectral(self, x: np.ndarray, blk: _Block) -> np.ndarray:
+        y = layer_norm(x, *blk.spectral_ln)
         seq = np.ascontiguousarray(y.transpose(1, 2, 0))  # [T, F, D]
-        u = self._unfold_windows(seq)
-        fwd, bwd = f"{p}.spectral.lstm_fwd", f"{p}.spectral.lstm_bwd"
-        h = lstm_forward(
-            u,
-            w[f"{fwd}.w"],
-            w[f"{fwd}.r"],
-            w[f"{fwd}.b"],
-            backward=(w[f"{bwd}.w"], w[f"{bwd}.r"], w[f"{bwd}.b"]),
-        )
-        full = conv_transpose1d(h, w[f"{p}.spectral.deconv.w"], w[f"{p}.spectral.deconv.b"])
+        h = lstm_forward(self._unfold_windows(seq), *blk.spectral_fwd, backward=blk.spectral_bwd)
+        full = conv_transpose1d(h, *blk.spectral_deconv)
         return full.transpose(2, 0, 1)  # length restored exactly: (F-I+1)-1+I == F
 
-    def _attention(self, x: np.ndarray, p: str, state: dict) -> np.ndarray:
+    def _attention(self, x: np.ndarray, blk: _Block, state: dict) -> np.ndarray:
         """Full-band self-attention over time: the keys and values of x's
         frames are written after those cached in the block ``state``, and
         each frame of x attends to its own frame and every earlier one. A
@@ -460,11 +478,10 @@ class MisoGridNet:
         rows and their ``frames`` count stay valid and are never rescanned."""
         cfg = self.config
         heads, t_len, f_len = cfg.heads, x.shape[1], x.shape[2]
-        w = self.w
-        w_qkv, b_qkv, alpha_qkv = self.qkv[p]
+        w_qkv, b_qkv, alpha_qkv = blk.qkv
         z = prelu(np.tensordot(w_qkv, x, axes=([1], [0])) + b_qkv[:, None, None], alpha_qkv)
         if not np.all(np.isfinite(z)):
-            raise ValueError(f"{self.prefix}.{p}.attn: non-finite query, key or value")
+            raise ValueError(f"{blk.name}.attn: non-finite query, key or value")
         # [heads * W, T, F] -> [T, heads, F, W]: masked_attention's row layout
         q, k, v = (
             part.reshape(heads, -1, t_len, f_len).transpose(2, 0, 3, 1)
@@ -487,8 +504,9 @@ class MisoGridNet:
         )
         o = out.reshape(t_len, heads, f_len, cfg.value_channels)
         o = o.transpose(1, 3, 0, 2).reshape(cfg.d, t_len, f_len)
-        y = np.tensordot(w[f"{p}.attn.out.w"], o, axes=([1], [0]))
-        return prelu(y + w[f"{p}.attn.out.b"][:, None, None], w[f"{p}.attn.out.alpha"])
+        w_out, b_out, alpha_out = blk.out
+        y = np.tensordot(w_out, o, axes=([1], [0]))
+        return prelu(y + b_out[:, None, None], alpha_out)
 
 
 class GridNetStream:

@@ -82,8 +82,9 @@ def multires_si_loss(est, ref) -> float:
     return loss
 
 
-def fitted_loss(est, ref, prescription) -> float:
-    """Loss between listener-equalized signals: both convolved with the taps."""
+def fitted_loss(est, ref, fir) -> float:
+    """Loss between listener-equalized signals: both convolved with the
+    equalizer taps ``fir`` (see ``fitting.design_fir``)."""
     est, ref = _as_pair(est, ref)
-    fir = np.asarray(prescription.fir, dtype=np.float64)
+    fir = np.asarray(fir, dtype=np.float64)
     return multires_si_loss(np.convolve(est, fir), np.convolve(ref, fir))

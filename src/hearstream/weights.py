@@ -45,7 +45,8 @@ _DTYPE_F32 = 0
 
 
 class WeightFormatError(ValueError):
-    """Bad magic, version, dtype tag, or malformed record."""
+    """Bad magic, version, dtype tag, or malformed record (a name that is not
+    UTF-8, a duplicate name, impossible dims, a NaN or inf value)."""
 
 
 class TruncatedFileError(OSError):
@@ -61,7 +62,7 @@ class WeightStore:
             self[name] = value
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
-        arr = np.ascontiguousarray(value, dtype=np.float32)
+        arr = np.asarray(value, dtype=np.float32, order="C")  # a 0-d tensor stays 0-d
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"tensor {name!r} contains non-finite values")
         self._tensors[name] = arr
@@ -136,9 +137,12 @@ class WeightStore:
             version, count = struct.unpack("<II", _read(fh, 8, "header"))
             if version != VERSION:
                 raise WeightFormatError(f"{path}: unsupported version {version}")
-            for _ in range(count):
+            for index in range(count):
                 (name_len,) = struct.unpack("<I", _read(fh, 4, "name length"))
-                name = _read(fh, name_len, "name").decode("utf-8")
+                try:
+                    name = _read(fh, name_len, "name").decode("utf-8")
+                except UnicodeDecodeError:
+                    raise WeightFormatError(f"{path}: tensor {index}'s name is not UTF-8") from None
                 dtype, ndim = struct.unpack("<BI", _read(fh, 5, "dtype/ndim"))
                 if dtype != _DTYPE_F32:
                     raise WeightFormatError(f"{path}: unknown dtype tag {dtype} for {name!r}")
@@ -152,7 +156,10 @@ class WeightStore:
                 except ValueError as exc:  # no data, but a dim too large for numpy
                     msg = f"{path}: tensor {name!r} dims {shape}: {exc}"
                     raise WeightFormatError(msg) from None
-                store[name] = data.astype(np.float32)
+                try:
+                    store[name] = data.astype(np.float32)
+                except ValueError as exc:  # a NaN or inf value
+                    raise WeightFormatError(f"{path}: {exc}") from None
         return store
 
 

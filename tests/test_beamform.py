@@ -216,6 +216,20 @@ class TestSolve:
             direct = np.linalg.inv(st.phi_yy[f]) @ st.phi_ys[f]
             assert np.max(np.abs(w[f] - direct)) <= 1e-10
 
+    def test_singular_bin_falls_back_to_per_bin_solves(self):
+        # without loading, one update with y = [1, 0] leaves bin 0's
+        # covariance exactly singular while its trace is positive; bin 1
+        # sees two independent frames and is full rank
+        st = CovarianceState(2, 2, loading=0.0)
+        st.update(np.array([[1, 0], [1, 1j]], dtype=complex), np.array([0.5, 1 - 1j]))
+        st.update(np.array([[0, 0], [1, -1]], dtype=complex), np.array([0, 2j]))
+        with pytest.raises(np.linalg.LinAlgError):  # so the batched solve is skipped
+            np.linalg.solve(st.loaded_covariance(), st.phi_ys[:, :, None])
+        w = st.solve()
+        assert np.array_equal(w[0], np.zeros(2))
+        assert list(st.silent_bins) == [0]
+        assert np.array_equal(w[1], np.linalg.solve(st.phi_yy[1], st.phi_ys[1]))
+
 
 class TestApply:
     def test_basis_vector_selects_channel(self):

@@ -37,6 +37,16 @@ class TestWindow:
         assert_allclose(s, COLA, rtol=0, atol=1e-12)
         assert_allclose(CFG.cola_constant, COLA, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "win, hop", [(32, 16), (64, 16), (96, 32), (256, 32), (512, 128), (1024, 256)]
+    )
+    def test_cola_constant_matches_shifted_sum(self, win, hop):
+        # the closed form win / (2 * hop) against the brute-force sum of
+        # win / hop shifted copies of w^2 over one hop period
+        w2 = sqrt_hann(win) ** 2
+        s = sum(w2[k * hop : (k + 1) * hop] for k in range(win // hop))
+        assert_allclose(s, StftConfig(win=win, hop=hop).cola_constant, rtol=0, atol=1e-12)
+
     def test_invalid_lengths(self):
         with pytest.raises(ValueError):
             sqrt_hann(1)
@@ -59,6 +69,11 @@ class TestConfig:
     def test_hop_must_divide_win(self):
         with pytest.raises(ValueError):
             StftConfig(win=512, hop=100)
+
+    def test_hop_equal_to_win_rejected(self):
+        # one window per hop has no overlap, so its overlap-add is not constant
+        with pytest.raises(ValueError, match="at least twice"):
+            StftConfig(win=512, hop=512)
 
 
 class TestAnalyzer:

@@ -20,7 +20,6 @@ from hearstream.fitting import (
     frame_level_db,
     load_listener,
     nalr_gains,
-    prescribe,
 )
 
 K_TABLE = np.array([-17.0, -8.0, 1.0, -1.0, -2.0, -2.0, -2.0, -2.0])
@@ -124,16 +123,14 @@ class TestDesignFir:
         fit = ListenerFitting(audiogram, stft=StftConfig(sample_rate=16000))
         for cf, g in zip(CATALOGUE_CFS, nalr_gains(audiogram)):
             if cf <= 6000.0:
-                assert abs(fir_response_db(fit.prescription.fir, cf, fs=16000) - g) <= 1.0
+                assert abs(fir_response_db(fit.fir, cf, fs=16000) - g) <= 1.0
 
     def test_nonfinite_gains_rejected(self):
         with pytest.raises(ValueError):
             design_fir(np.array([np.inf] * 8))
 
-    def test_prescribe_bundles_gains_and_taps(self):
-        p = prescribe(Audiogram.flat(40.0))
-        assert len(p.fir) == EQ_TAPS
-        assert np.array_equal(p.gains_db, nalr_gains(Audiogram.flat(40.0)))
+    def test_design_is_eq_taps_long(self):
+        assert design_fir(nalr_gains(Audiogram.flat(40.0))).shape == (EQ_TAPS,)
 
 
 class TestApplyFirStft:
@@ -164,7 +161,7 @@ class TestApplyFirStft:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(32000)
         fit = ListenerFitting(Audiogram.flat(40.0), stft=cfg)
-        taps = fit.prescription.fir
+        taps = fit.fir
         frames = StreamingAnalyzer(cfg, 1).analyze(x[:, None])[:, :, 0]
         y = istft_frames(frames * fit.spectrum, cfg)[cfg.warmup :]
         ref = np.convolve(x, taps)[: len(y)]
@@ -275,7 +272,7 @@ class TestListenerFitting:
         audiogram = Audiogram.flat(30.0)
         fit = ListenerFitting(audiogram)
         manual = DrcState()
-        spectrum = np.fft.rfft(prescribe(audiogram).fir, 512)
+        spectrum = np.fft.rfft(design_fir(nalr_gains(audiogram)), 512)
         rng = np.random.default_rng(4)
         for _ in range(5):
             frame = rng.standard_normal(257) + 1j * rng.standard_normal(257)

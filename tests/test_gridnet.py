@@ -236,22 +236,22 @@ class TestTemporalModule:
             )
         model = MisoGridNet(cfg, store, EMB)
         x = np.random.default_rng(11).standard_normal((8, 6, 17)).astype(np.float32)
-        assert_array_equal(model._temporal(x, "block0", model._zero_block()), 0)
+        assert_array_equal(model._temporal(x, model.blocks[0], model._zero_block()), 0)
 
     def test_future_perturbation(self):
         model = make_model(SMALL, seed=6)
         rng = np.random.default_rng(12)
         x = rng.standard_normal((8, 9, 33)).astype(np.float32)
-        base = model._temporal(x, "block0", model._zero_block())
+        base = model._temporal(x, model.blocks[0], model._zero_block())
         xp = x.copy()
         xp[:, 6:] = rng.standard_normal((8, 3, 33))
-        pert = model._temporal(xp, "block0", model._zero_block())
+        pert = model._temporal(xp, model.blocks[0], model._zero_block())
         assert_array_equal(base[:, :6], pert[:, :6])
 
     def test_single_frame_sequence(self):
         model = make_model(SMALL, seed=7)
         x = np.random.default_rng(13).standard_normal((8, 1, 33)).astype(np.float32)
-        assert model._temporal(x, "block0", model._zero_block()).shape == (8, 1, 33)
+        assert model._temporal(x, model.blocks[0], model._zero_block()).shape == (8, 1, 33)
 
 
 class TestSpectralModule:
@@ -259,10 +259,10 @@ class TestSpectralModule:
         model = make_model(SMALL, seed=8)
         rng = np.random.default_rng(14)
         x = rng.standard_normal((8, 6, 33)).astype(np.float32)
-        base = model._spectral(x, "block0")
+        base = model._spectral(x, model.blocks[0])
         xp = x.copy()
         xp[:, 3] = rng.standard_normal((8, 33))
-        pert = model._spectral(xp, "block0")
+        pert = model._spectral(xp, model.blocks[0])
         assert_array_equal(base[:, :3], pert[:, :3])
         assert_array_equal(base[:, 4:], pert[:, 4:])
         assert np.abs(base[:, 3] - pert[:, 3]).max() > 0
@@ -272,7 +272,7 @@ class TestSpectralModule:
         store = WeightStore({s.name: np.zeros(s.shape, np.float32) for s in weight_schema(cfg)})
         model = MisoGridNet(cfg, store, EMB)
         x = np.random.default_rng(15).standard_normal((8, 4, 33)).astype(np.float32)
-        assert_array_equal(model._spectral(x, "block0"), 0)
+        assert_array_equal(model._spectral(x, model.blocks[0]), 0)
 
     def test_frequency_reversal_symmetry(self):
         # reversing the input along frequency, with fwd/bwd LSTMs swapped
@@ -303,8 +303,8 @@ class TestSpectralModule:
         model_m = MisoGridNet(cfg, mirror, EMB)
 
         x = np.random.default_rng(16).standard_normal((d, 3, cfg.n_freq)).astype(np.float32)
-        out = model._spectral(x, "block0")
-        out_m = model_m._spectral(x[:, :, ::-1].copy(), "block0")
+        out = model._spectral(x, model.blocks[0])
+        out_m = model_m._spectral(x[:, :, ::-1].copy(), model_m.blocks[0])
         assert_allclose(out_m, out[:, :, ::-1], atol=1e-5)
 
 
@@ -458,8 +458,8 @@ class TestAttentionCache:
         block = model._zero_block()
         x = np.zeros((self.CFG.d, 1, self.CFG.n_freq), np.float32)
         x[0, 0, 3] = np.inf
-        with pytest.raises(ValueError, match="non-finite query"), np.errstate(invalid="ignore"):
-            model._attention(x, "block0", block)
+        with pytest.raises(ValueError, match="dnn1.block0.attn: non-finite query"), np.errstate(invalid="ignore"):
+            model._attention(x, model.blocks[0], block)
         assert block["frames"] == 0
 
     @pytest.mark.parametrize("bad", [np.nan, 1e39], ids=["nan", "float32_overflow"])

@@ -116,7 +116,7 @@ class TestWeightStore:
             assert path in str(exc)
             assert isinstance(exc, TruncatedFileError) == (4 * count > n_bytes)
         else:
-            assert 4 * count <= n_bytes and store["t.w"].size == count
+            assert 4 * count <= n_bytes and store["t.w"].shape == tuple(dims)
 
     @settings(max_examples=50)
     @given(cut=st.integers(0, 10**6))
@@ -139,6 +139,36 @@ class TestWeightStore:
         path = write_one_tensor(tmp_path / "w.inxw", [2, 2], data=data)
         assert_array_equal(WeightStore.load(path)["t.w"], [[0, 1], [2, 3]])
 
+    def test_zero_dim_tensor_roundtrips_as_zero_dim(self, tmp_path):
+        store = WeightStore({"s": np.float32(3)})
+        assert store["s"].shape == ()
+        store.save(str(tmp_path / "w.inxw"))
+        assert WeightStore.load(str(tmp_path / "w.inxw"))["s"].shape == ()
+
+    def test_name_not_utf8_names_the_file(self, tmp_path):
+        path = write_one_tensor(tmp_path / "w.inxw", [4], name=b"\xff.w")
+        with pytest.raises(WeightFormatError, match=r"w\.inxw: tensor 0's name is not UTF-8"):
+            WeightStore.load(path)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_flipped_byte_fails_cleanly(self, tmp_path_factory, data):
+        # any one corrupted byte of a valid container loads as some store or
+        # raises one of the two documented errors, naming the file
+        path = tmp_path_factory.getbasetemp() / "flipped.inxw"
+        tensors = {"a.w": np.ones((3, 2)), "b": np.zeros(0), "s": np.float32(0.5), "c": np.ones(5)}
+        WeightStore(tensors).save(str(path))
+        raw = bytearray(path.read_bytes())
+        at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        raw[at] ^= data.draw(st.integers(1, 255), label="xor")
+        path.write_bytes(bytes(raw))
+        try:
+            store = WeightStore.load(str(path))
+        except (WeightFormatError, TruncatedFileError) as exc:
+            assert str(path) in str(exc)
+        else:
+            assert isinstance(store, WeightStore)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             WeightStore({"a": np.array([1.0, np.inf], dtype=np.float32)})
@@ -149,7 +179,7 @@ class TestWeightStore:
         WeightStore({"a": np.zeros(3, dtype=np.float32)}).save(str(p))
         raw = p.read_bytes()
         p.write_bytes(raw[:-4] + np.float32(bad).astype("<f4").tobytes())
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(WeightFormatError, match=r"w\.inxw: tensor 'a' contains non-finite"):
             WeightStore.load(str(p))
 
     def test_resolve_checks_schema(self):
