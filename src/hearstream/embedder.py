@@ -21,6 +21,7 @@ The embedding is cacheable: a one-tensor weight container under the name
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,10 @@ __all__ = [
 
 _PREFIX = "spk"
 EMBEDDING_NAME = f"{_PREFIX}.embedding"
+
+# enrollment frames per encoder chunk: with the halo, a chunk's largest map at
+# 257 bins is [32, 148, 129] float32, 2.4 MB, however long the enrollment
+_CHUNK_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -109,17 +114,73 @@ def embed_weight_schema(config: EmbedConfig) -> list[ParamSpec]:
     return specs
 
 
+class _Stage(NamedTuple):
+    """One encoder stage's conv layers, each (w, b, alpha)."""
+
+    dense1: tuple
+    dense2: tuple
+    down: tuple
+
+
+class _TcnBlock(NamedTuple):
+    """One residual TCN block's kernel arguments."""
+
+    pw1: tuple  # (w, b, alpha)
+    dw: tuple  # (w, b, alpha)
+    pw2: tuple  # (w, b)
+    dilation: int
+
+
+def _conv_block(x: np.ndarray, layer: tuple, stride: tuple[int, int]) -> np.ndarray:
+    w, b, alpha = layer
+    return prelu(conv2d(x, w, b, stride=stride), alpha)
+
+
 class SpeakerEmbedder:
-    """Pure function of (adaptation spectrogram, weights) -> 128-dim vector."""
+    """Pure function of (adaptation spectrogram, weights) -> 128-dim vector.
+
+    Building it resolves the store into per-layer records (``conv0``,
+    ``stages``, ``proj`` and ``tcn``), so ``embed`` looks up no weight by
+    name. ``embed`` runs the encoder over ``_CHUNK_FRAMES`` frames at a time,
+    each chunk read with ``halo`` frames of context on either side, so its
+    [hidden, T, F] maps are bounded by the chunk however long the enrollment.
+    """
 
     def __init__(self, config: EmbedConfig, store: WeightStore) -> None:
         self.config = config
-        self.w = store.resolve(embed_weight_schema(config), _PREFIX)
+        w = store.resolve(embed_weight_schema(config), _PREFIX)
 
-    def _conv_block(self, x: np.ndarray, name: str, stride: tuple[int, int]) -> np.ndarray:
-        w = self.w
-        y = conv2d(x, w[f"{name}.w"], w[f"{name}.b"], stride=stride)
-        return prelu(y, w[f"{name}.alpha"])
+        def group(name: str, parts=("w", "b", "alpha")) -> tuple:
+            return tuple(w[f"{name}.{part}"] for part in parts)
+
+        self.conv0 = group("enc.conv0")
+        self.stages = [
+            _Stage(*(group(f"enc.stage{s}.{layer}") for layer in _Stage._fields))
+            for s in range(config.encoder_stages)
+        ]
+        self.proj = group("enc.proj")
+        self.tcn = [
+            _TcnBlock(
+                group(f"tcn.r{r}.b{b}.pw1"),
+                group(f"tcn.r{r}.b{b}.dw"),
+                group(f"tcn.r{r}.b{b}.pw2", ("w", "b")),
+                dilation=2**b,
+            )
+            for r in range(config.tcn_repeats)
+            for b in range(config.tcn_blocks)
+        ]
+        # an encoder frame reads one frame either side per 3-tap conv on its
+        # longest path: conv0, then dense1, dense2 and down in each stage
+        self.halo = 1 + 3 * config.encoder_stages
+
+    def _encode(self, x: np.ndarray) -> np.ndarray:
+        """Input planes [2, T, F] -> per-frame encoder features [T, hidden * bins]."""
+        x = _conv_block(x, self.conv0, (1, 2))
+        for stage in self.stages:
+            d = _conv_block(x, stage.dense1, (1, 1))
+            x = _conv_block(np.concatenate([x, d], axis=0), stage.dense2, (1, 1))
+            x = _conv_block(x, stage.down, (1, 2))
+        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
     def embed(self, spect: np.ndarray) -> np.ndarray:
         """Adaptation spectrogram [T, F] (or [T, F, 1]) complex -> [emb_dim] float32.
@@ -138,27 +199,22 @@ class SpeakerEmbedder:
                 f"expected {self.config.n_freq} frequency bins, got {spect.shape[1]}"
             )
         x = stack_ri(spect)  # [2, T, F]
-        x = self._conv_block(x, "enc.conv0", (1, 2))
-        for s in range(self.config.encoder_stages):
-            p = f"enc.stage{s}"
-            d = self._conv_block(x, f"{p}.dense1", (1, 1))
-            x = self._conv_block(np.concatenate([x, d], axis=0), f"{p}.dense2", (1, 1))
-            x = self._conv_block(x, f"{p}.down", (1, 2))
-        t_len = x.shape[1]
-        flat = x.transpose(1, 0, 2).reshape(t_len, -1)  # [T, hidden * bins]
-        y = linear(flat, self.w["enc.proj.w"], self.w["enc.proj.b"])
-        y = prelu(y.T, self.w["enc.proj.alpha"])  # [C, T]
+        t_len, halo = x.shape[1], self.halo
+        flat = np.empty((t_len, self.config.encoder_hidden * self.config.encoder_out_bins), np.float32)
+        for t0 in range(0, t_len, _CHUNK_FRAMES):
+            # the halo frames give every kept frame the context the whole input
+            # gives it; the chunk's zero padding reaches only the halo
+            t1 = min(t0 + _CHUNK_FRAMES, t_len)
+            lo, hi = max(0, t0 - halo), min(t_len, t1 + halo)
+            flat[t0:t1] = self._encode(x[:, lo:hi])[t0 - lo : t1 - lo]
+        w, b, alpha = self.proj
+        y = prelu(linear(flat, w, b).T, alpha)  # [C, T]
 
-        for r in range(self.config.tcn_repeats):
-            for b in range(self.config.tcn_blocks):
-                p = f"tcn.r{r}.b{b}"
-                z = prelu(conv1d(y, self.w[f"{p}.pw1.w"], self.w[f"{p}.pw1.b"]), self.w[f"{p}.pw1.alpha"])
-                z = prelu(
-                    conv1d(z, self.w[f"{p}.dw.w"], self.w[f"{p}.dw.b"], dilation=2**b, groups=z.shape[0]),
-                    self.w[f"{p}.dw.alpha"],
-                )
-                z = conv1d(z, self.w[f"{p}.pw2.w"], self.w[f"{p}.pw2.b"])
-                y = y + z
+        for blk in self.tcn:
+            (w1, b1, a1), (wd, bd, ad), (w2, b2) = blk.pw1, blk.dw, blk.pw2
+            z = prelu(conv1d(y, w1, b1), a1)
+            z = prelu(conv1d(z, wd, bd, dilation=blk.dilation, groups=z.shape[0]), ad)
+            y = y + conv1d(z, w2, b2)
         # mean pooling over time, double precision accumulation
         return y.astype(np.float64).mean(axis=1).astype(np.float32)
 

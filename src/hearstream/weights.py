@@ -126,12 +126,18 @@ class WeightStore:
                 fh.write(raw)
                 fh.write(struct.pack("<BI", _DTYPE_F32, tensor.ndim))
                 fh.write(struct.pack(f"<{tensor.ndim}Q", *tensor.shape))
-                fh.write(tensor.astype("<f4", copy=False).tobytes())
+                fh.write(tensor.astype("<f4", copy=False).data)  # C-contiguous, no copy
 
     @classmethod
     def load(cls, path: str) -> "WeightStore":
+        """Every tensor is a C-contiguous view of one float32 buffer, which
+        the data is read straight into. The buffer is sized by the file, so
+        no header value sizes an allocation before the file is known to hold
+        its bytes."""
         store = cls()
         with open(path, "rb") as fh:
+            buf = np.empty(os.fstat(fh.fileno()).st_size // 4, dtype="<f4")
+            raw, used = memoryview(buf.view(np.uint8)), 0
             if _read(fh, 4, "magic") != MAGIC:
                 raise WeightFormatError(f"{path}: bad magic, not an INXW file")
             version, count = struct.unpack("<II", _read(fh, 8, "header"))
@@ -148,7 +154,9 @@ class WeightStore:
                     raise WeightFormatError(f"{path}: unknown dtype tag {dtype} for {name!r}")
                 shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim, f"dims of {name!r}"))
                 n = 4 * math.prod(shape)  # in Python ints, so no header size wraps
-                data = np.frombuffer(_read(fh, n, f"data of {name!r}"), dtype="<f4")
+                _read(fh, n, f"data of {name!r}", into=raw[used : used + n])
+                data = buf[used // 4 : (used + n) // 4]
+                used += n
                 if name in store:
                     raise WeightFormatError(f"{path}: duplicate tensor name {name!r}")
                 try:
@@ -157,22 +165,27 @@ class WeightStore:
                     msg = f"{path}: tensor {name!r} dims {shape}: {exc}"
                     raise WeightFormatError(msg) from None
                 try:
-                    store[name] = data.astype(np.float32)
+                    store[name] = data
                 except ValueError as exc:  # a NaN or inf value
                     raise WeightFormatError(f"{path}: {exc}") from None
         return store
 
 
-def _read(fh: BinaryIO, n: int, what: str) -> bytes:
-    """Exactly ``n`` bytes of the open file ``fh``. A length beyond the bytes
-    left raises TruncatedFileError before any read, so a corrupt header size
-    never becomes an allocation."""
+def _read(fh: BinaryIO, n: int, what: str, into: memoryview | None = None) -> bytes | None:
+    """Exactly ``n`` bytes of the open file ``fh``, returned, or read into the
+    ``n``-byte memory ``into``. A length beyond the bytes left raises
+    TruncatedFileError before any read, so a corrupt header size never
+    becomes an allocation."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if n > left:
         raise TruncatedFileError(
             f"{fh.name}: file truncated while reading {what} ({n} bytes needed, {left} left)"
         )
-    return fh.read(n)
+    if into is None:
+        return fh.read(n)
+    if len(into) != n or fh.readinto(into) != n:  # the file changed size while read
+        raise TruncatedFileError(f"{fh.name}: file changed size while reading {what}")
+    return None
 
 
 # -- deterministic pseudo-random streams ------------------------------------
@@ -229,19 +242,23 @@ def seeded_init(specs: Iterable[ParamSpec], seed: int) -> WeightStore:
     bits, then to uniform(-a, a) in float32. Zero biases keep every layer's
     response to silence silent.
     """
-    store = WeightStore()
-    for spec in specs:
-        n = int(np.prod(spec.shape, dtype=np.int64)) if spec.shape else 1
+    specs = list(specs)
+    sizes = [math.prod(spec.shape) for spec in specs]
+    buf = np.empty(sum(sizes), dtype=np.float32)  # every tensor is a view of it
+    store, used = WeightStore(), 0
+    for spec, n in zip(specs, sizes):
+        values = buf[used : used + n]
+        used += n
         if spec.kind == "weight":
             stream = splitmix64(fnv1a64(spec.name) ^ (seed & 0xFFFFFFFFFFFFFFFF), n)
             u = (stream >> np.uint64(11)).astype(np.float64) * (2.0**-53)
             a = np.sqrt(1.0 / spec.fan_in)
-            values = ((2.0 * u - 1.0) * a).astype(np.float32)
+            values[:] = (2.0 * u - 1.0) * a
         elif spec.kind == "gamma":
-            values = np.ones(n, dtype=np.float32)
+            values[:] = 1.0
         elif spec.kind == "prelu":
-            values = np.full(n, 0.25, dtype=np.float32)
+            values[:] = 0.25
         else:
-            values = np.zeros(n, dtype=np.float32)
+            values[:] = 0.0
         store[spec.name] = values.reshape(spec.shape)
     return store

@@ -1,8 +1,13 @@
 """Speaker embedder tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hearstream import embedder
 from hearstream.dsp import StftConfig, StreamingAnalyzer
 from hearstream.embedder import (
     EmbedConfig,
@@ -175,6 +180,56 @@ class TestEmbed:
         partial = WeightStore({n: store[n] for n in list(store.keys())[:-1]})
         with pytest.raises(KeyError):
             SpeakerEmbedder(TINY, partial)
+
+
+class TestChunkedEncoder:
+    """``embed`` runs the encoder a chunk at a time; the whole-input encoder
+    is the same code with one chunk longer than the input."""
+
+    @staticmethod
+    def whole_input(emb, spect):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embedder, "_CHUNK_FRAMES", spect.shape[0])
+            return emb.embed(spect)
+
+    def test_halo_is_the_encoder_receptive_field(self):
+        # conv0 reads one frame either side, each stage three more
+        assert make_embedder()[0].halo == 7
+        assert make_embedder(EmbedConfig())[0].halo == 10
+
+    @settings(max_examples=60)
+    @given(
+        t_len=st.integers(1, 3 * embedder._CHUNK_FRAMES + 7),  # 7: TINY's halo
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_whole_input_encoder(self, t_len, seed):
+        emb, _ = make_embedder()
+        spect = rand_spect(t_len, 33, seed=seed)
+        got, expect = emb.embed(spect), self.whole_input(emb, spect)
+        if t_len <= embedder._CHUNK_FRAMES:
+            assert got.tobytes() == expect.tobytes()
+        else:
+            assert np.max(np.abs(got - expect)) <= 1e-6 * np.max(np.abs(expect))
+
+    def test_working_set_bounded_by_the_chunk(self):
+        # a 4x longer enrollment grows the traced peak by no more than twice
+        # the O(T) arrays embed must hold: the float32 input planes and one
+        # float64 [C, T] map for the pooled mean
+        emb, _ = make_embedder()
+        t_len = 3 * embedder._CHUNK_FRAMES + emb.halo
+
+        def peak(frames):
+            spect = rand_spect(frames, 33, seed=frames)
+            emb.embed(spect)
+            tracemalloc.start()
+            try:
+                emb.embed(spect)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_frame = 2 * TINY.n_freq * 4 + TINY.tcn_channels * 8
+        assert peak(4 * t_len) - peak(t_len) <= 2 * per_frame * 3 * t_len
 
 
 class TestCache:

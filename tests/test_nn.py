@@ -169,6 +169,55 @@ class TestWeightStore:
         else:
             assert isinstance(store, WeightStore)
 
+    @settings(max_examples=100)
+    @given(
+        shapes=st.lists(st.lists(st.integers(0, 5), max_size=3).map(tuple), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_load_views_one_buffer(self, tmp_path_factory, shapes, seed):
+        # every loaded tensor is a C-contiguous, aligned float32 view of one
+        # buffer no larger than the file, and the round trip is bit-exact
+        rng = np.random.default_rng(seed)
+        store = WeightStore(
+            {f"t{i}": rng.standard_normal(s).astype(np.float32) for i, s in enumerate(shapes)}
+        )
+        path = tmp_path_factory.getbasetemp() / "buffer.inxw"
+        store.save(str(path))
+        loaded = WeightStore.load(str(path))
+        assert loaded == store and list(loaded.keys()) == list(store.keys())
+        for name, tensor in loaded.items():
+            assert tensor.tobytes() == store[name].tobytes()
+            assert tensor.dtype == np.float32 and tensor.shape == store[name].shape
+            assert tensor.flags.c_contiguous and tensor.flags.aligned
+        tensors = [tensor for _, tensor in loaded.items()]
+        assert len({id(tensor.base) for tensor in tensors}) <= 1
+        if tensors:
+            buffer = tensors[0].base
+            assert buffer is not None and buffer.nbytes <= path.stat().st_size
+            assert all(np.shares_memory(buffer, tensor) for tensor in tensors if tensor.size)
+
+    def test_save_writes_the_documented_layout(self, tmp_path):
+        # the bytes the module docstring specifies, encoded independently
+        tensors = {"a.w": np.arange(6, dtype=np.float32).reshape(2, 3), "s": np.float32(-1.5),
+                   "e": np.zeros((0, 4), dtype=np.float32)}
+        expect = b"INXW" + struct.pack("<II", 1, len(tensors))
+        for name, value in tensors.items():
+            value = np.asarray(value)
+            expect += struct.pack("<I", len(name)) + name.encode()
+            expect += struct.pack(f"<BI{value.ndim}Q", 0, value.ndim, *value.shape)
+            expect += value.astype("<f4").tobytes()
+        WeightStore(tensors).save(str(tmp_path / "w.inxw"))
+        assert (tmp_path / "w.inxw").read_bytes() == expect
+
+    def test_seeded_init_views_one_buffer(self):
+        specs = [ParamSpec("a.w", (3, 4), fan_in=4), ParamSpec("a.b", (3,), "bias"),
+                 ParamSpec("n.gamma", (5,), "gamma"), ParamSpec("p.alpha", (), "prelu")]
+        store = seeded_init(specs, seed=5)
+        assert len({id(store[spec.name].base) for spec in specs}) == 1
+        assert store["p.alpha"].shape == () and store["p.alpha"] == np.float32(0.25)
+        for spec in specs:  # the shared buffer changes no tensor's fill
+            assert seeded_init([spec], seed=5)[spec.name].tobytes() == store[spec.name].tobytes()
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             WeightStore({"a": np.array([1.0, np.inf], dtype=np.float32)})
