@@ -41,9 +41,9 @@ __all__ = [
 _PREFIX = "spk"
 EMBEDDING_NAME = f"{_PREFIX}.embedding"
 
-# enrollment frames per encoder chunk: with the halo, a chunk's largest map at
-# 257 bins is [32, 148, 129] float32, 2.4 MB, however long the enrollment
-_CHUNK_FRAMES = 128
+# enrollment frames per encoder chunk: a chunk's largest map at 257 bins is
+# [32, 34, 129] float32, 0.6 MB, however long the enrollment
+_CHUNK_FRAMES = 32
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,56 @@ class _TcnBlock(NamedTuple):
     dilation: int
 
 
-def _conv_block(x: np.ndarray, layer: tuple, stride: tuple[int, int]) -> np.ndarray:
-    w, b, alpha = layer
-    return prelu(conv2d(x, w, b, stride=stride), alpha)
+class _ConvStream:
+    """One encoder conv layer (conv2d, then PReLU) fed its input a chunk at a time.
+
+    The layer's time taps are centered: output frame t reads input frames
+    t - lead .. t + lag. Each ``push`` joins the input frames carried from
+    the last push ahead of the new ones and returns every output frame they
+    complete. The first push starts with ``lead`` zero frames and the last
+    ends with ``lag``, the whole-input layer's 'same' padding, so pushing a
+    whole input at once computes exactly that layer.
+    """
+
+    def __init__(self, layer: tuple, f_stride: int) -> None:
+        self.layer, self.stride = layer, (1, f_stride)
+        self.taps = layer[0].shape[2]
+        self.lead, self.lag = (self.taps - 1) // 2, self.taps // 2
+        self.carry = None
+
+    def push(self, x: np.ndarray, last: bool) -> np.ndarray:
+        w, b, alpha = self.layer
+        c, _, f = x.shape
+        if self.carry is None:
+            self.carry = np.zeros((c, self.lead, f), np.float32)
+        tail = [np.zeros((c, self.lag, f), np.float32)] if last else []
+        x = np.concatenate([self.carry, x, *tail], axis=1)
+        self.carry = x[:, max(0, x.shape[1] - self.taps + 1) :].copy()
+        if x.shape[1] < self.taps:
+            return np.zeros((w.shape[0], 0, -(-f // self.stride[1])), np.float32)
+        return prelu(conv2d(x, w, b, stride=self.stride, pad_time=False), alpha)
+
+
+class _StageStream:
+    """One encoder stage fed a chunk at a time. dense1's output lags its
+    input, so ``pending`` keeps the input frames it has not yet output, to
+    join them with that output when it comes."""
+
+    def __init__(self, stage: _Stage) -> None:
+        self.dense1 = _ConvStream(stage.dense1, 1)
+        self.dense2 = _ConvStream(stage.dense2, 1)
+        self.down = _ConvStream(stage.down, 2)
+        self.pending = None
+
+    def push(self, x: np.ndarray, last: bool) -> np.ndarray:
+        d = self.dense1.push(x, last)
+        if self.pending is not None:
+            x = np.concatenate([self.pending, x], axis=1)
+        n = d.shape[1]
+        self.pending = x[:, n:].copy()
+        x = np.concatenate([x[:, :n], d], axis=0)
+        del d  # the joined maps replace both before dense2 runs
+        return self.down.push(self.dense2.push(x, last), last)
 
 
 class SpeakerEmbedder:
@@ -141,9 +188,10 @@ class SpeakerEmbedder:
 
     Building it resolves the store into per-layer records (``conv0``,
     ``stages``, ``proj`` and ``tcn``), so ``embed`` looks up no weight by
-    name. ``embed`` runs the encoder over ``_CHUNK_FRAMES`` frames at a time,
-    each chunk read with ``halo`` frames of context on either side, so its
-    [hidden, T, F] maps are bounded by the chunk however long the enrollment.
+    name. ``embed`` streams the encoder over ``_CHUNK_FRAMES`` input frames
+    at a time, each layer carrying the input frames its next output frames
+    read, so its [hidden, T, F] maps are bounded by the chunk however long
+    the enrollment, and no frame is computed twice.
     """
 
     def __init__(self, config: EmbedConfig, store: WeightStore) -> None:
@@ -169,18 +217,6 @@ class SpeakerEmbedder:
             for r in range(config.tcn_repeats)
             for b in range(config.tcn_blocks)
         ]
-        # an encoder frame reads one frame either side per 3-tap conv on its
-        # longest path: conv0, then dense1, dense2 and down in each stage
-        self.halo = 1 + 3 * config.encoder_stages
-
-    def _encode(self, x: np.ndarray) -> np.ndarray:
-        """Input planes [2, T, F] -> per-frame encoder features [T, hidden * bins]."""
-        x = _conv_block(x, self.conv0, (1, 2))
-        for stage in self.stages:
-            d = _conv_block(x, stage.dense1, (1, 1))
-            x = _conv_block(np.concatenate([x, d], axis=0), stage.dense2, (1, 1))
-            x = _conv_block(x, stage.down, (1, 2))
-        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
     def embed(self, spect: np.ndarray) -> np.ndarray:
         """Adaptation spectrogram [T, F] (or [T, F, 1]) complex -> [emb_dim] float32.
@@ -198,15 +234,19 @@ class SpeakerEmbedder:
             raise ValueError(
                 f"expected {self.config.n_freq} frequency bins, got {spect.shape[1]}"
             )
-        x = stack_ri(spect)  # [2, T, F]
-        t_len, halo = x.shape[1], self.halo
+        t_len = spect.shape[0]
         flat = np.empty((t_len, self.config.encoder_hidden * self.config.encoder_out_bins), np.float32)
+        conv0 = _ConvStream(self.conv0, 2)
+        stages = [_StageStream(stage) for stage in self.stages]
+        done = 0  # encoder frames complete so far; the last push completes all
         for t0 in range(0, t_len, _CHUNK_FRAMES):
-            # the halo frames give every kept frame the context the whole input
-            # gives it; the chunk's zero padding reaches only the halo
-            t1 = min(t0 + _CHUNK_FRAMES, t_len)
-            lo, hi = max(0, t0 - halo), min(t_len, t1 + halo)
-            flat[t0:t1] = self._encode(x[:, lo:hi])[t0 - lo : t1 - lo]
+            last = t0 + _CHUNK_FRAMES >= t_len
+            x = conv0.push(stack_ri(spect[t0 : t0 + _CHUNK_FRAMES]), last)
+            for stage in stages:
+                x = stage.push(x, last)
+            n = x.shape[1]
+            flat[done : done + n] = x.transpose(1, 0, 2).reshape(n, flat.shape[1])
+            done += n
         w, b, alpha = self.proj
         y = prelu(linear(flat, w, b).T, alpha)  # [C, T]
 

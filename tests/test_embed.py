@@ -183,30 +183,32 @@ class TestEmbed:
 
 
 class TestChunkedEncoder:
-    """``embed`` runs the encoder a chunk at a time; the whole-input encoder
-    is the same code with one chunk longer than the input."""
+    """``embed`` streams the encoder a chunk at a time; the whole-input encoder
+    is the same code with one chunk as long as the input."""
+
+    # the encoder's output lags its input by its receptive field: one frame
+    # for conv0 and one each for dense1, dense2 and down in every stage
+    LAG = 1 + 3 * TINY.encoder_stages
 
     @staticmethod
-    def whole_input(emb, spect):
+    def embed_in_chunks(emb, spect, frames):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(embedder, "_CHUNK_FRAMES", spect.shape[0])
+            patch.setattr(embedder, "_CHUNK_FRAMES", frames)
             return emb.embed(spect)
 
-    def test_halo_is_the_encoder_receptive_field(self):
-        # conv0 reads one frame either side, each stage three more
-        assert make_embedder()[0].halo == 7
-        assert make_embedder(EmbedConfig())[0].halo == 10
-
-    @settings(max_examples=60)
+    @settings(max_examples=80)
     @given(
-        t_len=st.integers(1, 3 * embedder._CHUNK_FRAMES + 7),  # 7: TINY's halo
+        t_len=st.integers(1, 3 * embedder._CHUNK_FRAMES + LAG),
+        # chunks shorter than the lag make pushes that complete no frame
+        chunk=st.sampled_from([1, 2, 3, 5, embedder._CHUNK_FRAMES]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_whole_input_encoder(self, t_len, seed):
+    def test_matches_whole_input_encoder(self, t_len, chunk, seed):
         emb, _ = make_embedder()
         spect = rand_spect(t_len, 33, seed=seed)
-        got, expect = emb.embed(spect), self.whole_input(emb, spect)
-        if t_len <= embedder._CHUNK_FRAMES:
+        got = self.embed_in_chunks(emb, spect, chunk)
+        expect = self.embed_in_chunks(emb, spect, t_len)
+        if t_len <= chunk:
             assert got.tobytes() == expect.tobytes()
         else:
             assert np.max(np.abs(got - expect)) <= 1e-6 * np.max(np.abs(expect))
@@ -216,7 +218,7 @@ class TestChunkedEncoder:
         # the O(T) arrays embed must hold: the float32 input planes and one
         # float64 [C, T] map for the pooled mean
         emb, _ = make_embedder()
-        t_len = 3 * embedder._CHUNK_FRAMES + emb.halo
+        t_len = 3 * embedder._CHUNK_FRAMES + self.LAG
 
         def peak(frames):
             spect = rand_spect(frames, 33, seed=frames)
