@@ -109,15 +109,15 @@ def _pipeline_config(store: WeightStore, args) -> PipelineConfig:
 def _cmd_enhance(args) -> int:
     store = WeightStore.load(args.weights)
     config = _pipeline_config(store, args)
+    fitting = None
+    if args.listener:
+        listeners = load_listener(args.listener)
+        fitting = ListenerFitting(listeners[args.ear], stft=config.stft)
     mixture = read_wav(args.input)
     if args.embedding:
         embedding = load_embedding(args.embedding, emb_dim=config.model.emb_dim)
     else:
         embedding = _enroll(store, args.enroll)
-    fitting = None
-    if args.listener:
-        listeners = load_listener(args.listener)
-        fitting = ListenerFitting(listeners[args.ear], stft=config.stft)
     out = enhance_signal(mixture, config, store, embedding, fitting=fitting)
     write_wav(args.output, out)
     print(f"wrote {args.output} ({len(out)} samples)")

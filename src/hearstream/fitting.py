@@ -26,6 +26,7 @@ nearly 3 %.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 
@@ -227,14 +228,40 @@ class ListenerFitting:
 
 
 def load_listener(path: str) -> dict[str, Audiogram]:
-    """Listener record JSON -> audiograms keyed by ear ('left', 'right')."""
-    with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
+    """Listener record JSON -> audiograms keyed by ear ('left', 'right').
+
+    A file that is not UTF-8 JSON, a record that is not an object, and a
+    field that is missing, is not a list of numbers or does not make an
+    ``Audiogram`` each raise one ValueError naming the file and the field.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"listener file {path} is not JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"listener file {path} must hold a JSON object")
+    fields = {}
     for key in ("audiogram_cfs", "audiogram_levels_l", "audiogram_levels_r"):
         if key not in record:
             raise ValueError(f"listener file {path} is missing field {key!r}")
-    cfs = tuple(record["audiogram_cfs"])
+        value = record[key]
+        # bool is not a number here; an int beyond float range fails float()
+        if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+            with contextlib.suppress(OverflowError):
+                fields[key] = tuple(float(v) for v in value)
+        if key not in fields:
+            raise ValueError(f"listener file {path}: field {key!r} must be a list of numbers")
+
+    def audiogram(key: str, levels: tuple[float, ...]) -> Audiogram:
+        try:
+            return Audiogram(fields["audiogram_cfs"], levels)
+        except ValueError as exc:
+            raise ValueError(f"listener file {path}: field {key!r}: {exc}") from None
+
+    # the frequencies alone first, with placeholder levels, so an error names its field
+    audiogram("audiogram_cfs", (0.0,) * len(fields["audiogram_cfs"]))
     return {
-        "left": Audiogram(cfs, tuple(record["audiogram_levels_l"])),
-        "right": Audiogram(cfs, tuple(record["audiogram_levels_r"])),
+        "left": audiogram("audiogram_levels_l", fields["audiogram_levels_l"]),
+        "right": audiogram("audiogram_levels_r", fields["audiogram_levels_r"]),
     }

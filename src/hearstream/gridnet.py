@@ -267,14 +267,18 @@ def unstack_ri(tensor: np.ndarray) -> np.ndarray:
 
 
 def _cache_array(rows: int, width: int) -> np.ndarray:
-    """A float32 [rows, width] array on its own anonymous (zero-filled) mapping.
+    """A float32 [rows, width] array on its own private anonymous (zero-filled)
+    mapping.
 
     Its untouched rows take no memory, and the mapping goes back to the
     system when the array is freed. ``np.empty`` guarantees neither: on
     Linux NumPy asks for 2 MB huge pages on large arrays, and malloc may
-    place an array in the heap, where a freed one stays resident.
+    place an array in the heap, where a freed one stays resident. The
+    mapping is private: mmap's default, MAP_SHARED, would let a process
+    forked after the engine is built write into its parent's cache.
     """
-    return np.frombuffer(mmap.mmap(-1, rows * width * 4), dtype=np.float32).reshape(rows, width)
+    memory = mmap.mmap(-1, rows * width * 4, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(memory, dtype=np.float32).reshape(rows, width)
 
 
 def _with_history(history: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -216,9 +216,9 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     if x.ndim != 3 or x.shape[0] == 0 or x.shape[2] == 0:
         raise ValueError(f"layer_norm: expected a [D, T, F] map with D, F >= 1, got {x.shape}")
     x64 = np.asarray(x, dtype=np.float64)
-    mu = x64.mean(axis=(0, 2), keepdims=True)
-    var = x64.var(axis=(0, 2), keepdims=True)
-    y = (x64 - mu) / np.sqrt(var + _LN_EPS)
+    y = x64 - x64.mean(axis=(0, 2), keepdims=True)
+    # the mean of the squared deviations, as np.var computes it
+    y /= np.sqrt(np.mean(y * y, axis=(0, 2), keepdims=True) + _LN_EPS)
     return (np.asarray(gamma) * y.astype(np.float32) + np.asarray(beta)).astype(np.float32)
 
 
@@ -250,13 +250,18 @@ def lstm_forward(
 
     ``backward=(w_b, r_b, b_b)`` makes the call bidirectional: a reversed
     recurrence with those weights runs in the same step loop as the forward
-    one, and the result is [.., T, 2H], forward half first. Each step then
-    does one batched h @ Rᵀ and one gate pass over both directions. The input
-    projections are made half a sequence at a time into one
-    [ceil(T/2), N, 2, 4H] buffer: the forward direction reads the first half
-    while the backward one reads the second, then the halves swap. The call
-    thus never holds both directions' full projections, nor a stacked copy
-    of the input weights.
+    one, and the result is [.., T, 2H], forward half first.
+
+    The gates live gate-major, [4, n_dir, N, H], so each is one contiguous
+    slice over both directions. A step does one batched matmul of h, viewed
+    [n_dir, 1, N, H], by the recurrence as [n_dir, 4, H, H] blocks, adds its
+    projections, and writes h into the [T + 1, n_dir, N, H] history the next
+    step reads. The input projections fill one [ceil(T/n_dir), 4, n_dir, N,
+    H] buffer half a sequence at a time, made and scattered in chunks of at
+    most ``_PATCH_BUDGET`` elements (or one step): the forward direction
+    reads the first half while the backward one reads the second, then the
+    halves swap. The call thus never holds both directions' full
+    projections, nor a stacked copy of the input weights.
 
     The i, f and o gates use sigmoid(z) = 0.5 * (1 + tanh(z / 2)). Their
     pre-activations are halved on the way in (exact in floating point), so
@@ -285,59 +290,68 @@ def lstm_forward(
                 f"for input dim {d_in}"
             )
     n_dir = len(dirs)
-    # 0.5 on the i, f, o columns, 1 on g: tanh(half * z) * half + shift is
-    # sigmoid on i, f, o and tanh on g
-    half = np.full(four_h, 0.5, dtype=np.float32)
-    shift = half.copy()
-    half[2 * h_size : 3 * h_size] = 1.0
-    shift[2 * h_size : 3 * h_size] = 0.0
-    rt = np.stack([dr.T for _, dr, _, _ in dirs]) * half  # [n_dir, H, 4H]
-
-    # [N, direction, ...] layout keeps each step's slices contiguous at N=1
-    h = np.zeros((n, n_dir, h_size), dtype=np.float32)
-    c = np.zeros((n, n_dir, h_size), dtype=np.float32)
+    # tanh(half * z) * 0.5 + 0.5 is sigmoid(z) with half = 0.5, and
+    # half = 1 keeps tanh on the candidate gate g
+    half = np.repeat(np.array([0.5, 0.5, 1, 0.5], dtype=np.float32), h_size)
+    one_half = np.array(0.5, dtype=np.float32)  # 0-d: the cheapest scalar operand
+    # z holds the gates and the cell state, [direction, N, H] slices in the
+    # order (g, f, o, i, c): the gates are z[:4] with the sigmoid gates one
+    # run z[1:4], and i * g and c * f are one multiply of z[3:] by z[:2]
+    order = (2, 1, 3, 0)  # the gates of z[:4] in the weights' (i, f, g, o)
+    # [n_dir, 4, H, H] in z's gate order; each block is a transposed view of
+    # its gate's rows of r, so BLAS sums every output in the same order as
+    # the [H, 4H] product h @ r.T does
+    blocks = [(dr * half[:, None]).reshape(4, h_size, h_size)[list(order)] for _, dr, _, _ in dirs]
+    rt = np.stack(blocks).transpose(0, 1, 3, 2)
+    z = np.empty((5, n_dir, n, h_size), dtype=np.float32)
+    gates, gates_by_dir = z[:4], z[:4].transpose(1, 0, 2, 3)
+    sig, g_o, ic, gf, c = z[1:4], z[2], z[3:], z[:2], z[4]
+    prod = np.empty_like(ic)
+    ig, cf = prod
+    # row s + 1 holds h after step s, row 0 the initial h; h_in views the
+    # rows as the [direction, 1, N, H] left operand of the matmul
+    hist = np.empty((t_len + 1, n_dir, n, h_size), dtype=np.float32)
+    h_in = hist[:, :, None]
+    hist[0] = c[...] = 0
     if state is not None:
-        h[:, 0], c[:, 0] = (np.asarray(s, dtype=np.float32) for s in state)
-    hist = np.empty((t_len, n, n_dir, h_size), dtype=np.float32)  # h by step
-    g = np.empty((n, n_dir, four_h), dtype=np.float32)
-    g_by_dir = g.transpose(1, 0, 2)
-    g_i, g_f, g_g, g_o = (g[..., k * h_size : (k + 1) * h_size] for k in range(4))
-    ig = np.empty_like(c)
-    half_g, shift_g = (np.broadcast_to(v, g.shape).copy() for v in (half, shift))
+        hist[0, 0], c[0] = (np.asarray(s, dtype=np.float32) for s in state)
     span = max(1, -(-t_len // n_dir))  # steps per pass
-    # step-major, so each step reads one contiguous [N, direction, 4H] slab
-    # and each direction's projection is one 2-D matmul into its column
-    buf = np.empty((span, n, n_dir, four_h), dtype=np.float32)
-    rows = buf.reshape(span * n, n_dir, four_h)
+    # each step adds one contiguous [4, direction, N, H] slab of projections
+    buf = np.empty((span, 4, n_dir, n, h_size), dtype=np.float32)
+    chunk = max(1, min(span, _PATCH_BUDGET // max(1, n * four_h)))
+    tmp = np.empty((chunk * n, four_h), dtype=np.float32)
     for start in range(0, t_len, span):
         steps = min(span, t_len - start)
         for k, (dw, _, db, rev) in enumerate(dirs):
-            # direction k takes its step s at position s, or t_len-1-s reversed
-            lo = t_len - start - steps if rev else start
-            seg = x[:, lo : lo + steps].transpose(1, 0, 2)
-            seg = np.ascontiguousarray(seg[::-1] if rev else seg).reshape(steps * n, d_in)
-            proj = rows[: steps * n, k]
-            np.matmul(seg, dw.T, out=proj)
-            proj += db
-        xw = buf[:steps]
-        xw *= half
-        for i in range(steps):
-            np.matmul(h.transpose(1, 0, 2), rt, out=g_by_dir)
-            g += xw[i]
-            np.tanh(g, out=g)
-            g *= half_g
-            g += shift_g
-            c *= g_f
-            np.multiply(g_i, g_g, out=ig)
-            c += ig
-            np.tanh(c, out=ig)
-            h = np.multiply(g_o, ig, out=hist[start + i])
-    buf = rows = proj = xw = None  # free the projections before the output is made
+            for s0 in range(0, steps, chunk):
+                m = min(chunk, steps - s0)
+                # direction k takes its step s at position s, or t_len-1-s reversed
+                lo = t_len - start - s0 - m if rev else start + s0
+                seg = x[:, lo : lo + m].transpose(1, 0, 2)
+                seg = np.ascontiguousarray(seg[::-1] if rev else seg).reshape(m * n, d_in)
+                proj = tmp[: m * n]
+                np.matmul(seg, dw.T, out=proj)
+                proj += db
+                proj *= half
+                by_gate = proj.reshape(m, n, 4, h_size).transpose(2, 0, 1, 3)
+                for j, gate in enumerate(order):
+                    buf[s0 : s0 + m, j, k] = by_gate[gate]
+        for h_prev, h_next, xw in zip(h_in[start:], hist[start + 1 :], buf[:steps]):
+            np.matmul(h_prev, rt, gates_by_dir)
+            np.add(gates, xw, gates)
+            np.tanh(gates, gates)
+            np.multiply(sig, one_half, sig)
+            np.add(sig, one_half, sig)
+            np.multiply(ic, gf, prod)
+            np.add(ig, cf, c)
+            np.tanh(c, cf)
+            np.multiply(g_o, cf, h_next)
+    buf = tmp = proj = by_gate = xw = None  # free the projections before the output is made
     out = np.empty((n, t_len, n_dir * h_size), dtype=np.float32)
     for k, (_, _, _, rev) in enumerate(dirs):
-        steps_k = hist[::-1, :, k] if rev else hist[:, :, k]
+        steps_k = hist[:0:-1, k] if rev else hist[1:, k]
         out[:, :, k * h_size : (k + 1) * h_size] = steps_k.transpose(1, 0, 2)
-    h, c = h[:, 0].copy(), c[:, 0].copy()
+    h, c = hist[t_len, 0].copy(), c[0].copy()
     if squeeze:
         out = out[0]
         h, c = h[0], c[0]

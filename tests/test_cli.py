@@ -167,6 +167,24 @@ class TestEmbedAndEnhance:
         assert code == 0
         assert np.all(np.isfinite(read_wav(out_path)))
 
+    @pytest.mark.parametrize(
+        "text", ['{"audiogram_cfs": 5}', "null", '{"audiogram_cfs": [250'], ids=str
+    )
+    def test_malformed_listener_fails_cleanly(
+        self, weights_path, scene_dir, tmp_path, capsys, text
+    ):
+        listener = tmp_path / "listener.json"
+        listener.write_text(text)
+        out_path = tmp_path / "o.wav"
+        code = main(
+            ["enhance", "--input", f"{scene_dir}/mixture.wav", "--weights", weights_path,
+             "--enroll", f"{scene_dir}/anechoic_target.wav",
+             "--listener", str(listener), "--output", str(out_path)]
+        )
+        assert code == 2 and not out_path.exists()
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err and "listener.json" in err
+
     def test_enhance_channel_mismatch_fails(self, weights_path, tmp_path, capsys):
         mono = str(tmp_path / "mono.wav")
         write_wav(mono, np.zeros(4000) + 0.01)

@@ -1,9 +1,13 @@
 """Prescription, equalizer, and compressor tests."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hearstream.dsp import StftConfig, StreamingAnalyzer, istft_frames
 from hearstream.fitting import (
@@ -285,6 +289,31 @@ class TestListenerFitting:
         out = fit.step(np.ones(257, dtype=complex))
         assert out.shape == (257,)
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+LISTENER_KEYS = ("audiogram_cfs", "audiogram_levels_l", "audiogram_levels_r")
+LISTENER_FIELD = JSON_VALUES | st.lists(
+    st.sampled_from(CATALOGUE_CFS) | st.floats(-20.0, 130.0), max_size=9
+)
+
+
+@st.composite
+def near_listener_records(draw):
+    """Records with increasing catalogue frequencies and one level per
+    frequency, some out of range, and at times one field replaced."""
+    cfs = sorted(draw(st.lists(st.sampled_from(CATALOGUE_CFS), min_size=1, unique=True)))
+    level = st.integers(-15, 125) | st.floats(-15.0, 125.0)
+    levels = st.lists(level, min_size=len(cfs), max_size=len(cfs))
+    record = dict(zip(LISTENER_KEYS, (cfs, draw(levels), draw(levels))))
+    key = draw(st.none() | st.sampled_from(LISTENER_KEYS))
+    if key is not None:
+        record[key] = draw(LISTENER_FIELD)
+    return record
+
 
 class TestListenerFile:
     def test_roundtrip(self, tmp_path):
@@ -304,3 +333,68 @@ class TestListenerFile:
         path.write_text(json.dumps({"audiogram_cfs": list(CATALOGUE_CFS)}))
         with pytest.raises(ValueError):
             load_listener(str(path))
+
+    GOOD = {
+        "audiogram_cfs": list(CATALOGUE_CFS),
+        "audiogram_levels_l": [10.0] * 8,
+        "audiogram_levels_r": [20.0] * 8,
+    }
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (json.dumps({**GOOD, "audiogram_cfs": 5}), "audiogram_cfs"),
+            (json.dumps({**GOOD, "audiogram_levels_l": ["a"]}), "audiogram_levels_l"),
+            (json.dumps({**GOOD, "audiogram_levels_r": [True] * 8}), "audiogram_levels_r"),
+            (json.dumps({**GOOD, "audiogram_levels_r": [10**400] * 8}), "audiogram_levels_r"),
+            (json.dumps({**GOOD, "audiogram_levels_l": [10.0] * 7}), "audiogram_levels_l"),
+            (json.dumps({**GOOD, "audiogram_levels_r": [float("nan")] * 8}), "audiogram_levels_r"),
+            (json.dumps({**GOOD, "audiogram_cfs": [250, 300]}), "audiogram_cfs"),
+            (json.dumps({**GOOD, "audiogram_cfs": []}), "audiogram_cfs"),
+            ("null", None),
+            ("[1, 2]", None),
+            (json.dumps(GOOD)[:-7], None),
+            (b"\xff\xfe{}", None),
+        ],
+        ids=[
+            "cfs_int", "level_str", "level_bool", "level_huge_int", "level_count",
+            "level_nan", "cfs_off_catalogue", "cfs_empty", "null", "list", "truncated",
+            "not_utf8",
+        ],
+    )
+    def test_malformed_record_names_file_and_field(self, tmp_path, text, field):
+        path = tmp_path / "listener.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(ValueError) as exc:
+            load_listener(str(path))
+        assert str(path) in str(exc.value)
+        if field is not None:
+            assert repr(field) in str(exc.value)
+
+    @settings(max_examples=300)  # about 1 s
+    @given(
+        record=JSON_VALUES
+        | near_listener_records()
+        | st.fixed_dictionaries({}, optional={key: LISTENER_FIELD for key in LISTENER_KEYS})
+        | st.builds(
+            dict,
+            st.fixed_dictionaries({key: LISTENER_FIELD for key in LISTENER_KEYS}),
+            extra=JSON_VALUES,
+        ),
+        cut=st.none() | st.integers(0, 200),
+    )
+    def test_any_json_loads_or_raises_one_value_error(self, record, cut):
+        # every record either makes two audiograms or raises one ValueError
+        # naming the file; cut truncates the text at that many characters
+        text = json.dumps(record)[:cut]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "listener.json"
+            path.write_text(text, encoding="utf-8")
+            try:
+                ears = load_listener(str(path))
+            except ValueError as exc:
+                assert str(path) in str(exc)
+                return
+        assert set(ears) == {"left", "right"}
+        for ear, key in (("left", "audiogram_levels_l"), ("right", "audiogram_levels_r")):
+            assert ears[ear] == Audiogram(tuple(record["audiogram_cfs"]), tuple(record[key]))

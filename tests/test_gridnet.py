@@ -2,6 +2,7 @@
 
 import contextlib
 import inspect
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from hearstream import gridnet
 from hearstream.gridnet import (
     GridNetConfig,
     GridNetStream,
@@ -426,6 +428,17 @@ class TestAttentionCache:
         chunks = [model.forward(x[a:b], None, state) for a, b in zip(bounds, bounds[1:])]
         assert_close_to_peak(np.concatenate(chunks), model.forward(x))
         assert all(len(block["k"]) == 128 for block in state["blocks"])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_cache_is_private_to_a_forked_child(self):
+        cache = gridnet._cache_array(4, 8)
+        pid = os.fork()
+        if pid == 0:  # the child writes its copy and exits at once
+            cache[0, 0] = 42.0
+            os._exit(0 if cache[0, 0] == 42.0 else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert cache[0, 0] == 0.0
 
     def test_offline_fills_cache_in_one_write(self):
         rng = np.random.default_rng(25)

@@ -526,6 +526,18 @@ class TestLayerNorm:
         yp = layer_norm(xp, g, b)
         assert_array_equal(y[:, :4], yp[:, :4])
 
+    @pytest.mark.parametrize("shape", [(16, 1, 257), (128, 1, 257), (16, 128, 257), (3, 5, 7)])
+    def test_equals_mean_and_var_formula(self, shape):
+        # the statistics as np.mean and np.var compute them, bit for bit
+        rng = np.random.default_rng(8)
+        x = (rng.standard_normal(shape) * 3 + 1).astype(np.float32)
+        g, b = (rng.standard_normal((shape[0], 1, 1)).astype(np.float32) for _ in range(2))
+        x64 = x.astype(np.float64)
+        mu = x64.mean(axis=(0, 2), keepdims=True)
+        var = x64.var(axis=(0, 2), keepdims=True)
+        ref = (g * ((x64 - mu) / np.sqrt(var + 1e-5)).astype(np.float32) + b).astype(np.float32)
+        assert_array_equal(layer_norm(x, g, b), ref)
+
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError):
             layer_norm(np.zeros((0, 2, 3)), np.float32(1), np.float32(0))
@@ -728,6 +740,74 @@ class TestLstm:
             lstm_forward(x, w, r, b, backward=(w, r, b), state=(np.zeros(4), np.zeros(4)))
         with pytest.raises(ValueError):
             lstm_forward(x, w, r, b, backward=(w[:, :2], r, b))
+
+
+
+def _lstm_weights(rng, d_in, h):
+    return [
+        (rng.standard_normal(shape) * scale).astype(np.float32)
+        for shape, scale in (((4 * h, d_in), 0.3), ((4 * h, h), 0.3), ((4 * h,), 0.1))
+    ]
+
+
+def _lstm_reference(x, w, r, b, h, c):
+    """The textbook LSTM in float64 over x[T, D_in] from state (h, c)."""
+    w, r, b, h, c = (np.asarray(a, dtype=np.float64) for a in (w, r, b, h, c))
+    out = []
+    for xt in np.asarray(x, dtype=np.float64):
+        i, f, g, o = np.split(w @ xt + r @ h + b, 4)
+        i, f, o = (1.0 / (1.0 + np.exp(-z)) for z in (i, f, o))
+        c = f * c + i * np.tanh(g)
+        h = o * np.tanh(c)
+        out.append(h)
+    return np.reshape(out, (len(x), len(h))), h, c
+
+
+class TestLstmReference:
+    @settings(max_examples=200)  # about 1 s
+    @given(
+        n=st.integers(1, 3),
+        t_len=st.integers(0, 12),
+        d_in=st.integers(1, 6),
+        h=st.integers(1, 6),
+        mode=st.sampled_from(["forward", "bidirectional", "state"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_float64_textbook_recurrence(self, n, t_len, d_in, h, mode, seed):
+        rng = np.random.default_rng(seed)
+        weights = [_lstm_weights(rng, d_in, h) for _ in range(2)]
+        x = rng.standard_normal((n, t_len, d_in)).astype(np.float32)
+        zero = np.zeros((n, h), np.float32)
+        h0, c0 = (rng.standard_normal((n, h)).astype(np.float32) for _ in range(2))
+        if mode == "bidirectional":
+            out = lstm_forward(x, *weights[0], backward=weights[1])
+        elif mode == "state":
+            out, (h_t, c_t) = lstm_forward(x, *weights[0], state=(h0, c0))
+        else:
+            out = lstm_forward(x, *weights[0])
+        assert out.shape == (n, t_len, (2 if mode == "bidirectional" else 1) * h)
+        for k in range(n):
+            start = (h0[k], c0[k]) if mode == "state" else (zero[k], zero[k])
+            ref, h_ref, c_ref = _lstm_reference(x[k], *weights[0], *start)
+            assert_allclose(out[k, :, :h], ref, rtol=0, atol=1e-6)
+            if mode == "bidirectional":
+                back = _lstm_reference(x[k, ::-1], *weights[1], zero[k], zero[k])[0]
+                assert_allclose(out[k, :, h:], back[::-1], rtol=0, atol=1e-6)
+            if mode == "state":
+                assert_allclose(h_t[k], h_ref, rtol=0, atol=1e-6)
+                assert_allclose(c_t[k], c_ref, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_empty_sequence_returns_state_unchanged(self, batched):
+        rng = np.random.default_rng(23)
+        w, r, b = _lstm_weights(rng, 3, 4)
+        shape = (2, 4) if batched else (4,)
+        state = tuple(rng.standard_normal(shape).astype(np.float32) for _ in range(2))
+        x = np.zeros(((2, 0, 3) if batched else (0, 3)), np.float32)
+        out, (h, c) = lstm_forward(x, w, r, b, state=state)
+        assert out.shape == shape[:-1] + (0, 4)
+        assert_array_equal(h, state[0])
+        assert_array_equal(c, state[1])
 
 
 # ---------------------------------------------------------------------------
