@@ -26,8 +26,8 @@ nearly 3 %.
 
 from __future__ import annotations
 
-import contextlib
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,7 +237,7 @@ def load_listener(path: str) -> dict[str, Audiogram]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ValueError(f"listener file {path} is not JSON: {exc}") from None
     if not isinstance(record, dict):
         raise ValueError(f"listener file {path} must hold a JSON object")
@@ -246,12 +246,12 @@ def load_listener(path: str) -> dict[str, Audiogram]:
         if key not in record:
             raise ValueError(f"listener file {path} is missing field {key!r}")
         value = record[key]
-        # bool is not a number here; an int beyond float range fails float()
-        if isinstance(value, list) and all(type(v) in (int, float) for v in value):
-            with contextlib.suppress(OverflowError):
-                fields[key] = tuple(float(v) for v in value)
-        if key not in fields:
+        # a bool is no number here, nor an int beyond float range
+        if not isinstance(value, list) or not all(
+            type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max) for v in value
+        ):
             raise ValueError(f"listener file {path}: field {key!r} must be a list of numbers")
+        fields[key] = tuple(float(v) for v in value)
 
     def audiogram(key: str, levels: tuple[float, ...]) -> Audiogram:
         try:

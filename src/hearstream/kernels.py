@@ -52,9 +52,9 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
 # -- convolution -------------------------------------------------------------
 
 
-# output frames are computed a slice at a time, so the patch buffer holds at
-# most this many elements (or one output frame's patches) however long the
-# input is
+# conv output frames and LSTM input projections are computed a slice at a
+# time, so a working buffer holds at most this many elements (or one frame's
+# or step's worth) however long the input is
 _PATCH_BUDGET = 1 << 18
 
 

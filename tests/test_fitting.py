@@ -355,11 +355,12 @@ class TestListenerFile:
             ("[1, 2]", None),
             (json.dumps(GOOD)[:-7], None),
             (b"\xff\xfe{}", None),
+            ("[" * 100_000, None),
         ],
         ids=[
             "cfs_int", "level_str", "level_bool", "level_huge_int", "level_count",
             "level_nan", "cfs_off_catalogue", "cfs_empty", "null", "list", "truncated",
-            "not_utf8",
+            "not_utf8", "nested_too_deep",
         ],
     )
     def test_malformed_record_names_file_and_field(self, tmp_path, text, field):
