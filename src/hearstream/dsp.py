@@ -10,7 +10,7 @@ frames (lookahead handled upstream), this module only does the transform
 math.
 
 Conventions, used everywhere:
-  * forward DFT unnormalized, inverse scaled by 1/fft_size (numpy default);
+  * DFT size ``win``: forward unnormalized, inverse scaled by 1/win (numpy default);
   * warm-up: the first ``win - hop`` output samples of any identity chain
     correspond to zero-padded history and are emitted, not suppressed;
   * an analysis->synthesis identity chain delays the signal by exactly
@@ -83,10 +83,6 @@ class StftConfig:
                 f"win ({self.win}) must be a multiple of hop ({self.hop}) and at least "
                 "twice it, so the shifted windows overlap-add to a constant"
             )
-
-    @property
-    def fft_size(self) -> int:
-        return self.win
 
     @property
     def bins(self) -> int:
@@ -179,7 +175,7 @@ class StreamingSynthesizer:
         if frame.shape != (self.config.bins,):
             raise ValueError(f"expected frame of shape ({self.config.bins},), got {frame.shape}")
         hop = self.config.hop
-        self._ola += self._window * np.fft.irfft(frame, n=self.config.fft_size)
+        self._ola += self._window * np.fft.irfft(frame, n=self.config.win)
         out = self._ola[:hop] / self._cola
         self._ola[:-hop] = self._ola[hop:]
         self._ola[-hop:] = 0.0

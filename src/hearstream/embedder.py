@@ -158,7 +158,7 @@ class _ConvStream:
         self.carry = x[:, max(0, x.shape[1] - self.taps + 1) :].copy()
         if x.shape[1] < self.taps:
             return np.zeros((w.shape[0], 0, -(-f // self.stride[1])), np.float32)
-        return prelu(conv2d(x, w, b, stride=self.stride, pad_time=False), alpha)
+        return prelu(conv2d(x, w, b, stride=self.stride), alpha)
 
 
 class _StageStream:
@@ -266,7 +266,7 @@ def cache_embedding(path: str, embedding: np.ndarray) -> None:
     WeightStore({EMBEDDING_NAME: embedding}).save(path)
 
 
-def load_embedding(path: str, emb_dim: int = 128) -> np.ndarray:
+def load_embedding(path: str, emb_dim: int) -> np.ndarray:
     store = WeightStore.load(path)
     if EMBEDDING_NAME not in store:
         raise WeightFormatError(f"{path}: no {EMBEDDING_NAME!r} tensor")

@@ -53,8 +53,6 @@ __all__ = [
     "nalr_gains",
 ]
 
-CATALOGUE_CFS = (250.0, 500.0, 1000.0, 2000.0, 3000.0, 4000.0, 6000.0, 8000.0)
-
 EQ_TAPS = 80  # equalizer length
 EQ_DELAY = 12  # the equalizer's pure-delay term: its group delay, in samples
 _ANCHOR_WEIGHT = 30.0  # extra least-squares weight on the stated frequencies
@@ -77,6 +75,7 @@ _NALR_K_DB = {
     6000.0: -2.0,
     8000.0: -2.0,
 }
+CATALOGUE_CFS = tuple(_NALR_K_DB)  # the audiogram frequencies with a correction
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ def design_fir(gains_db, cfs=CATALOGUE_CFS, stft: StftConfig = StftConfig()) -> 
         raise ValueError(f"gains {gains_db.shape} and cfs {cfs_arr.shape} differ")
     if not np.all(np.isfinite(gains_db)):
         raise ValueError("prescription gains must be finite")
-    fs, n = stft.sample_rate, stft.fft_size
+    fs, n = stft.sample_rate, stft.win
     f_log = np.geomspace(fs / (2 * n), fs / 2, 768)
     f_lin = np.arange(stft.bins) * fs / float(n)
     f = np.unique(np.concatenate([[0.0], f_log, f_lin, cfs_arr]))
@@ -174,8 +173,9 @@ def drc_static_gain(level_db):
     return out if out.ndim else float(out)
 
 
-def frame_level_db(frame: np.ndarray, fft_size: int = 512) -> float:
-    """Mean time-domain power of one analysis frame, in dB, floored at -120.
+def frame_level_db(frame: np.ndarray, fft_size: int) -> float:
+    """Mean time-domain power of one analysis frame of DFT length ``fft_size``,
+    in dB, floored at -120.
 
     Computed from the spectrum by Parseval: interior bins of a real DFT
     count twice.
@@ -197,7 +197,7 @@ class DrcState:
     """
 
     def __init__(self, stft: StftConfig = StftConfig()) -> None:
-        self.fft_size = stft.fft_size
+        self.fft_size = stft.win
         hop_s = stft.hop / stft.sample_rate
         self.attack_coeff = float(np.exp(-hop_s / DRC_ATTACK_S))
         self.release_coeff = float(np.exp(-hop_s / DRC_RELEASE_S))
@@ -219,7 +219,7 @@ class ListenerFitting:
     def __init__(self, audiogram: Audiogram, *, stft: StftConfig = StftConfig()) -> None:
         self.stft = stft
         self.fir = design_fir(nalr_gains(audiogram), audiogram.cfs, stft)
-        self.spectrum = np.fft.rfft(self.fir, stft.fft_size)
+        self.spectrum = np.fft.rfft(self.fir, stft.win)
         self.drc = DrcState(stft)
 
     def step(self, frame: np.ndarray) -> np.ndarray:

@@ -241,11 +241,9 @@ def stack_ri(spect: np.ndarray, extras: np.ndarray | None = None) -> np.ndarray:
     parts = [spect]
     if extras is not None:
         extras = np.asarray(extras)
-        if extras.ndim == 2:
-            extras = extras[:, :, None]
-        if extras.shape[:2] != spect.shape[:2]:
+        if extras.ndim != 3 or extras.shape[:2] != spect.shape[:2]:
             raise ValueError(
-                f"stack_ri: extras {extras.shape} do not share (T, F) with {spect.shape}"
+                f"stack_ri: extras {extras.shape} are not [T, F, K] on the (T, F) of {spect.shape}"
             )
         parts.append(extras)
     planes = []
@@ -399,7 +397,7 @@ class MisoGridNet:
             )
         stem = self.stem
         window, state["conv_in"] = _with_history(state["conv_in"], x)
-        x = layer_norm(conv2d(window, *stem.conv_in, pad_time=False), *stem.ln_in)
+        x = layer_norm(conv2d(window, *stem.conv_in), *stem.ln_in)
         for blk, st in zip(self.blocks, state["blocks"]):
             x = film(x, *blk.film)
             x = x + self._temporal(x, blk, st)

@@ -102,25 +102,22 @@ def conv2d(
     bias: np.ndarray,
     *,
     stride: tuple[int, int] = (1, 1),
-    pad_time: bool = True,
 ) -> np.ndarray:
-    """2-D cross-correlation over [C_in, T, F] maps.
+    """2-D cross-correlation over [C_in, T, F] maps, unpadded in time.
 
-    Time and frequency padding are 'same' (centered). With stride (st, sf)
-    the stride-1 output is subsampled, giving ceil(T/st) x ceil(F/sf).
-    ``pad_time=False`` pads no time at all: a streaming caller passes Kt-1
-    frames of history ahead of the frames it wants and gets the last T-Kt+1
-    causal frames.
+    Frequency padding is 'same' (centered); time is not padded: a caller
+    passes Kt-1 frames of history ahead of the frames it wants and gets the
+    last T-Kt+1 frames, each a function of its own and earlier input frames.
+    With stride (st, sf) the stride-1 output is subsampled, giving
+    ceil((T-Kt+1)/st) x ceil(F/sf).
     """
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 3 or kernel.ndim != 4 or x.shape[0] != kernel.shape[1]:
         raise ValueError(
             f"conv2d: incompatible shapes, input {x.shape} vs kernel {kernel.shape}"
         )
-    _, _, kt, kf = kernel.shape
-    pad_t = ((kt - 1) // 2, kt // 2) if pad_time else (0, 0)
-    pad_f = ((kf - 1) // 2, kf // 2)
-    xp = np.pad(x, ((0, 0), pad_t, pad_f))
+    kf = kernel.shape[3]
+    xp = np.pad(x, ((0, 0), (0, 0), ((kf - 1) // 2, kf // 2)))
     y = _corr2d_valid(xp, np.asarray(kernel, dtype=np.float32), stride)
     return y + np.asarray(bias, dtype=np.float32)[:, None, None]
 
@@ -241,7 +238,7 @@ def lstm_forward(
     backward: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     state: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """LSTM over x[T, D_in] or a batch x[N, T, D_in]; returns [.., T, H].
+    """LSTM over a batch of sequences x[N, T, D_in]; returns [N, T, H].
 
     Weights: w[4H, D_in] input projection, r[4H, H] recurrence, b[4H] bias,
     gates packed (i, f, g, o). ``state`` carries (h, c) between calls for
@@ -250,7 +247,7 @@ def lstm_forward(
 
     ``backward=(w_b, r_b, b_b)`` makes the call bidirectional: a reversed
     recurrence with those weights runs in the same step loop as the forward
-    one, and the result is [.., T, 2H], forward half first.
+    one, and the result is [N, T, 2H], forward half first.
 
     The gates live gate-major, [4, n_dir, N, H], so each is one contiguous
     slice over both directions. A step does one batched matmul of h, viewed
@@ -267,10 +264,7 @@ def lstm_forward(
     pre-activations are halved on the way in (exact in floating point), so
     one tanh pass evaluates all four gates.
     """
-    squeeze = x.ndim == 2
     x = np.asarray(x, dtype=np.float32)
-    if squeeze:
-        x = x[None]
     n, t_len, d_in = x.shape
     four_h, h_size = r.shape
     dirs = [(w, r, b, False)]
@@ -352,9 +346,6 @@ def lstm_forward(
         steps_k = hist[:0:-1, k] if rev else hist[1:, k]
         out[:, :, k * h_size : (k + 1) * h_size] = steps_k.transpose(1, 0, 2)
     h, c = hist[t_len, 0].copy(), c[0].copy()
-    if squeeze:
-        out = out[0]
-        h, c = h[0], c[0]
     return out if state is None else (out, (h, c))
 
 
@@ -364,8 +355,7 @@ def masked_attention(
     v: np.ndarray,
     *,
     heads: int = 1,
-    return_weights: bool = False,
-):
+) -> np.ndarray:
     """Scaled dot-product attention over time with a causal mask.
 
     q: [Tq, heads * E]; k: [Tk, heads * E]; v: [Tk, heads * Dv]. The queries
@@ -394,7 +384,4 @@ def masked_attention(
     weights = np.exp(scores)
     weights /= weights.sum(axis=2, keepdims=True)
     out = weights.astype(np.float32) @ vh
-    out = out.transpose(1, 0, 2).reshape(t_q, heads * dv)
-    if return_weights:
-        return out, weights
-    return out
+    return out.transpose(1, 0, 2).reshape(t_q, heads * dv)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .dsp import sqrt_hann
 
-__all__ = ["fitted_loss", "multires_si_loss", "si_sdr", "si_sdri"]
+__all__ = ["multires_si_loss", "si_sdr", "si_sdri"]
 
 _CAP_DB = 60.0  # si_sdr's clamp
 _RESOLUTIONS = (512, 1024, 2048, 256, 128)  # window lengths of the magnitude terms
@@ -80,11 +80,3 @@ def multires_si_loss(est, ref) -> float:
         mag_est = _stft_mag(scaled, win)
         loss += float(np.sum(np.abs(mag_est - mag_ref))) / float(np.sum(mag_ref))
     return loss
-
-
-def fitted_loss(est, ref, fir) -> float:
-    """Loss between listener-equalized signals: both convolved with the
-    equalizer taps ``fir`` (see ``fitting.design_fir``)."""
-    est, ref = _as_pair(est, ref)
-    fir = np.asarray(fir, dtype=np.float64)
-    return multires_si_loss(np.convolve(est, fir), np.convolve(ref, fir))

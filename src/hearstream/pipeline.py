@@ -42,6 +42,7 @@ from .gridnet import GridNetConfig, MisoGridNet, weight_schema
 from .weights import WeightStore, seeded_init
 
 SECOND_STAGE_EXTRAS = 4  # RI planes of first-stage estimate + beamformer output
+MAX_ITERATIONS = 4  # the most Wiener-filter + second-stage passes a config may ask for
 RESCALE_EPS = 1e-8  # floor of the rescale gain's denominator
 
 
@@ -49,12 +50,14 @@ RESCALE_EPS = 1e-8  # floor of the rescale gain's denominator
 class PipelineConfig:
     """Engine wiring: model geometry, STFT, Wiener-filter settings.
 
-    ``iterations`` counts Wiener-filter + second-stage passes, an int >= 1;
-    each extra pass re-estimates the spatial filter from the previous
-    refinement. ``alpha`` and ``loading`` are the filter's forgetting factor
-    and diagonal loading; ``CovarianceState`` checks their type and range
-    when the engine is built. The output is referenced to channel 0, the
-    reference microphone.
+    ``iterations`` counts Wiener-filter + second-stage passes, an int from 1
+    to ``MAX_ITERATIONS``; each extra pass re-estimates the spatial filter
+    from the previous refinement. The cap bounds what an engine holds and
+    does per hop: each pass adds a second-stage forward per hop, plus its
+    own GridNet state and Wiener-filter statistics. ``alpha`` and
+    ``loading`` are the filter's forgetting factor and diagonal loading;
+    ``CovarianceState`` checks their type and range when the engine is
+    built. The output is referenced to channel 0, the reference microphone.
     """
 
     model: GridNetConfig = GridNetConfig()
@@ -65,8 +68,9 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         its = self.iterations
-        if isinstance(its, bool) or not isinstance(its, numbers.Integral) or its < 1:
-            raise ValueError(f"iterations must be an int >= 1, got {its!r}")
+        is_int = isinstance(its, numbers.Integral) and not isinstance(its, bool)
+        if not is_int or not 1 <= its <= MAX_ITERATIONS:
+            raise ValueError(f"iterations must be an int from 1 to {MAX_ITERATIONS}, got {its!r}")
         if self.model.n_freq != self.stft.bins:
             raise ValueError(
                 f"model n_freq {self.model.n_freq} != STFT bins {self.stft.bins}"
@@ -326,11 +330,15 @@ def enhance_offline(
     The run covers ``lookahead`` zero frames (the stream's priming) and then
     every hop-synchronous frame, so each network makes one whole-sequence
     forward, and dropping the chain offset leaves output sample n estimating
-    the target at time n. With ``collect`` the return value is
-    ``(output, taps)`` where taps holds the per-stage frame sequences aligned
-    with the mixture ``frames``: ``est1``, ``mcwf``, ``est2`` and ``gain``.
+    the target at time n. No state is carried past the run, so each forward
+    starts from its own zero state, and that state, attention cache
+    included, is freed before the next network runs. With ``collect`` the
+    return value is ``(output, taps)`` where taps holds the per-stage frame
+    sequences aligned with the mixture ``frames``: ``est1``, ``mcwf``,
+    ``est2`` and ``gain``.
     """
     cascade = _Cascade(config, store, embedding, fitting)
+    cascade.states = [None] * len(cascade.nets)  # forward from zero state, keeping none
     x, n = _padded_signal(signal, config)
     stft = config.stft
     frames = StreamingAnalyzer(stft, x.shape[1]).analyze(x)  # [T, F, C]

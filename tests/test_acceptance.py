@@ -302,18 +302,20 @@ def test_criterion_08_causal_kernels(toy_cfg, toy_store):
     history = np.zeros((3, w.shape[2] - 1, 9), np.float32)
 
     def conv_in(a):
-        return conv2d(np.concatenate([history, a], axis=1), w, b, pad_time=False)
+        return conv2d(np.concatenate([history, a], axis=1), w, b)
 
     conv_ok = exact_prefix(conv_in(x).transpose(1, 0, 2), conv_in(xp).transpose(1, 0, 2))
 
-    # forward LSTM over [L, C] sequences
+    # forward LSTM over an [L, C] sequence, run as a batch of one
     wl = rng.standard_normal((16, 3)).astype(np.float32)
     rl = rng.standard_normal((16, 4)).astype(np.float32)
     bl = np.zeros(16, np.float32)
     s = rng.standard_normal((12, 3)).astype(np.float32)
     sp = s.copy()
     sp[cut + 1 :] = rng.standard_normal(sp[cut + 1 :].shape)
-    lstm_ok = exact_prefix(lstm_forward(s, wl, rl, bl), lstm_forward(sp, wl, rl, bl))
+    lstm_ok = exact_prefix(
+        lstm_forward(s[None], wl, rl, bl)[0], lstm_forward(sp[None], wl, rl, bl)[0]
+    )
 
     # masked attention
     q = rng.standard_normal((12, 5)).astype(np.float32)

@@ -13,6 +13,7 @@ import pytest
 
 from hearstream import cli
 from hearstream.cli import main
+from hearstream.pipeline import MAX_ITERATIONS
 from hearstream.scenes import SceneSpec, simulate_scene
 from hearstream.wavio import read_wav, write_wav
 
@@ -118,7 +119,7 @@ class TestEmbedAndEnhance:
         assert code == 0
         from hearstream.embedder import load_embedding
 
-        emb = load_embedding(emb_path)
+        emb = load_embedding(emb_path, 128)
         assert emb.shape == (128,)
         assert np.all(np.isfinite(emb))
 
@@ -263,6 +264,7 @@ class TestEmbedAndEnhance:
             '{"iterations": true}',
             '{"iterations": "2"}',
             '{"iterations": NaN}',
+            f'{{"iterations": {MAX_ITERATIONS + 1}}}',
         ],
     )
     def test_bad_config_value_fails_cleanly(self, weights_path, scene_dir, tmp_path, capsys, text):

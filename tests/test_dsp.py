@@ -62,7 +62,7 @@ class TestConfig:
     def test_defaults(self):
         assert CFG.bins == 257
         assert CFG.warmup == 384
-        assert CFG.fft_size == 512
+        assert CFG.win == 512
         assert CFG.lookahead == 3
         assert CFG.lookahead * CFG.hop == CFG.warmup
 

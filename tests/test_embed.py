@@ -240,20 +240,20 @@ class TestCache:
         vec = emb.embed(rand_spect(25, 257, seed=8))
         path = str(tmp_path / "emb.inxw")
         cache_embedding(path, vec)
-        back = load_embedding(path)
+        back = load_embedding(path, EmbedConfig().emb_dim)
         assert back.tobytes() == vec.tobytes()
 
     def test_wrong_length_rejected(self, tmp_path):
         path = str(tmp_path / "short.inxw")
         cache_embedding(path, np.zeros(127, dtype=np.float32))
         with pytest.raises(WeightFormatError):
-            load_embedding(path)
+            load_embedding(path, EmbedConfig().emb_dim)
 
     def test_missing_tensor_rejected(self, tmp_path):
         path = str(tmp_path / "other.inxw")
         WeightStore({"misc": np.zeros(4, dtype=np.float32)}).save(path)
         with pytest.raises(WeightFormatError):
-            load_embedding(path)
+            load_embedding(path, EmbedConfig().emb_dim)
 
     def test_non_vector_rejected(self, tmp_path):
         with pytest.raises(ValueError):

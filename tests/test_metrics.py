@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hearstream.fitting import Audiogram, design_fir, nalr_gains
-from hearstream.metrics import fitted_loss, multires_si_loss, si_sdr, si_sdri
+from hearstream.metrics import multires_si_loss, si_sdr, si_sdri
 
 
 def oracle_si_sdr(est, ref, cap=60.0):
@@ -161,28 +160,3 @@ class TestMultires:
         got = multires_si_loss(est, ref)
         want = oracle_multires(est, ref, windows=(128,))
         assert got == pytest.approx(want, abs=1e-9)
-
-
-class TestFittedLoss:
-    def test_identical_zero(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(4096)
-        fir = design_fir(nalr_gains(Audiogram.flat(40.0)))
-        assert fitted_loss(x, x, fir) == pytest.approx(0.0, abs=1e-9)
-
-    def test_flat_gain_prescription_close_to_unfitted(self):
-        # all-zero dB gains design to a near-exact delta, so filtering both
-        # signals is a no-op up to rounding
-        rng = np.random.default_rng(12)
-        est = rng.standard_normal(4096)
-        ref = est + 0.1 * rng.standard_normal(4096)
-        fir = design_fir(np.zeros(8))
-        assert abs(fitted_loss(est, ref, fir) - multires_si_loss(est, ref)) <= 1e-3
-
-    def test_scale_invariance_survives_filtering(self):
-        rng = np.random.default_rng(13)
-        est = rng.standard_normal(4096)
-        ref = rng.standard_normal(4096)
-        fir = design_fir(nalr_gains(Audiogram.flat(40.0)))
-        base = fitted_loss(est, ref, fir)
-        assert fitted_loss(5.0 * est, ref, fir) == pytest.approx(base, rel=1e-9)

@@ -370,28 +370,36 @@ _CONV_CASES = dict(
 )
 
 
+def _pad_time(x, kt):
+    """x[C, T, F] with 'same' (centered) zero padding over time for Kt taps."""
+    return np.pad(x, ((0, 0), ((kt - 1) // 2, kt // 2), (0, 0)))
+
+
 class TestConv2d:
     @settings(max_examples=200)
     @given(
         stride=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
-        pad_time=st.booleans(),
+        pre_pad=st.booleans(),
         **_CONV_CASES,
     )
     def test_matches_float64_tap_sum(
-        self, c_in, c_out, t_len, bins, kt, kf, budget, seed, stride, pad_time
+        self, c_in, c_out, t_len, bins, kt, kf, budget, seed, stride, pre_pad
     ):
+        # the input gets Kt-1 extra time frames: zeros around it ('same'
+        # padding, made here) or the history frames a streaming caller passes
         rng = np.random.default_rng(seed)
-        if not pad_time:
-            t_len += kt - 1  # the history frames an unpadded caller passes
+        if not pre_pad:
+            t_len += kt - 1
         x = rng.standard_normal((c_in, t_len, bins)).astype(np.float32)
+        if pre_pad:
+            x = _pad_time(x, kt)
         k = rng.standard_normal((c_out, c_in, kt, kf)).astype(np.float32)
         b = rng.standard_normal(c_out).astype(np.float32)
-        pad_t = ((kt - 1) // 2, kt // 2) if pad_time else (0, 0)
-        xp = np.pad(x.astype(np.float64), ((0, 0), pad_t, ((kf - 1) // 2, kf // 2)))
+        xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), ((kf - 1) // 2, kf // 2)))
         expect = _correlate64(xp, k.astype(np.float64))[:, :: stride[0], :: stride[1]]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernels, "_PATCH_BUDGET", budget)
-            got = conv2d(x, k, b, stride=stride, pad_time=pad_time)
+            got = conv2d(x, k, b, stride=stride)
         _assert_near(got, expect + b[:, None, None])
 
     def test_one_by_one_identity(self):
@@ -404,7 +412,7 @@ class TestConv2d:
     def test_all_ones_interior(self):
         x = np.ones((1, 6, 6), dtype=np.float32)
         k = np.ones((1, 1, 3, 3), dtype=np.float32)
-        y = conv2d(x, k, np.full(1, 0.5, np.float32))
+        y = conv2d(_pad_time(x, 3), k, np.full(1, 0.5, np.float32))
         assert_allclose(y[0, 3, 3], 9.5, atol=0)
 
     def test_unpadded_time_gives_last_causal_frames(self):
@@ -412,12 +420,12 @@ class TestConv2d:
         x = rng.standard_normal((2, 7, 5)).astype(np.float32)
         k = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
-        y = conv2d(x, k, b, pad_time=False)
+        y = conv2d(x, k, b)
         assert y.shape == (4, 5, 5)
-        assert_allclose(y, conv2d(x, k, b)[:, 1:-1], atol=1e-6)
+        assert_allclose(y, conv2d(_pad_time(x, 3), k, b)[:, 1:-1], atol=1e-6)
 
     def test_stride_subsamples(self):
-        x = np.zeros((1, 8, 9), dtype=np.float32)
+        x = _pad_time(np.zeros((1, 8, 9), dtype=np.float32), 3)
         y = conv2d(x, np.zeros((2, 1, 3, 3), np.float32), np.zeros(2, np.float32), stride=(2, 2))
         assert y.shape == (2, 4, 5)
 
@@ -629,6 +637,11 @@ class TestPrelu:
 # LSTM
 
 
+def _lstm_one(x, *weights, **kw):
+    """lstm_forward over one sequence x[T, D_in], run as a batch of one."""
+    return lstm_forward(x[None], *weights, **kw)[0]
+
+
 class TestLstm:
     def _weights(self, rng, d_in, h):
         w = rng.standard_normal((4 * h, d_in)).astype(np.float32) * 0.3
@@ -638,7 +651,7 @@ class TestLstm:
 
     def test_zero_weights_zero_output(self):
         x = np.random.default_rng(0).standard_normal((5, 3)).astype(np.float32)
-        y = lstm_forward(x, np.zeros((8, 3), np.float32), np.zeros((8, 2), np.float32), np.zeros(8, np.float32))
+        y = _lstm_one(x, np.zeros((8, 3), np.float32), np.zeros((8, 2), np.float32), np.zeros(8, np.float32))
         assert_array_equal(y, 0)
 
     def test_scalar_hand_recurrence(self):
@@ -647,7 +660,7 @@ class TestLstm:
         w = np.array([[0.0], [0.0], [1.0], [0.0]], dtype=np.float32)
         r = np.zeros((4, 1), dtype=np.float32)
         b = np.array([30.0, 30.0, 0.0, 30.0], dtype=np.float32)
-        y = lstm_forward(np.array([[1.0]], dtype=np.float32), w, r, b)
+        y = _lstm_one(np.array([[1.0]], dtype=np.float32), w, r, b)
         assert_allclose(y[0, 0], np.tanh(np.tanh(1.0)), atol=1e-6)
 
     def test_saturated_gates_without_warnings(self):
@@ -658,7 +671,7 @@ class TestLstm:
         b = np.zeros(4, dtype=np.float32)
         x = np.array([[1.0], [-1.0], [1.0]], dtype=np.float32)
         with np.errstate(all="raise"):
-            y = lstm_forward(x, w, r, b, backward=(w, r, b))
+            y = _lstm_one(x, w, r, b, backward=(w, r, b))
         on = np.tanh(np.float32(1.0))  # i = f = o = 1 and g = 1 from zero state
         assert_array_equal(y, [[on, on], [0.0, 0.0], [on, on]])
 
@@ -666,10 +679,10 @@ class TestLstm:
         rng = np.random.default_rng(11)
         w, r, b = self._weights(rng, 3, 4)
         x = rng.standard_normal((10, 3)).astype(np.float32)
-        y = lstm_forward(x, w, r, b)
+        y = _lstm_one(x, w, r, b)
         xp = x.copy()
         xp[6:] = rng.standard_normal((4, 3))
-        yp = lstm_forward(xp, w, r, b)
+        yp = _lstm_one(xp, w, r, b)
         assert_array_equal(y[:6], yp[:6])
         assert np.abs(y[6:] - yp[6:]).max() > 0
 
@@ -677,12 +690,12 @@ class TestLstm:
         rng = np.random.default_rng(13)
         w, r, b = self._weights(rng, 3, 4)
         x = rng.standard_normal((12, 3)).astype(np.float32)
-        full = lstm_forward(x, w, r, b)
-        state = (np.zeros(4, np.float32), np.zeros(4, np.float32))
+        full = _lstm_one(x, w, r, b)
+        state = (np.zeros((1, 4), np.float32), np.zeros((1, 4), np.float32))
         parts = []
         for t in range(12):
-            out, state = lstm_forward(x[t : t + 1], w, r, b, state=state)
-            parts.append(out)
+            out, state = lstm_forward(x[None, t : t + 1], w, r, b, state=state)
+            parts.append(out[0])
         assert_allclose(np.concatenate(parts), full, atol=1e-6)
 
     def test_batched_matches_loop(self):
@@ -691,11 +704,11 @@ class TestLstm:
         x = rng.standard_normal((5, 9, 3)).astype(np.float32)
         batched = lstm_forward(x, w, r, b)
         for n in range(5):
-            assert_allclose(batched[n], lstm_forward(x[n], w, r, b), atol=1e-6)
+            assert_allclose(batched[n], _lstm_one(x[n], w, r, b), atol=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            lstm_forward(np.zeros((4, 3), np.float32), np.zeros((8, 2), np.float32), np.zeros((8, 2), np.float32), np.zeros(8, np.float32))
+            _lstm_one(np.zeros((4, 3), np.float32), np.zeros((8, 2), np.float32), np.zeros((8, 2), np.float32), np.zeros(8, np.float32))
 
     @settings(max_examples=100)  # about 0.5 s
     @given(
@@ -710,11 +723,12 @@ class TestLstm:
         rng = np.random.default_rng(seed)
         fwd, bwd = self._weights(rng, d_in, h), self._weights(rng, d_in, h)
         x = rng.standard_normal((n, t_len, d_in) if batched else (t_len, d_in)).astype(np.float32)
-        both = lstm_forward(x, *fwd, backward=bwd)
+        run = lstm_forward if batched else _lstm_one
+        both = run(x, *fwd, backward=bwd)
         assert both.shape == x.shape[:-1] + (2 * h,)
-        assert_allclose(both[..., :h], lstm_forward(x, *fwd), rtol=0, atol=1e-6)
+        assert_allclose(both[..., :h], run(x, *fwd), rtol=0, atol=1e-6)
         # the backward half is the forward recurrence over the time-mirrored input
-        mirrored = np.flip(lstm_forward(np.flip(x, axis=-2), *bwd), axis=-2)
+        mirrored = np.flip(run(np.flip(x, axis=-2), *bwd), axis=-2)
         assert_allclose(both[..., h:], mirrored, rtol=0, atol=1e-6)
 
     def test_matches_float64_reference_loop(self):
@@ -730,16 +744,16 @@ class TestLstm:
             c = f * c + i * np.tanh(g)
             h = o * np.tanh(c)
             ref.append(h)
-        assert_allclose(lstm_forward(x, w, r, b), ref, rtol=0, atol=1e-6)
+        assert_allclose(_lstm_one(x, w, r, b), ref, rtol=0, atol=1e-6)
 
     def test_bidirectional_rejects_reverse_and_state(self):
         rng = np.random.default_rng(15)
         w, r, b = self._weights(rng, 3, 4)
         x = rng.standard_normal((5, 3)).astype(np.float32)
         with pytest.raises(ValueError):
-            lstm_forward(x, w, r, b, backward=(w, r, b), state=(np.zeros(4), np.zeros(4)))
+            _lstm_one(x, w, r, b, backward=(w, r, b), state=(np.zeros((1, 4)), np.zeros((1, 4))))
         with pytest.raises(ValueError):
-            lstm_forward(x, w, r, b, backward=(w[:, :2], r, b))
+            _lstm_one(x, w, r, b, backward=(w[:, :2], r, b))
 
 
 
@@ -804,7 +818,11 @@ class TestLstmReference:
         shape = (2, 4) if batched else (4,)
         state = tuple(rng.standard_normal(shape).astype(np.float32) for _ in range(2))
         x = np.zeros(((2, 0, 3) if batched else (0, 3)), np.float32)
-        out, (h, c) = lstm_forward(x, w, r, b, state=state)
+        if batched:
+            out, (h, c) = lstm_forward(x, w, r, b, state=state)
+        else:
+            out, (h, c) = lstm_forward(x[None], w, r, b, state=[s[None] for s in state])
+            out, h, c = out[0], h[0], c[0]
         assert out.shape == shape[:-1] + (0, 4)
         assert_array_equal(h, state[0])
         assert_array_equal(c, state[1])
@@ -835,9 +853,9 @@ class TestMaskedAttention:
         rng = np.random.default_rng(17)
         q = rng.standard_normal((6, 4)).astype(np.float32)
         k = rng.standard_normal((6, 4)).astype(np.float32)
-        v = rng.standard_normal((6, 4)).astype(np.float32)
-        _, wts = masked_attention(q, k, v, heads=2, return_weights=True)
-        assert_allclose(wts.sum(axis=2), 1.0, atol=1e-6)
+        # the weights of a row sum to one, so values of all ones give all ones
+        v = np.ones((6, 4), np.float32)
+        assert_allclose(masked_attention(q, k, v, heads=2), 1.0, atol=1e-6)
 
     def test_causal_mask_blocks_future(self):
         rng = np.random.default_rng(18)
@@ -881,7 +899,13 @@ class TestMaskedAttention:
         q = rng.standard_normal((t_k, heads * 4)).astype(np.float32)
         k = rng.standard_normal((t_k, heads * 4)).astype(np.float32)
         v = rng.standard_normal((t_k, heads * dv)).astype(np.float32)
-        out, wts = masked_attention(q, k, v, heads=heads, return_weights=True)
+        out = masked_attention(q, k, v, heads=heads)
+        # the kernel's float64 softmax of its float32 scores, over keys up to the query
+        qh, kh = (a.reshape(t_k, heads, 4).transpose(1, 0, 2) for a in (q, k))
+        scores = (qh @ kh.transpose(0, 2, 1)).astype(np.float64) / np.sqrt(4)
+        scores[:, np.triu(np.ones((t_k, t_k), dtype=bool), 1)] = -np.inf
+        wts = np.exp(scores - scores.max(axis=2, keepdims=True))
+        wts /= wts.sum(axis=2, keepdims=True)
         vh = v.astype(np.float64).reshape(t_k, heads, dv).transpose(1, 0, 2)
         ref = (wts @ vh).transpose(1, 0, 2).reshape(t_k, heads * dv)
         assert np.abs(out - ref).max() <= 1e-6

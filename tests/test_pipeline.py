@@ -1,6 +1,7 @@
 """End-to-end engine: timing contract, equivalences, rescale, integration."""
 
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from hearstream.dsp import StftConfig, StreamingAnalyzer, causality_check, istft
 from hearstream.gridnet import GridNetConfig, MisoGridNet, infer_config, weight_schema
 from hearstream.metrics import si_sdr
 from hearstream.pipeline import (
+    MAX_ITERATIONS,
     PipelineConfig,
     RescaleState,
     StreamingEnhancer,
@@ -49,6 +51,7 @@ BAD_SETTINGS = [
     ("iterations", True),
     ("iterations", "2"),
     ("iterations", 0),
+    ("iterations", MAX_ITERATIONS + 1),
 ]
 
 
@@ -446,6 +449,35 @@ class TestIterations:
 
         report = causality_check(run, x, n=2000, budget_samples=128, baseline=offline)
         assert report.passed
+
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_offline_frees_each_network_state(self, cfg, store, emb, small_scene, iterations):
+        # a marker in every zero state dies with that state; none may be
+        # alive when a network's forward starts, so the run never holds an
+        # earlier network's state (its attention cache included)
+        class Marker:
+            pass
+
+        markers, started = [], []
+        zero_state, forward = MisoGridNet.zero_state, MisoGridNet.forward
+
+        def marked_zero_state(model):
+            state = zero_state(model)
+            state["marker"] = marker = Marker()
+            markers.append((model.prefix, weakref.ref(marker)))
+            return state
+
+        def checked_forward(model, *args, **kwargs):
+            alive = [prefix for prefix, ref in markers if ref() is not None]
+            assert alive == [], f"{model.prefix} starts with {alive} state alive"
+            started.append(model.prefix)
+            return forward(model, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MisoGridNet, "zero_state", marked_zero_state)
+            patch.setattr(MisoGridNet, "forward", checked_forward)
+            enhance_offline(small_scene.mixture, replace(cfg, iterations=iterations), store, emb)
+        assert started == ["dnn1"] + ["dnn2"] * iterations
 
 
 class TestFittingIntegration:
