@@ -1,17 +1,19 @@
 """Speaker-enrollment embedding network.
 
 A non-streaming (enrollment runs ahead of time, so non-causal processing is
-fine) encoder + TCN producing a fixed 128-dim vector from a single-channel
-complex spectrogram of any length:
+fine) encoder + TCN producing a fixed ``gridnet.EMB_DIM``-wide vector from a
+single-channel complex spectrogram of any length. The architecture is fixed;
+only the bin count follows the STFT geometry (``EmbedConfig.n_freq``):
 
-  encoder: strided 3x3 conv halving the frequency axis, then three stages of
-           DenseNet-style concatenation (conv, concat with input, conv) each
-           followed by another frequency-halving strided conv, all at 16
-           hidden channels; the surviving [16, T, F'] grid is flattened per
+  encoder: strided 3x3 conv halving the frequency axis, then
+           ``ENCODER_STAGES`` stages of DenseNet-style concatenation (conv,
+           concat with input, conv) each followed by another
+           frequency-halving strided conv, all at ``ENCODER_HIDDEN``
+           channels; the surviving [hidden, T, F'] grid is flattened per
            frame and projected to the TCN width;
-  TCN:     3 repeats of 4 residual blocks (pointwise conv, depthwise 3-tap
-           conv with dilation 2^b, pointwise conv, PReLU between), 128
-           channels throughout;
+  TCN:     ``TCN_REPEATS`` repeats of ``TCN_BLOCKS`` residual blocks
+           (pointwise conv, depthwise 3-tap conv with dilation 2^b,
+           pointwise conv, PReLU between), ``EMB_DIM`` channels throughout;
   pooling: arithmetic mean over the time axis.
 
 The embedding is cacheable: a one-tensor weight container under the name
@@ -26,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dsp import StftConfig
-from .gridnet import stack_ri
-from .kernels import conv1d, conv2d, linear, prelu
+from .gridnet import EMB_DIM, stack_ri
+from .kernels import conv2d, linear, prelu
 from .weights import ParamSpec, WeightFormatError, WeightStore
 
 __all__ = [
@@ -45,41 +47,35 @@ EMBEDDING_NAME = f"{_PREFIX}.embedding"
 # [32, 34, 129] float32, 0.6 MB, however long the enrollment
 _CHUNK_FRAMES = 32
 
+# the fixed architecture; the TCN and the embedding are EMB_DIM wide
+ENCODER_HIDDEN = 16
+ENCODER_STAGES = 3
+TCN_REPEATS = 3
+TCN_BLOCKS = 4  # block b of each repeat dilates its depthwise conv by 2^b
+
 
 @dataclass(frozen=True)
 class EmbedConfig:
-    tcn_repeats: int = 3
-    tcn_blocks: int = 4
-    tcn_channels: int = 128
-    encoder_hidden: int = 16
-    encoder_stages: int = 3
+    """The encoder's input bin count; every width is a module constant."""
+
     n_freq: int = StftConfig().bins
-
-    def __post_init__(self) -> None:
-        if min(self.tcn_repeats, self.tcn_blocks, self.tcn_channels, self.encoder_hidden) < 1:
-            raise ValueError("all embedder dimensions must be >= 1")
-
-    @property
-    def emb_dim(self) -> int:
-        # the pooled TCN output is the embedding, so the dims coincide
-        return self.tcn_channels
 
     @property
     def encoder_out_bins(self) -> int:
         f = self.n_freq
-        for _ in range(self.encoder_stages + 1):
+        for _ in range(ENCODER_STAGES + 1):
             f = -(-f // 2)
         return f
 
 
 def embed_weight_schema(config: EmbedConfig) -> list[ParamSpec]:
-    h, c = config.encoder_hidden, config.tcn_channels
+    h, c = ENCODER_HIDDEN, EMB_DIM
     specs = [
         ParamSpec(f"{_PREFIX}.enc.conv0.w", (h, 2, 3, 3), "weight", fan_in=2 * 9),
         ParamSpec(f"{_PREFIX}.enc.conv0.b", (h,), "bias"),
         ParamSpec(f"{_PREFIX}.enc.conv0.alpha", (h,), "prelu"),
     ]
-    for s in range(config.encoder_stages):
+    for s in range(ENCODER_STAGES):
         p = f"{_PREFIX}.enc.stage{s}"
         specs += [
             ParamSpec(f"{p}.dense1.w", (h, h, 3, 3), "weight", fan_in=h * 9),
@@ -98,8 +94,8 @@ def embed_weight_schema(config: EmbedConfig) -> list[ParamSpec]:
         ParamSpec(f"{_PREFIX}.enc.proj.b", (c,), "bias"),
         ParamSpec(f"{_PREFIX}.enc.proj.alpha", (c,), "prelu"),
     ]
-    for r in range(config.tcn_repeats):
-        for b in range(config.tcn_blocks):
+    for r in range(TCN_REPEATS):
+        for b in range(TCN_BLOCKS):
             p = f"{_PREFIX}.tcn.r{r}.b{b}"
             specs += [
                 ParamSpec(f"{p}.pw1.w", (c, c, 1), "weight", fan_in=c),
@@ -129,6 +125,21 @@ class _TcnBlock(NamedTuple):
     dw: tuple  # (w, b, alpha)
     pw2: tuple  # (w, b)
     dilation: int
+
+
+def _tcn_block(y: np.ndarray, blk: _TcnBlock) -> np.ndarray:
+    """One residual TCN block over y[C, T]; each conv keeps the length T."""
+    (w1, b1, a1), (wd, bd, ad), (w2, b2) = blk.pw1, blk.dw, blk.pw2
+    z = prelu(w1[:, :, 0] @ y + b1[:, None], a1)
+    # depthwise 3-tap conv, zero-padded by one dilation on either side
+    t, d = z.shape[1], blk.dilation
+    zp = np.pad(z, ((0, 0), (d, d)))
+    z = zp[:, :t] * wd[:, :, 0]
+    z += zp[:, d : d + t] * wd[:, :, 1]
+    z += zp[:, 2 * d : 2 * d + t] * wd[:, :, 2]
+    del zp  # freed before the rest of the block, which holds [C, T] maps of its own
+    z = prelu(z + bd[:, None], ad)
+    return y + (w2[:, :, 0] @ z + b2[:, None])
 
 
 class _ConvStream:
@@ -184,7 +195,7 @@ class _StageStream:
 
 
 class SpeakerEmbedder:
-    """Pure function of (adaptation spectrogram, weights) -> 128-dim vector.
+    """Pure function of (adaptation spectrogram, weights) -> ``EMB_DIM`` vector.
 
     Building it resolves the store into per-layer records (``conv0``,
     ``stages``, ``proj`` and ``tcn``), so ``embed`` looks up no weight by
@@ -204,7 +215,7 @@ class SpeakerEmbedder:
         self.conv0 = group("enc.conv0")
         self.stages = [
             _Stage(*(group(f"enc.stage{s}.{layer}") for layer in _Stage._fields))
-            for s in range(config.encoder_stages)
+            for s in range(ENCODER_STAGES)
         ]
         self.proj = group("enc.proj")
         self.tcn = [
@@ -214,12 +225,12 @@ class SpeakerEmbedder:
                 group(f"tcn.r{r}.b{b}.pw2", ("w", "b")),
                 dilation=2**b,
             )
-            for r in range(config.tcn_repeats)
-            for b in range(config.tcn_blocks)
+            for r in range(TCN_REPEATS)
+            for b in range(TCN_BLOCKS)
         ]
 
     def embed(self, spect: np.ndarray) -> np.ndarray:
-        """Adaptation spectrogram [T, F] (or [T, F, 1]) complex -> [emb_dim] float32.
+        """Adaptation spectrogram [T, F] (or [T, F, 1]) complex -> [EMB_DIM] float32.
 
         A value that is NaN or Inf as float32 raises ValueError.
         """
@@ -235,7 +246,7 @@ class SpeakerEmbedder:
                 f"expected {self.config.n_freq} frequency bins, got {spect.shape[1]}"
             )
         t_len = spect.shape[0]
-        flat = np.empty((t_len, self.config.encoder_hidden * self.config.encoder_out_bins), np.float32)
+        flat = np.empty((t_len, ENCODER_HIDDEN * self.config.encoder_out_bins), np.float32)
         conv0 = _ConvStream(self.conv0, 2)
         stages = [_StageStream(stage) for stage in self.stages]
         done = 0  # encoder frames complete so far; the last push completes all
@@ -251,10 +262,7 @@ class SpeakerEmbedder:
         y = prelu(linear(flat, w, b).T, alpha)  # [C, T]
 
         for blk in self.tcn:
-            (w1, b1, a1), (wd, bd, ad), (w2, b2) = blk.pw1, blk.dw, blk.pw2
-            z = prelu(conv1d(y, w1, b1), a1)
-            z = prelu(conv1d(z, wd, bd, dilation=blk.dilation, groups=z.shape[0]), ad)
-            y = y + conv1d(z, w2, b2)
+            y = _tcn_block(y, blk)
         # mean pooling over time, double precision accumulation
         return y.astype(np.float64).mean(axis=1).astype(np.float32)
 

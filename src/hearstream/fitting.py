@@ -104,10 +104,6 @@ class Audiogram:
     def level_at(self, cf: float) -> float:
         return self.levels[self.cfs.index(float(cf))]
 
-    @classmethod
-    def flat(cls, level_db: float) -> "Audiogram":
-        return cls(CATALOGUE_CFS, (float(level_db),) * len(CATALOGUE_CFS))
-
 
 def nalr_gains(audiogram: Audiogram) -> np.ndarray:
     """Insertion gains in dB, aligned with ``audiogram.cfs``."""

@@ -4,7 +4,7 @@ A stack of dual-path blocks over a [D, T, F] feature grid mapped from the
 real/imaginary parts of a multichannel spectrogram. Each block applies, with
 residual connections around each stage:
 
-  1. feature-wise linear modulation by the target speaker's 128-dim
+  1. feature-wise linear modulation by the target speaker's ``EMB_DIM``-wide
      embedding; a model is built for one embedding, so each block's scale
      and shift are fixed when it is built,
   2. a sub-band temporal module (per-frame LN, causal unfold over past
@@ -58,6 +58,8 @@ __all__ = [
     "weight_schema",
 ]
 
+EMB_DIM = 128  # speaker embedding width: the enrollment encoder's output
+
 
 @dataclass(frozen=True)
 class GridNetConfig:
@@ -77,7 +79,7 @@ class GridNetConfig:
     heads: int = 2
     qk_channels: int = 2
     n_freq: int = StftConfig().bins
-    emb_dim: int = 128
+    emb_dim: int = EMB_DIM
 
     def __post_init__(self) -> None:
         if self.channels < 1:

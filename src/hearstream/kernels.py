@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "conv1d",
     "conv2d",
     "conv_transpose1d",
     "conv_transpose2d",
@@ -142,36 +141,6 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.
     y = _corr2d_valid(xp, np.ascontiguousarray(flipped))
     f0 = (kf - 1) // 2
     return y[:, :, f0 : f0 + x.shape[2]] + np.asarray(bias, dtype=np.float32)[:, None, None]
-
-
-def conv1d(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    bias: np.ndarray,
-    *,
-    dilation: int = 1,
-    groups: int = 1,
-) -> np.ndarray:
-    """'Same'-padded dilated 1-D convolution over [C_in, L] sequences.
-
-    ``groups == C_in == C_out`` gives a depthwise convolution (kernel
-    [C, 1, K]); only groups 1 or C_in are supported.
-    """
-    x = np.asarray(x, dtype=np.float32)
-    kernel = np.asarray(kernel, dtype=np.float32)
-    c_out, ck, k = kernel.shape
-    span = (k - 1) * dilation
-    xp = np.pad(x, ((0, 0), (span - span // 2, span // 2)))
-    view = np.lib.stride_tricks.sliding_window_view(xp, span + 1, axis=1)[:, :, ::dilation]
-    if groups == 1:
-        if ck != x.shape[0]:
-            raise ValueError(f"conv1d: kernel fan-in {ck} != input channels {x.shape[0]}")
-        y = np.einsum("clk,ock->ol", view, kernel, optimize=True)
-    elif groups == x.shape[0] and c_out == x.shape[0] and ck == 1:
-        y = np.einsum("clk,ck->cl", view, kernel[:, 0, :], optimize=True)
-    else:
-        raise ValueError("conv1d: groups must be 1 or equal to the channel count")
-    return (y + np.asarray(bias, dtype=np.float32)[:, None]).astype(np.float32)
 
 
 def conv_transpose1d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -85,7 +85,7 @@ def init_pipeline_weights(config: PipelineConfig, seed: int) -> WeightStore:
     specs = (
         weight_schema(config.model, "dnn1")
         + weight_schema(config.second_stage(), "dnn2")
-        + embed_weight_schema(EmbedConfig())
+        + embed_weight_schema(EmbedConfig(n_freq=config.stft.bins))
     )
     return seeded_init(specs, seed)
 

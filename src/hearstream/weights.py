@@ -25,7 +25,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -76,24 +76,8 @@ class WeightStore:
     def __len__(self) -> int:
         return len(self._tensors)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._tensors)
-
     def keys(self):
         return self._tensors.keys()
-
-    def items(self):
-        return self._tensors.items()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightStore):
-            return NotImplemented
-        if list(self.keys()) != list(other.keys()):
-            return False
-        return all(
-            a.shape == b.shape and np.array_equal(a, b)
-            for (_, a), (_, b) in zip(self.items(), other.items())
-        )
 
     def param_count(self) -> int:
         return int(sum(t.size for t in self._tensors.values()))

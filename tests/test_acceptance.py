@@ -25,7 +25,6 @@ from hearstream.fitting import (
     DRC_KNEE_DB,
     DRC_RATIO,
     DRC_THRESHOLD_DB,
-    Audiogram,
     DrcState,
     ListenerFitting,
     design_fir,
@@ -43,6 +42,7 @@ from hearstream.pipeline import (
     init_pipeline_weights,
 )
 from hearstream.scenes import SceneSpec, simulate_scene
+from helpers import flat_audiogram
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -210,11 +210,11 @@ def test_criterion_05_metric_oracles():
 
 def test_criterion_06_nalr():
     k_table = (-17.0, -8.0, 1.0, -1.0, -2.0, -2.0, -2.0, -2.0)
-    flat0 = nalr_gains(Audiogram.flat(0.0))
+    flat0 = nalr_gains(flat_audiogram(0.0))
     exact_k = np.array_equal(flat0, np.array(k_table))
 
     # flat 40: X = 0.05 * 120 = 6, per-band 6 + 0.31*40 + k = 18.4 + k
-    flat40 = nalr_gains(Audiogram.flat(40.0))
+    flat40 = nalr_gains(flat_audiogram(40.0))
     hand_ok = all(abs(g - (18.4 + k)) <= 0.01 for g, k in zip(flat40, k_table))
 
     fs, taps = 32000, design_fir(flat40)
@@ -229,7 +229,7 @@ def test_criterion_06_nalr():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(16000)
     frames = StreamingAnalyzer(stft, 1).analyze(x)[:, :, 0]
-    fitted = frames * ListenerFitting(Audiogram.flat(40.0), stft=stft).spectrum
+    fitted = frames * ListenerFitting(flat_audiogram(40.0), stft=stft).spectrum
     y_stft = istft_frames(fitted, stft)[stft.warmup :]
     y_time = np.convolve(x, taps)[: len(y_stft)]
     rel = float(np.sqrt(np.mean((y_stft - y_time) ** 2)) / np.sqrt(np.mean(y_time**2)))

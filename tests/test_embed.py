@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 from hearstream import embedder
 from hearstream.dsp import StftConfig, StreamingAnalyzer
@@ -16,11 +17,10 @@ from hearstream.embedder import (
     embed_weight_schema,
     load_embedding,
 )
+from hearstream.gridnet import EMB_DIM, GridNetConfig
 from hearstream.weights import WeightFormatError, WeightStore, seeded_init
 
-TINY = EmbedConfig(
-    tcn_repeats=1, tcn_blocks=2, tcn_channels=8, encoder_hidden=4, encoder_stages=2, n_freq=33
-)
+TINY = EmbedConfig(n_freq=33)  # the bins of the test suite's StftConfig(win=64, hop=16)
 
 
 def make_embedder(config=TINY, seed=11):
@@ -43,25 +43,23 @@ class TestConfig:
         assert EmbedConfig().encoder_out_bins == 17
 
     def test_tiny_bins(self):
-        assert TINY.encoder_out_bins == 5
+        # 33 -> 17 -> 9 -> 5 -> 3
+        assert TINY.encoder_out_bins == 3
 
     def test_emb_dim_is_tcn_width(self):
-        assert EmbedConfig().emb_dim == 128
-        assert TINY.emb_dim == 8
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            EmbedConfig(tcn_repeats=0)
+        # the pooled TCN output is the embedding the networks' FiLM layers read
+        tcn = {s.shape[0] for s in embed_weight_schema(TINY) if ".tcn." in s.name}
+        assert tcn == {EMB_DIM} == {GridNetConfig().emb_dim}
 
 
 class TestParams:
     def test_tiny_hand_audit(self):
-        # encoder: conv0 (4*2*9 + 4 + 4) = 80
-        #          2 stages of dense1 152 + dense2 296 + down 152 = 600 each
-        #          proj to 8 from 4*5 bins: 160 + 8 + 8 = 176
-        # tcn: 2 blocks of pw1 80 + dw 40 + pw2 72 = 192 each
-        expected = 80 + 2 * 600 + 176 + 2 * 192
-        assert expected == 1840
+        # encoder: conv0 (16*2*9 + 16 + 16) = 320
+        #          3 stages of dense1 2336 + dense2 4640 + down 2336 = 9312 each
+        #          proj to 128 from 16*3 bins: 6144 + 128 + 128 = 6400
+        # tcn: 3 repeats of 4 blocks of pw1 16640 + dw 640 + pw2 16512 = 33792 each
+        expected = 320 + 3 * 9312 + 6400 + 12 * 33792
+        assert expected == 440160
         assert n_params(TINY) == expected
 
     def test_default_hand_audit(self):
@@ -77,17 +75,49 @@ class TestParams:
         store = seeded_init(embed_weight_schema(TINY), 0)
         assert store.param_count() == n_params(TINY)
 
-    def test_doubling_channels_quadruples_tcn(self):
-        def tcn_params(cfg):
-            return sum(
-                int(np.prod(s.shape))
-                for s in embed_weight_schema(cfg)
-                if ".tcn." in s.name
-            )
 
-        base = tcn_params(EmbedConfig())
-        wide = tcn_params(EmbedConfig(tcn_channels=256))
-        assert 3.5 < wide / base < 4.5
+class TestTcnBlock:
+    """One residual TCN block (pointwise, dilated depthwise, pointwise conv)
+    against a float64 loop over its taps."""
+
+    @staticmethod
+    def reference(y, blk):
+        (w1, b1, a1), (wd, bd, ad), (w2, b2) = (
+            [np.float64(p) for p in layer] for layer in (blk.pw1, blk.dw, blk.pw2)
+        )
+        c, t_len = y.shape
+
+        def prelu(x, a):
+            return np.where(x >= 0, x, a[:, None] * x)
+
+        def pointwise(w, b, x):
+            return np.array([[w[o, :, 0] @ x[:, t] + b[o] for t in range(t_len)] for o in range(c)])
+
+        z = prelu(pointwise(w1, b1, y), a1)
+        dw = np.zeros((c, t_len))
+        for ch in range(c):
+            for t in range(t_len):
+                taps = [(j, t + (j - 1) * blk.dilation) for j in range(3)]
+                dw[ch, t] = sum(wd[ch, 0, j] * z[ch, s] for j, s in taps if 0 <= s < t_len) + bd[ch]
+        z = prelu(dw, ad)
+        return y + pointwise(w2, b2, z)
+
+    @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
+    def test_matches_float64_loop(self, dilation):
+        rng = np.random.default_rng(dilation)
+        c = 6
+
+        def layer(*shapes):
+            return tuple(rng.standard_normal(s).astype(np.float32) for s in shapes)
+
+        blk = embedder._TcnBlock(
+            layer((c, c, 1), c, c), layer((c, 1, 3), c, c), layer((c, c, 1), c), dilation
+        )
+        for t_len in (1, 5, 20):  # shorter and longer than the dilated span
+            y = rng.standard_normal((c, t_len)).astype(np.float32)
+            got = embedder._tcn_block(y, blk)
+            assert got.shape == (c, t_len) and got.dtype == np.float32
+            assert_allclose(got, self.reference(np.float64(y), blk), rtol=1e-5, atol=1e-5)
 
 
 class TestEmbed:
@@ -95,21 +125,21 @@ class TestEmbed:
         # seeded init leaves every bias at zero, so silence maps to the origin
         emb, _ = make_embedder()
         out = emb.embed(np.zeros((20, 33), dtype=np.complex64))
-        assert out.shape == (8,)
+        assert out.shape == (EMB_DIM,)
         assert np.all(out == 0.0)
 
     def test_output_shape_and_dtype(self):
         emb, _ = make_embedder()
         for t in (1, 10, 100):
             out = emb.embed(rand_spect(t, 33, seed=t))
-            assert out.shape == (8,)
+            assert out.shape == (EMB_DIM,)
             assert out.dtype == np.float32
             assert np.all(np.isfinite(out))
 
     def test_long_input_default_config(self):
         emb, _ = make_embedder(EmbedConfig(), seed=3)
         out = emb.embed(rand_spect(1000, 257, seed=5))
-        assert out.shape == (128,)
+        assert out.shape == (EMB_DIM,)
         assert np.all(np.isfinite(out))
 
     def test_deterministic(self):
@@ -188,7 +218,7 @@ class TestChunkedEncoder:
 
     # the encoder's output lags its input by its receptive field: one frame
     # for conv0 and one each for dense1, dense2 and down in every stage
-    LAG = 1 + 3 * TINY.encoder_stages
+    LAG = 1 + 3 * embedder.ENCODER_STAGES
 
     @staticmethod
     def embed_in_chunks(emb, spect, frames):
@@ -230,7 +260,7 @@ class TestChunkedEncoder:
             finally:
                 tracemalloc.stop()
 
-        per_frame = 2 * TINY.n_freq * 4 + TINY.tcn_channels * 8
+        per_frame = 2 * TINY.n_freq * 4 + EMB_DIM * 8
         assert peak(4 * t_len) - peak(t_len) <= 2 * per_frame * 3 * t_len
 
 
@@ -240,20 +270,20 @@ class TestCache:
         vec = emb.embed(rand_spect(25, 257, seed=8))
         path = str(tmp_path / "emb.inxw")
         cache_embedding(path, vec)
-        back = load_embedding(path, EmbedConfig().emb_dim)
+        back = load_embedding(path, EMB_DIM)
         assert back.tobytes() == vec.tobytes()
 
     def test_wrong_length_rejected(self, tmp_path):
         path = str(tmp_path / "short.inxw")
         cache_embedding(path, np.zeros(127, dtype=np.float32))
         with pytest.raises(WeightFormatError):
-            load_embedding(path, EmbedConfig().emb_dim)
+            load_embedding(path, EMB_DIM)
 
     def test_missing_tensor_rejected(self, tmp_path):
         path = str(tmp_path / "other.inxw")
         WeightStore({"misc": np.zeros(4, dtype=np.float32)}).save(path)
         with pytest.raises(WeightFormatError):
-            load_embedding(path, EmbedConfig().emb_dim)
+            load_embedding(path, EMB_DIM)
 
     def test_non_vector_rejected(self, tmp_path):
         with pytest.raises(ValueError):

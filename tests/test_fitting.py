@@ -25,6 +25,7 @@ from hearstream.fitting import (
     load_listener,
     nalr_gains,
 )
+from helpers import flat_audiogram
 
 K_TABLE = np.array([-17.0, -8.0, 1.0, -1.0, -2.0, -2.0, -2.0, -2.0])
 
@@ -47,7 +48,7 @@ def frame_with_level(level_db, bins=257, fft_size=512):
 
 class TestAudiogram:
     def test_valid(self):
-        a = Audiogram.flat(40.0)
+        a = flat_audiogram(40.0)
         assert a.cfs == CATALOGUE_CFS
         assert a.level_at(1000.0) == 40.0
 
@@ -57,9 +58,9 @@ class TestAudiogram:
 
     def test_out_of_range_level_rejected(self):
         with pytest.raises(ValueError):
-            Audiogram.flat(130.0)
+            flat_audiogram(130.0)
         with pytest.raises(ValueError):
-            Audiogram.flat(-20.0)
+            flat_audiogram(-20.0)
 
     def test_off_catalogue_frequency_rejected(self):
         with pytest.raises(ValueError):
@@ -72,18 +73,18 @@ class TestAudiogram:
 
 class TestNalr:
     def test_flat_zero_gains_are_corrections(self):
-        gains = nalr_gains(Audiogram.flat(0.0))
+        gains = nalr_gains(flat_audiogram(0.0))
         assert np.array_equal(gains, K_TABLE)
 
     def test_flat_40_hand_prescription(self):
         # X = 0.05 * 120 = 6; IG = 6 + 0.31*40 + k
-        gains = nalr_gains(Audiogram.flat(40.0))
+        gains = nalr_gains(flat_audiogram(40.0))
         assert abs(gains[2] - 19.4) < 1e-12
         assert np.max(np.abs(gains - (18.4 + K_TABLE))) < 0.01
 
     def test_linearity_in_levels(self):
-        g20 = nalr_gains(Audiogram.flat(20.0)) - K_TABLE
-        g40 = nalr_gains(Audiogram.flat(40.0)) - K_TABLE
+        g20 = nalr_gains(flat_audiogram(20.0)) - K_TABLE
+        g40 = nalr_gains(flat_audiogram(40.0)) - K_TABLE
         assert np.allclose(g40, 2.0 * g20, atol=1e-12)
 
     def test_missing_speech_frequencies_rejected(self):
@@ -105,7 +106,7 @@ class TestDesignFir:
         assert abs(taps[12] - 10.0 ** 0.3) < 1e-6
 
     def test_flat40_prescription_within_1db(self):
-        gains = nalr_gains(Audiogram.flat(40.0))
+        gains = nalr_gains(flat_audiogram(40.0))
         taps = design_fir(gains)
         assert len(taps) == 80
         for cf, g in zip(CATALOGUE_CFS, gains):
@@ -134,7 +135,7 @@ class TestDesignFir:
             design_fir(np.array([np.inf] * 8))
 
     def test_design_is_eq_taps_long(self):
-        assert design_fir(nalr_gains(Audiogram.flat(40.0))).shape == (EQ_TAPS,)
+        assert design_fir(nalr_gains(flat_audiogram(40.0))).shape == (EQ_TAPS,)
 
 
 class TestApplyFirStft:
@@ -164,7 +165,7 @@ class TestApplyFirStft:
         cfg = StftConfig()
         rng = np.random.default_rng(5)
         x = rng.standard_normal(32000)
-        fit = ListenerFitting(Audiogram.flat(40.0), stft=cfg)
+        fit = ListenerFitting(flat_audiogram(40.0), stft=cfg)
         taps = fit.fir
         frames = StreamingAnalyzer(cfg, 1).analyze(x[:, None])[:, :, 0]
         y = istft_frames(frames * fit.spectrum, cfg)[cfg.warmup :]
@@ -273,7 +274,7 @@ class TestDrcStep:
 
 class TestListenerFitting:
     def test_composition_matches_manual_chain(self):
-        audiogram = Audiogram.flat(30.0)
+        audiogram = flat_audiogram(30.0)
         fit = ListenerFitting(audiogram)
         manual = DrcState()
         spectrum = np.fft.rfft(design_fir(nalr_gains(audiogram)), 512)
@@ -285,7 +286,7 @@ class TestListenerFitting:
             assert np.array_equal(a, b)
 
     def test_frame_shape_preserved(self):
-        fit = ListenerFitting(Audiogram.flat(40.0))
+        fit = ListenerFitting(flat_audiogram(40.0))
         out = fit.step(np.ones(257, dtype=complex))
         assert out.shape == (257,)
 

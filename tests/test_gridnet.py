@@ -290,7 +290,7 @@ class TestSpectralModule:
             blocks = [w[:, k * d : (k + 1) * d] for k in range(i_k)]
             return np.concatenate(blocks[::-1], axis=1)
 
-        mirror = WeightStore({name: base_store[name] for name in base_store})
+        mirror = WeightStore({name: base_store[name] for name in base_store.keys()})
         pre = "dnn1.block0.spectral"
         for part in ("w", "r", "b"):
             a = base_store[f"{pre}.lstm_fwd.{part}"]

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from hearstream import kernels
 from hearstream.kernels import (
-    conv1d,
     conv2d,
     conv_transpose1d,
     conv_transpose2d,
@@ -29,6 +28,7 @@ from hearstream.weights import (
     seeded_init,
     splitmix64,
 )
+from helpers import same_store
 
 # ---------------------------------------------------------------------------
 # weight container
@@ -50,7 +50,7 @@ class TestWeightStore:
     def test_empty_roundtrip(self, tmp_path):
         p = str(tmp_path / "w.inxw")
         WeightStore().save(p)
-        assert WeightStore.load(p) == WeightStore()
+        assert len(WeightStore.load(p)) == 0
 
     def test_random_tensors_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -62,9 +62,8 @@ class TestWeightStore:
         p = str(tmp_path / "w.inxw")
         store.save(p)
         loaded = WeightStore.load(p)
-        assert loaded == store
         assert list(loaded.keys()) == list(store.keys())
-        for name in store:
+        for name in store.keys():
             assert store[name].tobytes() == loaded[name].tobytes()
 
     def test_corrupt_magic(self, tmp_path):
@@ -184,12 +183,12 @@ class TestWeightStore:
         path = tmp_path_factory.getbasetemp() / "buffer.inxw"
         store.save(str(path))
         loaded = WeightStore.load(str(path))
-        assert loaded == store and list(loaded.keys()) == list(store.keys())
-        for name, tensor in loaded.items():
+        assert list(loaded.keys()) == list(store.keys())
+        tensors = [loaded[name] for name in loaded.keys()]
+        for name, tensor in zip(loaded.keys(), tensors):
             assert tensor.tobytes() == store[name].tobytes()
             assert tensor.dtype == np.float32 and tensor.shape == store[name].shape
             assert tensor.flags.c_contiguous and tensor.flags.aligned
-        tensors = [tensor for _, tensor in loaded.items()]
         assert len({id(tensor.base) for tensor in tensors}) <= 1
         if tensors:
             buffer = tensors[0].base
@@ -283,7 +282,7 @@ class TestSeededStreams:
         ]
         a = seeded_init(specs, seed=42)
         b = seeded_init(specs, seed=42)
-        assert a == b
+        assert same_store(a, b)
         c = seeded_init(specs, seed=43)
         assert not np.array_equal(a["layer.w"], c["layer.w"])
         bound = np.sqrt(1.0 / 16)
@@ -480,22 +479,6 @@ class TestConvTranspose:
         k = np.array([[[1.0, 10.0]]], dtype=np.float32)
         out = conv_transpose1d(x, k, np.zeros(1, np.float32))
         assert_allclose(out[0, :, 0], [1.0, 12.0, 23.0, 30.0], atol=0)
-
-
-class TestConv1d:
-    def test_depthwise_dilated_same_length(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((6, 20)).astype(np.float32)
-        k = rng.standard_normal((6, 1, 3)).astype(np.float32)
-        y = conv1d(x, k, np.zeros(6, np.float32), dilation=4, groups=6)
-        assert y.shape == (6, 20)
-
-    def test_pointwise_matches_matmul(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((4, 9)).astype(np.float32)
-        k = rng.standard_normal((7, 4, 1)).astype(np.float32)
-        b = rng.standard_normal(7).astype(np.float32)
-        assert_allclose(conv1d(x, k, b), k[:, :, 0] @ x + b[:, None], atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
