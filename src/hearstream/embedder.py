@@ -260,7 +260,7 @@ class SpeakerEmbedder:
             done += n
         w, b, alpha = self.proj
         y = prelu(linear(flat, w, b).T, alpha)  # [C, T]
-
+        del flat  # nothing reads the features again; free them before the TCN's maps
         for blk in self.tcn:
             y = _tcn_block(y, blk)
         # mean pooling over time, double precision accumulation

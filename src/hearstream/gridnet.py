@@ -90,6 +90,8 @@ class GridNetConfig:
             raise ValueError(f"attention heads ({self.heads}) must divide d ({self.d})")
         if min(self.d, self.blocks, self.unfold_kernel, self.hidden, self.heads) < 1:
             raise ValueError("d, blocks, unfold_kernel, hidden, heads must all be >= 1")
+        if self.n_freq < self.unfold_kernel:
+            raise ValueError(f"n_freq ({self.n_freq}) must be >= unfold_kernel")
 
     @property
     def input_channels(self) -> int:
@@ -292,6 +294,13 @@ def _with_history(history: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, 
     return joined, joined[:, joined.shape[1] - history.shape[1] :].copy()
 
 
+def _unfold_windows(seq: np.ndarray, width: int) -> np.ndarray:
+    """seq[N, L, D] -> [N, L-width+1, width*D] windows, oldest step first:
+    window t is steps t..t+width-1 side by side, one shifted slice per step."""
+    n_win = seq.shape[1] - width + 1
+    return np.concatenate([seq[:, i : i + n_win] for i in range(width)], axis=2)
+
+
 class _Stem(NamedTuple):
     """The outer layers' kernel arguments, grouped as each kernel takes them."""
 
@@ -446,23 +455,17 @@ class MisoGridNet:
 
     # -- block stages ----------------------------------------------------------
 
-    def _unfold_windows(self, seq: np.ndarray) -> np.ndarray:
-        """seq[N, L, D] -> [N, L-I+1, I*D] windows, oldest step first."""
-        view = np.lib.stride_tricks.sliding_window_view(seq, self.config.unfold_kernel, axis=1)
-        out = view.transpose(0, 1, 3, 2)
-        return np.ascontiguousarray(out).reshape(out.shape[0], out.shape[1], -1)
-
     def _temporal(self, x: np.ndarray, blk: _Block, st: dict) -> np.ndarray:
         """Causal sub-band temporal module over x[D, T, F], continuing the
         block state ``st``."""
         y = layer_norm(x, *blk.temporal_ln)
         seq, st["unfold"] = _with_history(st["unfold"], y.transpose(2, 1, 0))  # [F, I-1+T, D]
-        windows = self._unfold_windows(seq)
+        windows = _unfold_windows(seq, self.config.unfold_kernel)
         h, st["lstm"] = lstm_forward(windows, *blk.temporal_lstm, state=st["lstm"])
         # the head-cropped transposed conv as a valid correlation: frame t
         # sums LSTM steps t-I+1..t, the same windows the LSTM input uses
         h, st["deconv"] = _with_history(st["deconv"], h)  # [F, I-1+T, H]
-        u = self._unfold_windows(h)
+        u = _unfold_windows(h, self.config.unfold_kernel)
         taps, bias = blk.temporal_deconv
         out = u.reshape(-1, u.shape[2]) @ taps + bias
         return out.reshape(u.shape[0], u.shape[1], -1).transpose(2, 1, 0)
@@ -470,7 +473,8 @@ class MisoGridNet:
     def _spectral(self, x: np.ndarray, blk: _Block) -> np.ndarray:
         y = layer_norm(x, *blk.spectral_ln)
         seq = np.ascontiguousarray(y.transpose(1, 2, 0))  # [T, F, D]
-        h = lstm_forward(self._unfold_windows(seq), *blk.spectral_fwd, backward=blk.spectral_bwd)
+        windows = _unfold_windows(seq, self.config.unfold_kernel)
+        h = lstm_forward(windows, *blk.spectral_fwd, backward=blk.spectral_bwd)
         full = conv_transpose1d(h, *blk.spectral_deconv)
         return full.transpose(2, 0, 1)  # length restored exactly: (F-I+1)-1+I == F
 

@@ -115,8 +115,9 @@ def conv2d(
         raise ValueError(
             f"conv2d: incompatible shapes, input {x.shape} vs kernel {kernel.shape}"
         )
-    kf = kernel.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), ((kf - 1) // 2, kf // 2)))
+    kf, lo = kernel.shape[3], (kernel.shape[3] - 1) // 2
+    xp = np.zeros(x.shape[:2] + (x.shape[2] + kf - 1,), dtype=np.float32)
+    xp[:, :, lo : lo + x.shape[2]] = x
     y = _corr2d_valid(xp, np.asarray(kernel, dtype=np.float32), stride)
     return y + np.asarray(bias, dtype=np.float32)[:, None, None]
 
@@ -137,7 +138,8 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.
         )
     kf = kernel.shape[3]
     flipped = np.asarray(kernel, dtype=np.float32).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    xp = np.pad(x, ((0, 0), (0, 0), (kf - 1, kf - 1)))
+    xp = np.zeros(x.shape[:2] + (x.shape[2] + 2 * (kf - 1),), dtype=np.float32)
+    xp[:, :, kf - 1 : kf - 1 + x.shape[2]] = x
     y = _corr2d_valid(xp, np.ascontiguousarray(flipped))
     f0 = (kf - 1) // 2
     return y[:, :, f0 : f0 + x.shape[2]] + np.asarray(bias, dtype=np.float32)[:, None, None]
@@ -222,12 +224,15 @@ def lstm_forward(
     slice over both directions. A step does one batched matmul of h, viewed
     [n_dir, 1, N, H], by the recurrence as [n_dir, 4, H, H] blocks, adds its
     projections, and writes h into the [T + 1, n_dir, N, H] history the next
-    step reads. The input projections fill one [ceil(T/n_dir), 4, n_dir, N,
-    H] buffer half a sequence at a time, made and scattered in chunks of at
-    most ``_PATCH_BUDGET`` elements (or one step): the forward direction
-    reads the first half while the backward one reads the second, then the
-    halves swap. The call thus never holds both directions' full
-    projections, nor a stacked copy of the input weights.
+    step reads. The blocks are C-contiguous copies of r's gate rows, built in
+    one pass per call; a step runs faster on them than on transposed views,
+    but BLAS may sum in another order than h @ r.T, moving the last bits.
+    The input projections fill one [ceil(T/n_dir), 4, n_dir, N, H] buffer
+    half a sequence at a time, made and scattered in chunks of at most
+    ``_PATCH_BUDGET`` elements (or one step): the forward direction reads
+    the first half while the backward one reads the second, then the halves
+    swap. The call thus never holds both directions' full projections, nor
+    a stacked copy of the input weights.
 
     The i, f and o gates use sigmoid(z) = 0.5 * (1 + tanh(z / 2)). Their
     pre-activations are halved on the way in (exact in floating point), so
@@ -261,11 +266,12 @@ def lstm_forward(
     # order (g, f, o, i, c): the gates are z[:4] with the sigmoid gates one
     # run z[1:4], and i * g and c * f are one multiply of z[3:] by z[:2]
     order = (2, 1, 3, 0)  # the gates of z[:4] in the weights' (i, f, g, o)
-    # [n_dir, 4, H, H] in z's gate order; each block is a transposed view of
-    # its gate's rows of r, so BLAS sums every output in the same order as
-    # the [H, 4H] product h @ r.T does
-    blocks = [(dr * half[:, None]).reshape(4, h_size, h_size)[list(order)] for _, dr, _, _ in dirs]
-    rt = np.stack(blocks).transpose(0, 1, 3, 2)
+    # [n_dir, 4, H, H] in z's gate order, C-contiguous: block (k, j) is
+    # direction k's rows of gate order[j] times their half, transposed
+    rt = np.empty((n_dir, 4, h_size, h_size), dtype=np.float32)
+    for k, (_, dr, _, _) in enumerate(dirs):
+        for j, lo in enumerate(gate * h_size for gate in order):
+            np.multiply(dr[lo : lo + h_size].T, half[lo], out=rt[k, j])
     z = np.empty((5, n_dir, n, h_size), dtype=np.float32)
     gates, gates_by_dir = z[:4], z[:4].transpose(1, 0, 2, 3)
     sig, g_o, ic, gf, c = z[1:4], z[2], z[3:], z[:2], z[4]

@@ -263,6 +263,36 @@ class TestChunkedEncoder:
         per_frame = 2 * TINY.n_freq * 4 + EMB_DIM * 8
         assert peak(4 * t_len) - peak(t_len) <= 2 * per_frame * 3 * t_len
 
+    def test_features_freed_before_the_tcn(self):
+        # once projected, the [T, features] encoder output is dead: when the
+        # first TCN block starts, what embed holds grows with T only by the
+        # [EMB_DIM, T] float32 map that block receives
+        emb, _ = make_embedder()
+        t_len = 3 * embedder._CHUNK_FRAMES + self.LAG
+        tcn_block = embedder._tcn_block
+
+        def held(frames):
+            spect = rand_spect(frames, 33, seed=frames)
+            seen = []
+
+            def first_block(y, blk):
+                seen.append(tracemalloc.get_traced_memory()[0])
+                return tcn_block(y, blk)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(embedder, "_tcn_block", first_block)
+                tracemalloc.start()
+                try:
+                    start = tracemalloc.get_traced_memory()[0]
+                    emb.embed(spect)
+                finally:
+                    tracemalloc.stop()
+            return seen[0] - start
+
+        features = embedder.ENCODER_HIDDEN * TINY.encoder_out_bins * 4
+        grown = held(4 * t_len) - held(t_len)
+        assert grown < EMB_DIM * 4 * 3 * t_len + features * 3 * t_len // 2
+
 
 class TestCache:
     def test_roundtrip_exact(self, tmp_path):

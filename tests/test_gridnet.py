@@ -60,6 +60,31 @@ class TestConfig:
         with pytest.raises(ValueError):
             GridNetConfig(channels=0)
 
+    def test_fewer_bins_than_the_unfold_rejected(self):
+        with pytest.raises(ValueError, match="n_freq"):
+            GridNetConfig(unfold_kernel=4, n_freq=3)
+        assert GridNetConfig(unfold_kernel=4, n_freq=4).n_freq == 4
+
+
+class TestUnfoldWindows:
+    @settings(max_examples=120)
+    @given(
+        n=st.integers(1, 4),
+        d=st.integers(1, 6),
+        width=st.integers(1, 4),
+        extra=st.integers(0, 11),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sliding_window_view(self, n, d, width, extra, seed):
+        length = min(width + extra, 12)  # from the width up to 12 steps
+        seq = np.random.default_rng(seed).standard_normal((n, length, d)).astype(np.float32)
+        # the oracle: each window's steps, oldest first, side by side
+        view = np.lib.stride_tricks.sliding_window_view(seq, width, axis=1)
+        expect = view.transpose(0, 1, 3, 2).reshape(n, length - width + 1, width * d)
+        got = gridnet._unfold_windows(seq, width)
+        assert got.shape == expect.shape
+        assert got.tobytes() == np.ascontiguousarray(expect).tobytes()
+
 
 class TestStackRi:
     def test_single_channel_values(self):

@@ -92,3 +92,32 @@ class TestTracerContract:
         assert before.keys() == after.keys()
         changed = [key for key, value in before.items() if after[key] is not value]
         assert changed == []
+
+
+def test_run_phase_stream_hop_counts():
+    # one toy hop runs dnn1 and one dnn2 pass; each of their blocks makes one
+    # temporal LSTM step and one spectral step per unfold window, and the
+    # kernel calls per network are conv-in, its layer norm and the output
+    # deconv, plus per block FiLM, two layer norms, two LSTMs, the spectral
+    # deconv and attention
+    cfg = PipelineConfig()
+    model = cfg.model
+    nets = 1 + cfg.iterations
+    steps = nets * model.blocks * (1 + model.n_freq - model.unfold_kernel + 1)
+    calls = nets * (3 + 7 * model.blocks)
+    assert (steps, calls) == (1028, 34)
+    store = init_pipeline_weights(cfg, seed=0)
+    emb = np.random.default_rng(0).standard_normal(128).astype(np.float32)
+    x = np.random.default_rng(1).standard_normal((3 * cfg.stft.hop, model.channels))
+    tracer = load_tracing().Tracer()
+    tracer.note_store(store)
+    with tracer.installed():
+        engine = StreamingEnhancer(cfg, store, emb)
+        for k in range(2):
+            engine.process(x[k * cfg.stft.hop : (k + 1) * cfg.stft.hop])
+        split = len(tracer.spans)
+        tracer.phase, tracer.frame = "run", 0
+        engine.process(x[2 * cfg.stft.hop :])
+    assert (tracer.lstm_steps, tracer.kernel_calls) == (steps, calls)
+    names = {s[0] for s in tracer.spans[split:]}
+    assert {"kernels.lstm_temporal", "kernels.lstm_spectral"} <= names
