@@ -22,6 +22,9 @@ carried state: `MisoGridNet.forward` runs it over any number of frames, from
 zero state or continuing a given one, and `GridNetStream` runs the same code
 on one frame at a time. A model resolves its weights when it is built, into
 one record per block that each stage takes its kernel arguments from.
+``MisoGridNet.stack`` runs networks that read one mixture side by side
+through the same code, each on its own state, with a leading network axis
+on the feature grid.
 
 The second-stage network is the same architecture with extra input channels
 (first-stage estimate and beamformer output stacked after the mixture).
@@ -30,7 +33,7 @@ The second-stage network is the same architecture with extra input channels
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -325,14 +328,52 @@ class _Block(NamedTuple):
     out: tuple  # (w, b, alpha)
 
 
+class _Layer(NamedTuple):
+    """One block across a stack's S networks: each network's ``_Block``,
+    and the arguments of the kernels that run once for the whole stack.
+
+    Norm and FiLM vectors are stacked on a leading network axis (a few
+    hundred floats per block); matrices stay one per network, each the
+    network's own array, for the kernels take a sequence of them.
+    """
+
+    blocks: tuple  # each network's _Block, for the stages run per network
+    film: tuple  # (gamma, beta), [S, D] each
+    temporal_ln: tuple  # (gamma, beta), [S, D, 1, 1] each
+    spectral_ln: tuple  # (gamma, beta), [S, D, 1, 1] each
+    spectral_fwd: tuple  # (ws, rs, bs), one of each per network
+    spectral_bwd: tuple  # one (w, r, b) per network
+    spectral_deconv: tuple  # (ws, bs), one of each per network
+
+
+def _stacked(parts) -> tuple:
+    """Per-network tuples of arrays -> one tuple of arrays with a leading network axis."""
+    return tuple(np.stack(arrays) for arrays in zip(*parts))
+
+
+def _layer(blocks) -> _Layer:
+    return _Layer(
+        blocks=tuple(blocks),
+        film=_stacked(blk.film for blk in blocks),
+        temporal_ln=_stacked(blk.temporal_ln for blk in blocks),
+        spectral_ln=_stacked(blk.spectral_ln for blk in blocks),
+        spectral_fwd=tuple(zip(*(blk.spectral_fwd for blk in blocks))),
+        spectral_bwd=tuple(blk.spectral_bwd for blk in blocks),
+        spectral_deconv=tuple(zip(*(blk.spectral_deconv for blk in blocks))),
+    )
+
+
 class MisoGridNet:
     """The network over frames with carried state; one instance per (weights,
-    speaker embedding, prefix).
+    speaker embedding, prefix), or a stack of such networks.
 
-    Building it resolves the store into ``stem`` and ``blocks``, one
+    Building a network resolves the store into ``stem`` and ``blocks``, one
     ``_Block`` record per block, so no hop looks up a weight by name.
     ``forward`` runs frames from zero state or continuing a given one;
-    ``GridNetStream`` runs the same code one frame at a time with its own state.
+    ``GridNetStream`` runs the same code one frame at a time with its own
+    state. ``MisoGridNet.stack`` joins networks that read the same mixture
+    into one model, whose forward runs them side by side: the code a lone
+    network runs, over a stack of one.
     """
 
     def __init__(
@@ -379,15 +420,38 @@ class MisoGridNet:
                     out=group(f"{p}.attn.out", act),
                 )
             )
+        self.members = ()  # a lone network; a stack lists the networks it runs
+        self._join([self])
+
+    @classmethod
+    def stack(cls, nets) -> "MisoGridNet":
+        """One model over networks that read the same mixture and share one
+        architecture up to extra inputs; its prefix joins theirs with "+".
+
+        Its ``forward`` returns their estimates stacked, bit for bit what
+        each network's own forward returns. Per block, FiLM, the layer norms,
+        the spectral LSTM (every network's directions in one call) and the
+        spectral deconv run once for the stack; the input conv, the temporal
+        LSTM, attention and the output deconv run per network.
+        """
+        nets = tuple(nets)
+        shared = {replace(net.config, extra_inputs=0) for net in nets}
+        if len(shared) != 1:
+            raise ValueError("stacked networks must share one architecture up to extra inputs")
+        model = cls.__new__(cls)
+        model.prefix = "+".join(net.prefix for net in nets)
+        model.members = nets
+        model._join(nets)
+        return model
+
+    def _join(self, nets) -> None:
+        """Stack the kernel arguments of ``nets`` that run once per stack."""
+        self.ln_in = _stacked(net.stem.ln_in for net in nets)
+        self.layers = [_layer(blocks) for blocks in zip(*(net.blocks for net in nets))]
 
     # -- forward -------------------------------------------------------------
 
-    def forward(
-        self,
-        mixture: np.ndarray,
-        extras: np.ndarray | None = None,
-        state: dict | None = None,
-    ) -> np.ndarray:
+    def forward(self, mixture: np.ndarray, extras=None, state=None) -> np.ndarray:
         """mixture[T, F, C] complex (+ optional extras[T, F, K]) -> complex [T, F].
 
         The estimate is for the speaker the model was built for.
@@ -395,28 +459,49 @@ class MisoGridNet:
         None runs from zero state. Each stage that looks back in time reads
         its past frames from the state and leaves its own last frames there,
         so one call over T frames equals successive calls over any split.
-        Input that is NaN or Inf once cast to float32 raises ValueError
-        before any state moves.
+        A stack takes ``extras`` and ``state`` as sequences with one entry
+        (or None) per network and returns [S, T, F]. Input with no frames,
+        or a value that is NaN or Inf once cast to float32, raises
+        ValueError before any state moves.
         """
-        cfg = self.config
-        state = self.zero_state() if state is None else state
-        x = stack_ri(mixture, extras)
-        if x.shape[0] != cfg.input_channels or x.shape[2] != cfg.n_freq:
-            raise ValueError(
-                f"input planes {x.shape} do not match config "
-                f"({cfg.input_channels} channels, {cfg.n_freq} bins)"
+        nets = self.members or (self,)
+        if not self.members:
+            extras, state = [extras], [state]
+        if not len(extras) == len(state) == len(nets):
+            raise ValueError(f"{self.prefix}: needs one extras and one state per network")
+        inputs = []
+        for net, ex in zip(nets, extras):
+            cfg = net.config
+            x = stack_ri(mixture, ex)
+            if x.shape[0] != cfg.input_channels or x.shape[2] != cfg.n_freq:
+                raise ValueError(
+                    f"input planes {x.shape} do not match config "
+                    f"({cfg.input_channels} channels, {cfg.n_freq} bins)"
+                )
+            if x.shape[1] == 0:
+                raise ValueError(f"mixture {np.shape(mixture)} has no frames")
+            inputs.append(x)
+        states = [net.zero_state() if st is None else st for net, st in zip(nets, state)]
+        maps = []
+        for net, x, st in zip(nets, inputs, states):
+            window, st["conv_in"] = _with_history(st["conv_in"], x)
+            maps.append(conv2d(window, *net.stem.conv_in))
+        x = layer_norm(np.stack(maps), *self.ln_in)  # [S, D, T, F]
+        inputs = maps = window = None  # free the input side before the blocks run
+        cfg = nets[0].config
+        for b, layer in enumerate(self.layers):
+            carried = [st["blocks"][b] for st in states]
+            x = film(x, *layer.film)
+            x = x + _temporal(x, layer, carried, cfg)
+            x = x + _spectral(x, layer, cfg)
+            x = x + np.stack(
+                [_attention(y, blk, st, cfg) for y, blk, st in zip(x, layer.blocks, carried)]
             )
-        stem = self.stem
-        window, state["conv_in"] = _with_history(state["conv_in"], x)
-        x = layer_norm(conv2d(window, *stem.conv_in), *stem.ln_in)
-        for blk, st in zip(self.blocks, state["blocks"]):
-            x = film(x, *blk.film)
-            x = x + self._temporal(x, blk, st)
-            x = x + self._spectral(x, blk)
-            x = x + self._attention(x, blk, st)
-        window, state["deconv_out"] = _with_history(state["deconv_out"], x)
-        y = conv_transpose2d(window, *stem.deconv_out)
-        return unstack_ri(y)
+        out = []
+        for net, y, st in zip(nets, x, states):
+            window, st["deconv_out"] = _with_history(st["deconv_out"], y)
+            out.append(unstack_ri(conv_transpose2d(window, *net.stem.deconv_out)))
+        return np.stack(out) if self.members else out[0]
 
     def zero_state(self) -> dict:
         """The carried state before the first frame: every history is zeros.
@@ -453,68 +538,84 @@ class MisoGridNet:
             "frames": 0,
         }
 
-    # -- block stages ----------------------------------------------------------
 
-    def _temporal(self, x: np.ndarray, blk: _Block, st: dict) -> np.ndarray:
-        """Causal sub-band temporal module over x[D, T, F], continuing the
-        block state ``st``."""
-        y = layer_norm(x, *blk.temporal_ln)
+# -- block stages over a stack x[S, D, T, F] -------------------------------------
+
+
+def _temporal(x: np.ndarray, layer: _Layer, carried: list, cfg: GridNetConfig) -> np.ndarray:
+    """Causal sub-band temporal module, each network continuing its block
+    state in ``carried``. The LSTM runs per network, on the store's own
+    (w, r, b), which the benchmark's tracer tells it apart by; in a stream
+    hop it makes one step, so a joint call would save no steps."""
+    y = layer_norm(x, *layer.temporal_ln)
+    # C order, as x: a residual sum takes its operands' memory order, and
+    # the later stages run slower on the LSTM's [F, T, D] order
+    out = np.empty(x.shape, dtype=np.float32)
+    for k, (y, blk, st) in enumerate(zip(y, layer.blocks, carried)):
         seq, st["unfold"] = _with_history(st["unfold"], y.transpose(2, 1, 0))  # [F, I-1+T, D]
-        windows = _unfold_windows(seq, self.config.unfold_kernel)
+        windows = _unfold_windows(seq, cfg.unfold_kernel)
         h, st["lstm"] = lstm_forward(windows, *blk.temporal_lstm, state=st["lstm"])
         # the head-cropped transposed conv as a valid correlation: frame t
         # sums LSTM steps t-I+1..t, the same windows the LSTM input uses
         h, st["deconv"] = _with_history(st["deconv"], h)  # [F, I-1+T, H]
-        u = _unfold_windows(h, self.config.unfold_kernel)
+        u = _unfold_windows(h, cfg.unfold_kernel)
         taps, bias = blk.temporal_deconv
-        out = u.reshape(-1, u.shape[2]) @ taps + bias
-        return out.reshape(u.shape[0], u.shape[1], -1).transpose(2, 1, 0)
+        y = u.reshape(-1, u.shape[2]) @ taps + bias
+        out[k] = y.reshape(u.shape[0], u.shape[1], -1).transpose(2, 1, 0)
+    return out
 
-    def _spectral(self, x: np.ndarray, blk: _Block) -> np.ndarray:
-        y = layer_norm(x, *blk.spectral_ln)
-        seq = np.ascontiguousarray(y.transpose(1, 2, 0))  # [T, F, D]
-        windows = _unfold_windows(seq, self.config.unfold_kernel)
-        h = lstm_forward(windows, *blk.spectral_fwd, backward=blk.spectral_bwd)
-        full = conv_transpose1d(h, *blk.spectral_deconv)
-        return full.transpose(2, 0, 1)  # length restored exactly: (F-I+1)-1+I == F
 
-    def _attention(self, x: np.ndarray, blk: _Block, state: dict) -> np.ndarray:
-        """Full-band self-attention over time: the keys and values of x's
-        frames are written after those cached in the block ``state``, and
-        each frame of x attends to its own frame and every earlier one. A
-        NaN or Inf projection raises before any row is written, so the cached
-        rows and their ``frames`` count stay valid and are never rescanned."""
-        cfg = self.config
-        heads, t_len, f_len = cfg.heads, x.shape[1], x.shape[2]
-        w_qkv, b_qkv, alpha_qkv = blk.qkv
-        z = prelu(np.tensordot(w_qkv, x, axes=([1], [0])) + b_qkv[:, None, None], alpha_qkv)
-        if not np.all(np.isfinite(z)):
-            raise ValueError(f"{blk.name}.attn: non-finite query, key or value")
-        # [heads * W, T, F] -> [T, heads, F, W]: masked_attention's row layout
-        q, k, v = (
-            part.reshape(heads, -1, t_len, f_len).transpose(2, 0, 3, 1)
-            for part in np.split(z, [heads * cfg.qk_channels, 2 * heads * cfg.qk_channels])
-        )
-        n = state["frames"]
-        end = state["frames"] = n + t_len
-        for name, new in (("k", k), ("v", v)):
-            cache = state[name]
-            if end > len(cache):  # double, so appends stay amortized O(1) per frame
-                cache = _cache_array(max(2 * len(cache), end), cache.shape[1])
-                cache[:n] = state[name][:n]
-                state[name] = cache
-            cache[n:end].reshape(new.shape)[...] = new
-        out = masked_attention(
-            q.reshape(t_len, -1),
-            state["k"][:end],
-            state["v"][:end],
-            heads=heads,
-        )
-        o = out.reshape(t_len, heads, f_len, cfg.value_channels)
-        o = o.transpose(1, 3, 0, 2).reshape(cfg.d, t_len, f_len)
-        w_out, b_out, alpha_out = blk.out
-        y = np.tensordot(w_out, o, axes=([1], [0]))
-        return prelu(y + b_out[:, None, None], alpha_out)
+def _spectral(x: np.ndarray, layer: _Layer, cfg: GridNetConfig) -> np.ndarray:
+    """Intra-frame spectral module: one bidirectional LSTM call over every
+    network's unfold windows, each network's two directions reading its own."""
+    y = layer_norm(x, *layer.spectral_ln)
+    n_net, d, t_len, f_len = y.shape
+    seq = np.ascontiguousarray(y.transpose(0, 2, 3, 1)).reshape(n_net * t_len, f_len, d)
+    windows = _unfold_windows(seq, cfg.unfold_kernel)
+    windows = windows.reshape(n_net, t_len, *windows.shape[1:])  # [S, T, F-I+1, I*D]
+    h = lstm_forward(windows, *layer.spectral_fwd, backward=layer.spectral_bwd)
+    full = conv_transpose1d(h, *layer.spectral_deconv)
+    return full.transpose(0, 3, 1, 2)  # length restored exactly: (F-I+1)-1+I == F
+
+
+def _attention(x: np.ndarray, blk: _Block, state: dict, cfg: GridNetConfig) -> np.ndarray:
+    """Full-band self-attention over time for one network's x[D, T, F]: the
+    keys and values of x's frames are written after those cached in the
+    block ``state``, and each frame of x attends to its own frame and every
+    earlier one. A NaN or Inf projection raises before any row is written,
+    so the cached rows and their ``frames`` count stay valid and are never
+    rescanned. Each network reads its own cache, so attention runs per
+    network: a joint call would have to copy every cached frame each hop."""
+    heads, t_len, f_len = cfg.heads, x.shape[1], x.shape[2]
+    w_qkv, b_qkv, alpha_qkv = blk.qkv
+    z = prelu(np.tensordot(w_qkv, x, axes=([1], [0])) + b_qkv[:, None, None], alpha_qkv)
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"{blk.name}.attn: non-finite query, key or value")
+    # [heads * W, T, F] -> [T, heads, F, W]: masked_attention's row layout
+    q, k, v = (
+        part.reshape(heads, -1, t_len, f_len).transpose(2, 0, 3, 1)
+        for part in np.split(z, [heads * cfg.qk_channels, 2 * heads * cfg.qk_channels])
+    )
+    n = state["frames"]
+    end = state["frames"] = n + t_len
+    for name, new in (("k", k), ("v", v)):
+        cache = state[name]
+        if end > len(cache):  # double, so appends stay amortized O(1) per frame
+            cache = _cache_array(max(2 * len(cache), end), cache.shape[1])
+            cache[:n] = state[name][:n]
+            state[name] = cache
+        cache[n:end].reshape(new.shape)[...] = new
+    out = masked_attention(
+        q.reshape(t_len, -1),
+        state["k"][:end],
+        state["v"][:end],
+        heads=heads,
+    )
+    o = out.reshape(t_len, heads, f_len, cfg.value_channels)
+    o = o.transpose(1, 3, 0, 2).reshape(cfg.d, t_len, f_len)
+    w_out, b_out, alpha_out = blk.out
+    y = np.tensordot(w_out, o, axes=([1], [0]))
+    return prelu(y + b_out[:, None, None], alpha_out)
 
 
 class GridNetStream:

@@ -145,26 +145,39 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.
     return y[:, :, f0 : f0 + x.shape[2]] + np.asarray(bias, dtype=np.float32)[:, None, None]
 
 
-def conv_transpose1d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv_transpose1d(x: np.ndarray, kernel, bias) -> np.ndarray:
     """Stride-1 transposed 1-D convolution of x[N, L, C_in] with kernel[C_in, C_out, K].
 
     Returns the full output [N, L + K - 1, C_out]; callers crop. out[o] sums
     x[i] * kernel[:, :, o - i], so out[o] depends only on inputs at
-    positions i <= o (head crop keeps causality).
+    positions i <= o (head crop keeps causality). A stack x[S, N, L, C_in]
+    takes sequences of S kernels and S biases, one per input, and returns
+    [S, N, L + K - 1, C_out]; the kernels are read where they are.
     """
     x = np.asarray(x, dtype=np.float32)
-    c_in, c_out, k = kernel.shape
-    if x.ndim != 3 or x.shape[2] != c_in:
-        raise ValueError(f"conv_transpose1d: input {x.shape} vs kernel {kernel.shape}")
-    n, length = x.shape[0], x.shape[1]
-    y = x.reshape(n * length, c_in) @ np.asarray(kernel, dtype=np.float32).reshape(
-        c_in, c_out * k
-    )
-    y = y.reshape(n, length, c_out, k)
-    out = np.zeros((n, length + k - 1, c_out), dtype=np.float32)
+    stacked = x.ndim == 4
+    if not stacked:
+        x, kernel, bias = x[None], [kernel], [bias]
+    c_in, c_out, k = kernel[0].shape
+    if (
+        x.ndim != 4
+        or x.shape[3] != c_in
+        or len(kernel) != len(x)
+        or any(kn.shape != (c_in, c_out, k) for kn in kernel)
+    ):
+        shapes = [kn.shape for kn in kernel]
+        raise ValueError(f"conv_transpose1d: input {x.shape} vs kernels {shapes}")
+    n, length = x.shape[1], x.shape[2]
+    y = np.empty((len(x), n * length, c_out * k), dtype=np.float32)
+    for xs, kn, ys in zip(x, kernel, y):
+        kn = np.asarray(kn, dtype=np.float32).reshape(c_in, c_out * k)
+        np.matmul(xs.reshape(n * length, c_in), kn, out=ys)
+    y = y.reshape(len(x), n, length, c_out, k)
+    out = np.zeros((len(x), n, length + k - 1, c_out), dtype=np.float32)
     for tap in range(k):
-        out[:, tap : tap + length] += y[:, :, :, tap]
-    return out + np.asarray(bias, dtype=np.float32)
+        out[:, :, tap : tap + length] += y[..., tap]
+    out += np.stack([np.asarray(bs, dtype=np.float32) for bs in bias])[:, None, None]
+    return out if stacked else out[0]
 
 
 # -- normalization and modulation --------------------------------------------
@@ -179,22 +192,25 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     Each frame t is brought to zero mean and unit variance over its channels
     and bins together (float64 statistics, variance plus ``_LN_EPS``), so no
     frame's output depends on another frame. gamma and beta have shape
-    [D, 1, 1].
+    [D, 1, 1]. A stack of maps [S, D, T, F] is normalized map by map, with
+    gamma and beta of shape [S, D, 1, 1].
     """
-    if x.ndim != 3 or x.shape[0] == 0 or x.shape[2] == 0:
-        raise ValueError(f"layer_norm: expected a [D, T, F] map with D, F >= 1, got {x.shape}")
+    if x.ndim not in (3, 4) or x.shape[-3] == 0 or x.shape[-1] == 0:
+        raise ValueError(
+            f"layer_norm: expected a [D, T, F] map or a stack of them with D, F >= 1, got {x.shape}"
+        )
     x64 = np.asarray(x, dtype=np.float64)
-    y = x64 - x64.mean(axis=(0, 2), keepdims=True)
+    y = x64 - x64.mean(axis=(-3, -1), keepdims=True)
     # the mean of the squared deviations, as np.var computes it
-    y /= np.sqrt(np.mean(y * y, axis=(0, 2), keepdims=True) + _LN_EPS)
+    y /= np.sqrt(np.mean(y * y, axis=(-3, -1), keepdims=True) + _LN_EPS)
     return (np.asarray(gamma) * y.astype(np.float32) + np.asarray(beta)).astype(np.float32)
 
 
 def film(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Feature-wise linear modulation: channel d of x[D, T, F] scaled by
     gamma[d] and shifted by beta[d], where (gamma, beta) are the conditioning
-    vector's projections."""
-    return (gamma[:, None, None] * x + beta[:, None, None]).astype(np.float32)
+    vector's projections. A stack x[S, D, T, F] takes gamma and beta [S, D]."""
+    return (gamma[..., None, None] * x + beta[..., None, None]).astype(np.float32)
 
 
 # -- recurrent and attention layers ------------------------------------------
@@ -202,11 +218,11 @@ def film(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 def lstm_forward(
     x: np.ndarray,
-    w: np.ndarray,
-    r: np.ndarray,
-    b: np.ndarray,
+    w,
+    r,
+    b,
     *,
-    backward: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    backward=None,
     state: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """LSTM over a batch of sequences x[N, T, D_in]; returns [N, T, H].
@@ -220,33 +236,54 @@ def lstm_forward(
     recurrence with those weights runs in the same step loop as the forward
     one, and the result is [N, T, 2H], forward half first.
 
+    A stack of S inputs x[S, N, T, D_in] runs S independent LSTMs in the
+    same step loop: ``w``, ``r`` and ``b`` (and ``backward``, if given) are
+    then sequences with one entry per input, input s feeds its own forward
+    (and backward) direction, and the result is [S, N, T, H] (or 2H). A
+    stacked call takes no state. The weights are read where they are: a
+    call copies none of them, whatever the stack.
+
     The gates live gate-major, [4, n_dir, N, H], so each is one contiguous
-    slice over both directions. A step does one batched matmul of h, viewed
+    slice over every direction. A step does one batched matmul of h, viewed
     [n_dir, 1, N, H], by the recurrence as [n_dir, 4, H, H] blocks, adds its
     projections, and writes h into the [T + 1, n_dir, N, H] history the next
     step reads. The blocks are C-contiguous copies of r's gate rows, built in
     one pass per call; a step runs faster on them than on transposed views,
     but BLAS may sum in another order than h @ r.T, moving the last bits.
-    The input projections fill one [ceil(T/n_dir), 4, n_dir, N, H] buffer
-    half a sequence at a time, made and scattered in chunks of at most
-    ``_PATCH_BUDGET`` elements (or one step): the forward direction reads
-    the first half while the backward one reads the second, then the halves
-    swap. The call thus never holds both directions' full projections, nor
-    a stacked copy of the input weights.
+    Each direction's step is its own slice of those matmuls and elementwise
+    passes, so a direction's output does not depend on the others it runs
+    beside. The input projections fill one [ceil(T/d), 4, n_dir, N, H]
+    buffer, d being the directions per input, so a pass covers 1/d of each
+    sequence: a forward direction reads the first half while its backward
+    one reads the second, then the halves swap. They are made and scattered
+    in chunks of at most ``_PATCH_BUDGET`` elements (or one step), so a
+    direction's projections come from the same products in a stack as
+    alone. A bidirectional call thus never holds a direction's full
+    projections, and no call holds a stacked copy of the input weights.
 
     The i, f and o gates use sigmoid(z) = 0.5 * (1 + tanh(z / 2)). Their
     pre-activations are halved on the way in (exact in floating point), so
     one tanh pass evaluates all four gates.
     """
     x = np.asarray(x, dtype=np.float32)
-    n, t_len, d_in = x.shape
-    four_h, h_size = r.shape
-    dirs = [(w, r, b, False)]
-    if backward is not None:
-        if state is not None:
-            raise ValueError("lstm_forward: a bidirectional call takes no state")
-        dirs.append((*backward, True))
-    for dw, dr, db, _ in dirs:
+    stacked = x.ndim == 4
+    if not stacked:
+        x, w, r, b = x[None], [w], [r], [b]
+        backward = None if backward is None else [backward]
+    if state is not None and (stacked or backward is not None):
+        raise ValueError("lstm_forward: a bidirectional or stacked call takes no state")
+    sets = (w, r, b) if backward is None else (w, r, b, backward)
+    if x.ndim != 4 or any(len(ws) != len(x) for ws in sets):
+        raise ValueError(f"lstm_forward: input {x.shape} vs {[len(ws) for ws in sets]} weight sets")
+    _, n, t_len, d_in = x.shape
+    four_h, h_size = r[0].shape
+    # (input, w, r, b, reversed) per direction, each input's forward first
+    dirs = []
+    for s, fwd in enumerate(zip(w, r, b)):
+        dirs.append((s, *fwd, False))
+        if backward is not None:
+            dirs.append((s, *backward[s], True))
+    for _, dw, dr, db, _ in dirs:
         if (
             dw.shape != (four_h, d_in)
             or dr.shape != (four_h, h_size)
@@ -269,7 +306,7 @@ def lstm_forward(
     # [n_dir, 4, H, H] in z's gate order, C-contiguous: block (k, j) is
     # direction k's rows of gate order[j] times their half, transposed
     rt = np.empty((n_dir, 4, h_size, h_size), dtype=np.float32)
-    for k, (_, dr, _, _) in enumerate(dirs):
+    for k, (_, _, dr, _, _) in enumerate(dirs):
         for j, lo in enumerate(gate * h_size for gate in order):
             np.multiply(dr[lo : lo + h_size].T, half[lo], out=rt[k, j])
     z = np.empty((5, n_dir, n, h_size), dtype=np.float32)
@@ -284,19 +321,20 @@ def lstm_forward(
     hist[0] = c[...] = 0
     if state is not None:
         hist[0, 0], c[0] = (np.asarray(s, dtype=np.float32) for s in state)
-    span = max(1, -(-t_len // n_dir))  # steps per pass
+    per = n_dir // len(x)  # directions per input
+    span = max(1, -(-t_len // per))  # steps per pass
     # each step adds one contiguous [4, direction, N, H] slab of projections
     buf = np.empty((span, 4, n_dir, n, h_size), dtype=np.float32)
     chunk = max(1, min(span, _PATCH_BUDGET // max(1, n * four_h)))
     tmp = np.empty((chunk * n, four_h), dtype=np.float32)
     for start in range(0, t_len, span):
         steps = min(span, t_len - start)
-        for k, (dw, _, db, rev) in enumerate(dirs):
+        for k, (s, dw, _, db, rev) in enumerate(dirs):
             for s0 in range(0, steps, chunk):
                 m = min(chunk, steps - s0)
                 # direction k takes its step s at position s, or t_len-1-s reversed
                 lo = t_len - start - s0 - m if rev else start + s0
-                seg = x[:, lo : lo + m].transpose(1, 0, 2)
+                seg = x[s, :, lo : lo + m].transpose(1, 0, 2)
                 seg = np.ascontiguousarray(seg[::-1] if rev else seg).reshape(m * n, d_in)
                 proj = tmp[: m * n]
                 np.matmul(seg, dw.T, out=proj)
@@ -316,12 +354,15 @@ def lstm_forward(
             np.tanh(c, cf)
             np.multiply(g_o, cf, h_next)
     buf = tmp = proj = by_gate = xw = None  # free the projections before the output is made
-    out = np.empty((n, t_len, n_dir * h_size), dtype=np.float32)
-    for k, (_, _, _, rev) in enumerate(dirs):
+    out = np.empty((len(x), n, t_len, per * h_size), dtype=np.float32)
+    for k, (s, _, _, _, rev) in enumerate(dirs):
         steps_k = hist[:0:-1, k] if rev else hist[1:, k]
-        out[:, :, k * h_size : (k + 1) * h_size] = steps_k.transpose(1, 0, 2)
+        lo = (k % per) * h_size
+        out[s, :, :, lo : lo + h_size] = steps_k.transpose(1, 0, 2)
+    if stacked:
+        return out
     h, c = hist[t_len, 0].copy(), c[0].copy()
-    return out if state is None else (out, (h, c))
+    return out[0] if state is None else (out[0], (h, c))
 
 
 def masked_attention(

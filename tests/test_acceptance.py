@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from hearstream import gridnet
 from hearstream.beamform import CovarianceState
 from hearstream.cli import main as cli_main
 from hearstream.dsp import (
@@ -331,10 +332,11 @@ def test_criterion_08_causal_kernels(toy_cfg, toy_store):
     txp[:, cut + 1 :] = rng.standard_normal(txp[:, cut + 1 :].shape)
     emb = rng.standard_normal(128).astype(np.float32)
     model = MisoGridNet(toy_cfg.model, toy_store, emb, "dnn1")
-    temporal_ok = np.array_equal(
-        model._temporal(tx, model.blocks[0], model._zero_block())[:, : cut + 1],
-        model._temporal(txp, model.blocks[0], model._zero_block())[:, : cut + 1],
-    )
+
+    def temporal(a):
+        return gridnet._temporal(a[None], model.layers[0], [model._zero_block()], model.config)[0]
+
+    temporal_ok = np.array_equal(temporal(tx)[:, : cut + 1], temporal(txp)[:, : cut + 1])
 
     frames = rng.standard_normal((12, 257, 2)) + 1j * rng.standard_normal((12, 257, 2))
     framesp = frames.copy()

@@ -33,6 +33,16 @@ def make_model(config, emb=EMB, seed=0, prefix="dnn1"):
     return MisoGridNet(config, seeded_init(weight_schema(config, prefix), seed), emb, prefix)
 
 
+def temporal(model, x):
+    """The first block's temporal module over one network's x[D, T, F], from zero state."""
+    return gridnet._temporal(x[None], model.layers[0], [model._zero_block()], model.config)[0]
+
+
+def spectral(model, x):
+    """The first block's spectral module over one network's x[D, T, F]."""
+    return gridnet._spectral(x[None], model.layers[0], model.config)[0]
+
+
 def n_params(config):
     return sum(int(np.prod(s.shape)) for s in weight_schema(config))
 
@@ -174,6 +184,13 @@ class TestForward:
         out = make_model(SMALL, rng.standard_normal(128)).forward(x)
         assert out.shape == (1, 33)
 
+    def test_zero_frames_rejected(self):
+        model = make_model(SMALL)
+        state = model.zero_state()
+        with pytest.raises(ValueError, match=r"mixture \(0, 33, 1\) has no frames"):
+            model.forward(np.zeros((0, 33, 1), np.complex64), None, state)
+        assert state["blocks"][0]["frames"] == 0
+
     def test_causality_exact(self):
         rng = np.random.default_rng(6)
         model = make_model(SMALL, rng.standard_normal(128), seed=1)
@@ -263,22 +280,22 @@ class TestTemporalModule:
             )
         model = MisoGridNet(cfg, store, EMB)
         x = np.random.default_rng(11).standard_normal((8, 6, 17)).astype(np.float32)
-        assert_array_equal(model._temporal(x, model.blocks[0], model._zero_block()), 0)
+        assert_array_equal(temporal(model, x), 0)
 
     def test_future_perturbation(self):
         model = make_model(SMALL, seed=6)
         rng = np.random.default_rng(12)
         x = rng.standard_normal((8, 9, 33)).astype(np.float32)
-        base = model._temporal(x, model.blocks[0], model._zero_block())
+        base = temporal(model, x)
         xp = x.copy()
         xp[:, 6:] = rng.standard_normal((8, 3, 33))
-        pert = model._temporal(xp, model.blocks[0], model._zero_block())
+        pert = temporal(model, xp)
         assert_array_equal(base[:, :6], pert[:, :6])
 
     def test_single_frame_sequence(self):
         model = make_model(SMALL, seed=7)
         x = np.random.default_rng(13).standard_normal((8, 1, 33)).astype(np.float32)
-        assert model._temporal(x, model.blocks[0], model._zero_block()).shape == (8, 1, 33)
+        assert temporal(model, x).shape == (8, 1, 33)
 
 
 class TestSpectralModule:
@@ -286,10 +303,10 @@ class TestSpectralModule:
         model = make_model(SMALL, seed=8)
         rng = np.random.default_rng(14)
         x = rng.standard_normal((8, 6, 33)).astype(np.float32)
-        base = model._spectral(x, model.blocks[0])
+        base = spectral(model, x)
         xp = x.copy()
         xp[:, 3] = rng.standard_normal((8, 33))
-        pert = model._spectral(xp, model.blocks[0])
+        pert = spectral(model, xp)
         assert_array_equal(base[:, :3], pert[:, :3])
         assert_array_equal(base[:, 4:], pert[:, 4:])
         assert np.abs(base[:, 3] - pert[:, 3]).max() > 0
@@ -299,7 +316,7 @@ class TestSpectralModule:
         store = WeightStore({s.name: np.zeros(s.shape, np.float32) for s in weight_schema(cfg)})
         model = MisoGridNet(cfg, store, EMB)
         x = np.random.default_rng(15).standard_normal((8, 4, 33)).astype(np.float32)
-        assert_array_equal(model._spectral(x, model.blocks[0]), 0)
+        assert_array_equal(spectral(model, x), 0)
 
     def test_frequency_reversal_symmetry(self):
         # reversing the input along frequency, with fwd/bwd LSTMs swapped
@@ -330,8 +347,8 @@ class TestSpectralModule:
         model_m = MisoGridNet(cfg, mirror, EMB)
 
         x = np.random.default_rng(16).standard_normal((d, 3, cfg.n_freq)).astype(np.float32)
-        out = model._spectral(x, model.blocks[0])
-        out_m = model_m._spectral(x[:, :, ::-1].copy(), model_m.blocks[0])
+        out = spectral(model, x)
+        out_m = spectral(model_m, x[:, :, ::-1].copy())
         assert_allclose(out_m, out[:, :, ::-1], atol=1e-5)
 
 
@@ -497,7 +514,7 @@ class TestAttentionCache:
         x = np.zeros((self.CFG.d, 1, self.CFG.n_freq), np.float32)
         x[0, 0, 3] = np.inf
         with pytest.raises(ValueError, match="dnn1.block0.attn: non-finite query"), np.errstate(invalid="ignore"):
-            model._attention(x, model.blocks[0], block)
+            gridnet._attention(x, model.blocks[0], block, model.config)
         assert block["frames"] == 0
 
     @pytest.mark.parametrize("bad", [np.nan, 1e39], ids=["nan", "float32_overflow"])

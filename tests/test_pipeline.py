@@ -1,5 +1,6 @@
 """End-to-end engine: timing contract, equivalences, rescale, integration."""
 
+import copy
 import warnings
 import weakref
 from dataclasses import replace
@@ -459,6 +460,17 @@ class TestIterations:
         report = causality_check(run, x, n=2000, budget_samples=128, baseline=offline)
         assert report.passed
 
+    def test_two_full_pairs_stream_parity(self, cfg, store, emb, small_scene):
+        # three passes: a stream hop runs dnn1 with the first dnn2 pass, then
+        # the other two passes, as two stacks of two
+        three_cfg = replace(cfg, iterations=3)
+        x = small_scene.mixture
+        engine = StreamingEnhancer(three_cfg, store, emb)
+        assert [list(members) for _, members in engine.cascade.stacks[2]] == [[0, 1], [2, 3]]
+        streamed = engine.process(x)
+        offline = enhance_offline(x, three_cfg, store, emb)
+        assert np.max(np.abs(streamed - offline)) <= 1e-5 * np.max(np.abs(offline))
+
     @pytest.mark.parametrize("iterations", [1, 2])
     def test_offline_frees_each_network_state(self, cfg, store, emb, small_scene, iterations):
         # a marker in every zero state dies with that state; none may be
@@ -538,7 +550,7 @@ SMALL_STFT = StftConfig(win=64, hop=16)
 @settings(max_examples=20)
 @given(
     channels=st.integers(1, 3),
-    iterations=st.integers(1, 2),
+    iterations=st.integers(1, 3),
     n=st.integers(1, 400),
     cuts=st.lists(st.integers(0, 400), max_size=6),
     seed=st.integers(0, 2**16),
@@ -567,6 +579,55 @@ def test_block_partition_bit_exact(channels, iterations, n, cuts, seed):
         blocked.cascade.rescale.num,
         blocked.cascade.rescale.den,
     )
+
+
+def same_state(a, b) -> bool:
+    """Carried states equal bit for bit: dicts, lists and tuples entry by entry."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(same_state(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b)  # arrays and frame counts
+
+
+@settings(max_examples=20)
+@given(
+    channels=st.integers(1, 2),
+    iterations=st.integers(1, 3),
+    hops=st.integers(0, 6),
+    t_len=st.integers(1, SMALL_STFT.lookahead),
+    seed=st.integers(0, 2**16),
+)
+def test_lockstep_forward_equals_networks_one_at_a_time(channels, iterations, hops, t_len, seed):
+    # the stacks a stream hop runs, each over random frames from the state a
+    # random number of hops left, against its networks' own forwards from
+    # copies of that state: estimates and every carried state, bit for bit
+    cfg = PipelineConfig(
+        model=GridNetConfig.toy(channels=channels, n_freq=SMALL_STFT.bins),
+        stft=SMALL_STFT,
+        iterations=iterations,
+    )
+    specs = weight_schema(cfg.model, "dnn1") + weight_schema(cfg.second_stage(), "dnn2")
+    store = seeded_init(specs, seed)
+    rng = np.random.default_rng(seed)
+    emb = rng.standard_normal(cfg.model.emb_dim).astype(np.float32)
+    engine = StreamingEnhancer(cfg, store, emb)
+    engine.process(0.1 * rng.standard_normal((hops * SMALL_STFT.hop, channels)))
+    cascade = engine.cascade
+
+    def spect(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    frames = spect(t_len, SMALL_STFT.bins, channels)
+    for model, members in cascade.stacks[2]:
+        assert len(members) == min(2, len(cascade.nets) - members[0])
+        extras = [spect(t_len, SMALL_STFT.bins, 2) if i else None for i in members]
+        alone = [copy.deepcopy(cascade.states[i]) for i in members]
+        stacked = model.forward(frames, extras, [cascade.states[i] for i in members])
+        assert stacked.shape == (len(members), t_len, SMALL_STFT.bins)
+        for k, i in enumerate(members):
+            assert np.array_equal(stacked[k], cascade.nets[i].forward(frames, extras[k], alone[k]))
+            assert same_state(cascade.states[i], alone[k])
 
 
 @settings(max_examples=20)

@@ -72,8 +72,11 @@ def traced_runs():
 class TestTracerContract:
     @pytest.mark.parametrize("run", ["stream", "offline"])
     def test_both_networks_traced(self, traced_runs, run):
+        # a stream hop runs both networks in one stacked forward, whose
+        # prefix joins theirs; the offline run forwards them one at a time
         names = {s[0] for s in traced_runs[run]}
-        assert {"gridnet.dnn1", "gridnet.dnn2"} <= names
+        spans = {"stream": {"gridnet.dnn1+dnn2"}, "offline": {"gridnet.dnn1", "gridnet.dnn2"}}
+        assert spans[run] <= names
         # the LSTM is told apart by the identity of the store's weight array
         assert {"kernels.lstm_temporal", "kernels.lstm_spectral"} <= names
 
@@ -95,17 +98,18 @@ class TestTracerContract:
 
 
 def test_run_phase_stream_hop_counts():
-    # one toy hop runs dnn1 and one dnn2 pass; each of their blocks makes one
-    # temporal LSTM step and one spectral step per unfold window, and the
-    # kernel calls per network are conv-in, its layer norm and the output
-    # deconv, plus per block FiLM, two layer norms, two LSTMs, the spectral
-    # deconv and attention
+    # one toy hop runs dnn1 and one dnn2 pass as one stack of both. Per block
+    # each network makes one temporal LSTM step, and the stack one spectral
+    # step per unfold window for all their directions together. Each network
+    # calls conv-in, the output deconv, and per block the temporal LSTM and
+    # attention; the stack calls the input layer norm, and per block FiLM,
+    # two layer norms, the spectral LSTM and the spectral deconv
     cfg = PipelineConfig()
     model = cfg.model
     nets = 1 + cfg.iterations
-    steps = nets * model.blocks * (1 + model.n_freq - model.unfold_kernel + 1)
-    calls = nets * (3 + 7 * model.blocks)
-    assert (steps, calls) == (1028, 34)
+    steps = model.blocks * (nets + model.n_freq - model.unfold_kernel + 1)
+    calls = 2 * nets + 1 + model.blocks * (2 * nets + 5)
+    assert (steps, calls) == (516, 23)
     store = init_pipeline_weights(cfg, seed=0)
     emb = np.random.default_rng(0).standard_normal(128).astype(np.float32)
     x = np.random.default_rng(1).standard_normal((3 * cfg.stft.hop, model.channels))
