@@ -23,8 +23,8 @@ zero state or continuing a given one, and `GridNetStream` runs the same code
 on one frame at a time. A model resolves its weights when it is built, into
 one record per block that each stage takes its kernel arguments from.
 ``MisoGridNet.stack`` runs networks that read one mixture side by side
-through the same code, each on its own state, with a leading network axis
-on the feature grid.
+through the same code, with a leading network axis on the feature grid and
+on the one carried state the stack owns; a lone network is a stack of one.
 
 The second-stage network is the same architecture with extra input channels
 (first-stage estimate and beamformer output stacked after the mixture).
@@ -287,21 +287,22 @@ def _cache_array(rows: int, width: int) -> np.ndarray:
 
 
 def _with_history(history: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Join carried frames ahead of new ones along axis 1.
+    """Join carried frames ahead of new ones along axis -2, the time axis of
+    every carried history.
 
-    Returns the joined array and a copy of its last ``history.shape[1]``
+    Returns the joined array and a copy of its last ``history.shape[-2]``
     frames, the history for the next call. The copy keeps the carried tail
     from pinning the joined array.
     """
-    joined = np.concatenate([history, frames], axis=1)
-    return joined, joined[:, joined.shape[1] - history.shape[1] :].copy()
+    joined = np.concatenate([history, frames], axis=-2)
+    return joined, joined[..., joined.shape[-2] - history.shape[-2] :, :].copy()
 
 
 def _unfold_windows(seq: np.ndarray, width: int) -> np.ndarray:
-    """seq[N, L, D] -> [N, L-width+1, width*D] windows, oldest step first:
+    """seq[..., L, D] -> [..., L-width+1, width*D] windows, oldest step first:
     window t is steps t..t+width-1 side by side, one shifted slice per step."""
-    n_win = seq.shape[1] - width + 1
-    return np.concatenate([seq[:, i : i + n_win] for i in range(width)], axis=2)
+    n_win = seq.shape[-2] - width + 1
+    return np.concatenate([seq[..., i : i + n_win, :] for i in range(width)], axis=-1)
 
 
 class _Stem(NamedTuple):
@@ -332,9 +333,10 @@ class _Layer(NamedTuple):
     """One block across a stack's S networks: each network's ``_Block``,
     and the arguments of the kernels that run once for the whole stack.
 
-    Norm and FiLM vectors are stacked on a leading network axis (a few
-    hundred floats per block); matrices stay one per network, each the
-    network's own array, for the kernels take a sequence of them.
+    Vectors and the attention projections (a few thousand floats per
+    network and block) are stacked on a leading network axis; the LSTM
+    and deconv matrices stay one per network, each the network's own
+    array, for the kernels take a sequence of them.
     """
 
     blocks: tuple  # each network's _Block, for the stages run per network
@@ -343,15 +345,24 @@ class _Layer(NamedTuple):
     spectral_ln: tuple  # (gamma, beta), [S, D, 1, 1] each
     spectral_fwd: tuple  # (ws, rs, bs), one of each per network
     spectral_bwd: tuple  # one (w, r, b) per network
-    spectral_deconv: tuple  # (ws, bs), one of each per network
+    spectral_deconv: tuple  # (ws, b): one kernel per network, biases [S, D]
+    qkv: tuple  # (w, b, alpha), [S, P, D] and [S, P]: each network's _Block.qkv
+    out: tuple  # (w, b, alpha), [S, D, D] and [S, D]
+
+
+def _stack(arrays) -> np.ndarray:
+    """One array per network -> one array with a leading network axis; a
+    stack of one views its network's array."""
+    return np.stack(arrays) if len(arrays) > 1 else arrays[0][None]
 
 
 def _stacked(parts) -> tuple:
-    """Per-network tuples of arrays -> one tuple of arrays with a leading network axis."""
-    return tuple(np.stack(arrays) for arrays in zip(*parts))
+    """Per-network tuples of arrays -> one tuple of stacked arrays."""
+    return tuple(_stack(arrays) for arrays in zip(*parts))
 
 
 def _layer(blocks) -> _Layer:
+    kernels, biases = zip(*(blk.spectral_deconv for blk in blocks))
     return _Layer(
         blocks=tuple(blocks),
         film=_stacked(blk.film for blk in blocks),
@@ -359,7 +370,9 @@ def _layer(blocks) -> _Layer:
         spectral_ln=_stacked(blk.spectral_ln for blk in blocks),
         spectral_fwd=tuple(zip(*(blk.spectral_fwd for blk in blocks))),
         spectral_bwd=tuple(blk.spectral_bwd for blk in blocks),
-        spectral_deconv=tuple(zip(*(blk.spectral_deconv for blk in blocks))),
+        spectral_deconv=(kernels, _stack(biases)),
+        qkv=_stacked(blk.qkv for blk in blocks),
+        out=_stacked(blk.out for blk in blocks),
     )
 
 
@@ -372,8 +385,9 @@ class MisoGridNet:
     ``forward`` runs frames from zero state or continuing a given one;
     ``GridNetStream`` runs the same code one frame at a time with its own
     state. ``MisoGridNet.stack`` joins networks that read the same mixture
-    into one model, whose forward runs them side by side: the code a lone
-    network runs, over a stack of one.
+    into one model, whose forward runs them side by side over one state
+    with a leading network axis: a lone network runs the same code, over a
+    stack of one.
     """
 
     def __init__(
@@ -429,10 +443,12 @@ class MisoGridNet:
         architecture up to extra inputs; its prefix joins theirs with "+".
 
         Its ``forward`` returns their estimates stacked, bit for bit what
-        each network's own forward returns. Per block, FiLM, the layer norms,
-        the spectral LSTM (every network's directions in one call) and the
-        spectral deconv run once for the stack; the input conv, the temporal
-        LSTM, attention and the output deconv run per network.
+        each network's own forward returns, and network k's slice of its
+        state is bit for bit what that network's own forward leaves. Per
+        block, FiLM, the layer norms, the spectral LSTM (every network's
+        directions in one call), the spectral deconv and attention run once
+        for the stack; the input conv, the temporal LSTM and its deconv
+        taps, and the output deconv run per network.
         """
         nets = tuple(nets)
         shared = {replace(net.config, extra_inputs=0) for net in nets}
@@ -449,6 +465,11 @@ class MisoGridNet:
         self.ln_in = _stacked(net.stem.ln_in for net in nets)
         self.layers = [_layer(blocks) for blocks in zip(*(net.blocks for net in nets))]
 
+    @property
+    def _nets(self) -> tuple:
+        """The networks this model runs: a stack's members, or itself."""
+        return self.members or (self,)
+
     # -- forward -------------------------------------------------------------
 
     def forward(self, mixture: np.ndarray, extras=None, state=None) -> np.ndarray:
@@ -459,16 +480,16 @@ class MisoGridNet:
         None runs from zero state. Each stage that looks back in time reads
         its past frames from the state and leaves its own last frames there,
         so one call over T frames equals successive calls over any split.
-        A stack takes ``extras`` and ``state`` as sequences with one entry
-        (or None) per network and returns [S, T, F]. Input with no frames,
-        or a value that is NaN or Inf once cast to float32, raises
-        ValueError before any state moves.
+        A stack takes ``extras`` as a sequence with one entry (or None) per
+        network, and one state for the stack, and returns [S, T, F]. Input
+        with no frames, or a value that is NaN or Inf once cast to float32,
+        raises ValueError before any state moves.
         """
-        nets = self.members or (self,)
+        nets = self._nets
         if not self.members:
-            extras, state = [extras], [state]
-        if not len(extras) == len(state) == len(nets):
-            raise ValueError(f"{self.prefix}: needs one extras and one state per network")
+            extras = [extras]
+        if len(extras) != len(nets):
+            raise ValueError(f"{self.prefix}: needs one extras per network")
         inputs = []
         for net, ex in zip(nets, extras):
             cfg = net.config
@@ -481,60 +502,65 @@ class MisoGridNet:
             if x.shape[1] == 0:
                 raise ValueError(f"mixture {np.shape(mixture)} has no frames")
             inputs.append(x)
-        states = [net.zero_state() if st is None else st for net, st in zip(nets, state)]
-        maps = []
-        for net, x, st in zip(nets, inputs, states):
-            window, st["conv_in"] = _with_history(st["conv_in"], x)
-            maps.append(conv2d(window, *net.stem.conv_in))
+        state = self.zero_state() if state is None else state
+        if len(state["conv_in"]) != len(nets):
+            raise ValueError(f"{self.prefix}: a state of {len(state['conv_in'])} networks")
+        joined = [_with_history(history, x) for history, x in zip(state["conv_in"], inputs)]
+        state["conv_in"] = [history for _, history in joined]
+        maps = [conv2d(window, *net.stem.conv_in) for net, (window, _) in zip(nets, joined)]
         x = layer_norm(np.stack(maps), *self.ln_in)  # [S, D, T, F]
-        inputs = maps = window = None  # free the input side before the blocks run
+        inputs = joined = maps = None  # free the input side before the blocks run
         cfg = nets[0].config
-        for b, layer in enumerate(self.layers):
-            carried = [st["blocks"][b] for st in states]
+        for layer, carried in zip(self.layers, state["blocks"]):
             x = film(x, *layer.film)
             x = x + _temporal(x, layer, carried, cfg)
             x = x + _spectral(x, layer, cfg)
-            x = x + np.stack(
-                [_attention(y, blk, st, cfg) for y, blk, st in zip(x, layer.blocks, carried)]
-            )
-        out = []
-        for net, y, st in zip(nets, x, states):
-            window, st["deconv_out"] = _with_history(st["deconv_out"], y)
-            out.append(unstack_ri(conv_transpose2d(window, *net.stem.deconv_out)))
-        return np.stack(out) if self.members else out[0]
+            x = x + _attention(x, layer, carried, cfg)
+        window, state["deconv_out"] = _with_history(state["deconv_out"], x)
+        heads = [net.stem.deconv_out for net in nets]
+        out = np.stack([unstack_ri(conv_transpose2d(y, *wb)) for y, wb in zip(window, heads)])
+        return out if self.members else out[0]
 
     def zero_state(self) -> dict:
         """The carried state before the first frame: every history is zeros.
 
-        ``conv_in`` / ``deconv_out`` hold the last Kt-1 input frames of the
-        outer convolutions, ``blocks`` one ``_zero_block`` state per block.
+        ``conv_in`` holds each network's last Kt-1 input frames of the input
+        convolution, ``deconv_out`` the stack's [S, D, Kt-1, F] last frames
+        into the output one, ``blocks`` one ``_zero_block`` state per block.
         """
-        cfg = self.config
-        hist = _CONV_KT - 1
+        nets = self._nets
+        cfg, hist = nets[0].config, _CONV_KT - 1
         return {
-            "conv_in": np.zeros((cfg.input_channels, hist, cfg.n_freq), dtype=np.float32),
+            "conv_in": [
+                np.zeros((net.config.input_channels, hist, cfg.n_freq), dtype=np.float32)
+                for net in nets
+            ],
             "blocks": [self._zero_block() for _ in range(cfg.blocks)],
-            "deconv_out": np.zeros((cfg.d, hist, cfg.n_freq), dtype=np.float32),
+            "deconv_out": np.zeros((len(nets), cfg.d, hist, cfg.n_freq), dtype=np.float32),
         }
 
     def _zero_block(self) -> dict:
-        """One block's state: the temporal unfold history (I-1 frames of
-        normalized input), the temporal LSTM (h, c), the last I-1 LSTM
-        outputs for the temporal deconv, and the attention cache.
+        """One block's state over the stack's S networks: the temporal
+        unfold history (I-1 frames of normalized input), the temporal LSTM
+        (h, c), the last I-1 LSTM outputs for the temporal deconv, and the
+        attention cache.
 
-        The cache is one float32 key array ``k`` [rows, heads*F*E] and one
-        value array ``v`` [rows, heads*F*Dv] whose first ``frames`` rows
+        The cache is one float32 key array ``k`` [rows, S*heads*F*E] and one
+        value array ``v`` [rows, S*heads*F*Dv], a row holding one frame of
+        every network's heads in network order, whose first ``frames`` rows
         hold every frame seen so far. Rows past ``frames`` are spare
         capacity; ``_attention`` doubles it when a call would overflow.
         """
-        cfg = self.config
+        nets = self._nets
+        n_net, cfg = len(nets), nets[0].config
         f, hist, h = cfg.n_freq, cfg.unfold_kernel - 1, cfg.hidden
+        width = n_net * cfg.heads * f
         return {
-            "unfold": np.zeros((f, hist, cfg.d), dtype=np.float32),
-            "lstm": (np.zeros((f, h), dtype=np.float32), np.zeros((f, h), dtype=np.float32)),
-            "deconv": np.zeros((f, hist, h), dtype=np.float32),
-            "k": _cache_array(_CACHE_ROWS, cfg.heads * f * cfg.qk_channels),
-            "v": _cache_array(_CACHE_ROWS, cfg.heads * f * cfg.value_channels),
+            "unfold": np.zeros((n_net, f, hist, cfg.d), dtype=np.float32),
+            "lstm": tuple(np.zeros((n_net, f, h), dtype=np.float32) for _ in "hc"),
+            "deconv": np.zeros((n_net, f, hist, h), dtype=np.float32),
+            "k": _cache_array(_CACHE_ROWS, width * cfg.qk_channels),
+            "v": _cache_array(_CACHE_ROWS, width * cfg.value_channels),
             "frames": 0,
         }
 
@@ -542,26 +568,30 @@ class MisoGridNet:
 # -- block stages over a stack x[S, D, T, F] -------------------------------------
 
 
-def _temporal(x: np.ndarray, layer: _Layer, carried: list, cfg: GridNetConfig) -> np.ndarray:
-    """Causal sub-band temporal module, each network continuing its block
-    state in ``carried``. The LSTM runs per network, on the store's own
-    (w, r, b), which the benchmark's tracer tells it apart by; in a stream
-    hop it makes one step, so a joint call would save no steps."""
+def _temporal(x: np.ndarray, layer: _Layer, state: dict, cfg: GridNetConfig) -> np.ndarray:
+    """Causal sub-band temporal module, continuing the stack's block
+    ``state``. The LSTM runs per network, on the store's own (w, r, b),
+    which the benchmark's tracer tells it apart by; in a stream hop it makes
+    one step, so a joint call would save no steps."""
     y = layer_norm(x, *layer.temporal_ln)
+    seq, state["unfold"] = _with_history(state["unfold"], y.transpose(0, 3, 2, 1))
+    windows = _unfold_windows(seq, cfg.unfold_kernel)  # [S, F, T, I*D]
+    runs = [
+        lstm_forward(w, *blk.temporal_lstm, state=hc)
+        for w, blk, *hc in zip(windows, layer.blocks, *state["lstm"])
+    ]
+    state["lstm"] = tuple(np.stack(part) for part in zip(*(hc for _, hc in runs)))
+    # the head-cropped transposed conv as a valid correlation: frame t
+    # sums LSTM steps t-I+1..t, the same windows the LSTM input uses
+    h, state["deconv"] = _with_history(state["deconv"], np.stack([h for h, _ in runs]))
+    u = _unfold_windows(h, cfg.unfold_kernel)  # [S, F, T, I*H]
     # C order, as x: a residual sum takes its operands' memory order, and
     # the later stages run slower on the LSTM's [F, T, D] order
     out = np.empty(x.shape, dtype=np.float32)
-    for k, (y, blk, st) in enumerate(zip(y, layer.blocks, carried)):
-        seq, st["unfold"] = _with_history(st["unfold"], y.transpose(2, 1, 0))  # [F, I-1+T, D]
-        windows = _unfold_windows(seq, cfg.unfold_kernel)
-        h, st["lstm"] = lstm_forward(windows, *blk.temporal_lstm, state=st["lstm"])
-        # the head-cropped transposed conv as a valid correlation: frame t
-        # sums LSTM steps t-I+1..t, the same windows the LSTM input uses
-        h, st["deconv"] = _with_history(st["deconv"], h)  # [F, I-1+T, H]
-        u = _unfold_windows(h, cfg.unfold_kernel)
+    for k, (uk, blk) in enumerate(zip(u, layer.blocks)):
         taps, bias = blk.temporal_deconv
-        y = u.reshape(-1, u.shape[2]) @ taps + bias
-        out[k] = y.reshape(u.shape[0], u.shape[1], -1).transpose(2, 1, 0)
+        y = uk.reshape(-1, uk.shape[2]) @ taps + bias
+        out[k] = y.reshape(uk.shape[0], uk.shape[1], -1).transpose(2, 1, 0)
     return out
 
 
@@ -569,32 +599,35 @@ def _spectral(x: np.ndarray, layer: _Layer, cfg: GridNetConfig) -> np.ndarray:
     """Intra-frame spectral module: one bidirectional LSTM call over every
     network's unfold windows, each network's two directions reading its own."""
     y = layer_norm(x, *layer.spectral_ln)
-    n_net, d, t_len, f_len = y.shape
-    seq = np.ascontiguousarray(y.transpose(0, 2, 3, 1)).reshape(n_net * t_len, f_len, d)
-    windows = _unfold_windows(seq, cfg.unfold_kernel)
-    windows = windows.reshape(n_net, t_len, *windows.shape[1:])  # [S, T, F-I+1, I*D]
+    seq = np.ascontiguousarray(y.transpose(0, 2, 3, 1))  # [S, T, F, D]
+    windows = _unfold_windows(seq, cfg.unfold_kernel)  # [S, T, F-I+1, I*D]
     h = lstm_forward(windows, *layer.spectral_fwd, backward=layer.spectral_bwd)
     full = conv_transpose1d(h, *layer.spectral_deconv)
     return full.transpose(0, 3, 1, 2)  # length restored exactly: (F-I+1)-1+I == F
 
 
-def _attention(x: np.ndarray, blk: _Block, state: dict, cfg: GridNetConfig) -> np.ndarray:
-    """Full-band self-attention over time for one network's x[D, T, F]: the
+def _attention(x: np.ndarray, layer: _Layer, state: dict, cfg: GridNetConfig) -> np.ndarray:
+    """Full-band self-attention over time for the stack's x[S, D, T, F]: the
     keys and values of x's frames are written after those cached in the
     block ``state``, and each frame of x attends to its own frame and every
     earlier one. A NaN or Inf projection raises before any row is written,
     so the cached rows and their ``frames`` count stay valid and are never
-    rescanned. Each network reads its own cache, so attention runs per
-    network: a joint call would have to copy every cached frame each hop."""
-    heads, t_len, f_len = cfg.heads, x.shape[1], x.shape[2]
-    w_qkv, b_qkv, alpha_qkv = blk.qkv
-    z = prelu(np.tensordot(w_qkv, x, axes=([1], [0])) + b_qkv[:, None, None], alpha_qkv)
+    rescanned. The projections and the attention run once for the stack:
+    every network's heads are heads of one ``masked_attention`` call over
+    the one cache, and each head has its own softmax."""
+    n_net, d, t_len, f_len = x.shape
+    heads = n_net * cfg.heads
+    w_qkv, b_qkv, alpha_qkv = layer.qkv
+    z = np.matmul(w_qkv, x.reshape(n_net, d, -1)).reshape(n_net, -1, t_len, f_len)
+    z = prelu(z + b_qkv[..., None, None], alpha_qkv[..., None, None])
     if not np.all(np.isfinite(z)):
+        blk = next(blk for blk, zk in zip(layer.blocks, z) if not np.all(np.isfinite(zk)))
         raise ValueError(f"{blk.name}.attn: non-finite query, key or value")
-    # [heads * W, T, F] -> [T, heads, F, W]: masked_attention's row layout
+    # [S, heads * W, T, F] -> [T, S, heads, F, W]: masked_attention's row layout
+    qk_rows = cfg.heads * cfg.qk_channels
     q, k, v = (
-        part.reshape(heads, -1, t_len, f_len).transpose(2, 0, 3, 1)
-        for part in np.split(z, [heads * cfg.qk_channels, 2 * heads * cfg.qk_channels])
+        part.reshape(n_net, cfg.heads, -1, t_len, f_len).transpose(3, 0, 1, 4, 2)
+        for part in np.split(z, [qk_rows, 2 * qk_rows], axis=1)
     )
     n = state["frames"]
     end = state["frames"] = n + t_len
@@ -605,17 +638,12 @@ def _attention(x: np.ndarray, blk: _Block, state: dict, cfg: GridNetConfig) -> n
             cache[:n] = state[name][:n]
             state[name] = cache
         cache[n:end].reshape(new.shape)[...] = new
-    out = masked_attention(
-        q.reshape(t_len, -1),
-        state["k"][:end],
-        state["v"][:end],
-        heads=heads,
-    )
-    o = out.reshape(t_len, heads, f_len, cfg.value_channels)
-    o = o.transpose(1, 3, 0, 2).reshape(cfg.d, t_len, f_len)
-    w_out, b_out, alpha_out = blk.out
-    y = np.tensordot(w_out, o, axes=([1], [0]))
-    return prelu(y + b_out[:, None, None], alpha_out)
+    out = masked_attention(q.reshape(t_len, -1), state["k"][:end], state["v"][:end], heads=heads)
+    o = out.reshape(t_len, n_net, cfg.heads, f_len, cfg.value_channels)
+    o = o.transpose(1, 2, 4, 0, 3).reshape(n_net, d, -1)
+    w_out, b_out, alpha_out = layer.out
+    y = np.matmul(w_out, o).reshape(x.shape)
+    return prelu(y + b_out[..., None, None], alpha_out[..., None, None])
 
 
 class GridNetStream:

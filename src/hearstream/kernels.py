@@ -151,13 +151,14 @@ def conv_transpose1d(x: np.ndarray, kernel, bias) -> np.ndarray:
     Returns the full output [N, L + K - 1, C_out]; callers crop. out[o] sums
     x[i] * kernel[:, :, o - i], so out[o] depends only on inputs at
     positions i <= o (head crop keeps causality). A stack x[S, N, L, C_in]
-    takes sequences of S kernels and S biases, one per input, and returns
-    [S, N, L + K - 1, C_out]; the kernels are read where they are.
+    takes a sequence of S kernels, one per input, and their biases stacked
+    [S, C_out], and returns [S, N, L + K - 1, C_out]; the kernels are read
+    where they are.
     """
     x = np.asarray(x, dtype=np.float32)
     stacked = x.ndim == 4
     if not stacked:
-        x, kernel, bias = x[None], [kernel], [bias]
+        x, kernel, bias = x[None], [kernel], np.asarray(bias)[None]
     c_in, c_out, k = kernel[0].shape
     if (
         x.ndim != 4
@@ -176,7 +177,7 @@ def conv_transpose1d(x: np.ndarray, kernel, bias) -> np.ndarray:
     out = np.zeros((len(x), n, length + k - 1, c_out), dtype=np.float32)
     for tap in range(k):
         out[:, :, tap : tap + length] += y[..., tap]
-    out += np.stack([np.asarray(bs, dtype=np.float32) for bs in bias])[:, None, None]
+    out += np.asarray(bias, dtype=np.float32)[:, None, None]
     return out if stacked else out[0]
 
 
@@ -203,14 +204,15 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     y = x64 - x64.mean(axis=(-3, -1), keepdims=True)
     # the mean of the squared deviations, as np.var computes it
     y /= np.sqrt(np.mean(y * y, axis=(-3, -1), keepdims=True) + _LN_EPS)
-    return (np.asarray(gamma) * y.astype(np.float32) + np.asarray(beta)).astype(np.float32)
+    out = np.asarray(gamma) * y.astype(np.float32) + np.asarray(beta)
+    return out.astype(np.float32, copy=False)
 
 
 def film(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Feature-wise linear modulation: channel d of x[D, T, F] scaled by
     gamma[d] and shifted by beta[d], where (gamma, beta) are the conditioning
     vector's projections. A stack x[S, D, T, F] takes gamma and beta [S, D]."""
-    return (gamma[..., None, None] * x + beta[..., None, None]).astype(np.float32)
+    return (gamma[..., None, None] * x + beta[..., None, None]).astype(np.float32, copy=False)
 
 
 # -- recurrent and attention layers ------------------------------------------
@@ -384,8 +386,11 @@ def masked_attention(
     q, k, v = (np.asarray(a, dtype=np.float32) for a in (q, k, v))
     t_q, dq = q.shape
     t_k = k.shape[0]
-    if dq % heads or v.shape[1] % heads or k.shape != (t_k, dq):
-        raise ValueError("masked_attention: dims must divide evenly into heads")
+    if k.shape != (t_k, dq) or v.shape[0] != t_k or dq % heads or v.shape[1] % heads:
+        raise ValueError(
+            f"masked_attention: q {q.shape}, k {k.shape} and v {v.shape} do not fit {heads} "
+            "heads: k needs q's width, v k's frames, and both widths a multiple of heads"
+        )
     e = dq // heads
     dv = v.shape[1] // heads
     qh = q.reshape(t_q, heads, e).transpose(1, 0, 2)

@@ -20,9 +20,10 @@ fitting path add group delay but never shift frame timing.
 
 The cascade is written once, in ``_Cascade``, which runs any number of
 frames per call and carries every state between calls. The streaming
-engine runs it on one frame per hop after priming; :func:`enhance_offline`
-is the same code in one run over the zero frames and the whole utterance,
-so each network makes one whole-sequence forward. That is what the latency
+engine primes it in one run over the zero frames, then runs it on one frame
+per hop; :func:`enhance_offline` is the same code in one run over the zero
+frames and the whole utterance, so each network makes one whole-sequence
+forward. That is what the latency
 checker probes: a hidden dependence on future frames cannot hide there,
 while a streaming wrapper is causal by construction.
 
@@ -159,21 +160,24 @@ def beamform_frames(
 class _Cascade:
     """The enhancement cascade over frames, continuing one carried state.
 
-    The carried state is each network's GridNet state and its ledger of the
-    ``lookahead`` estimates it has emitted that are not yet due (zero frames
-    at the start), each iteration's Wiener-filter statistics, the rescale
-    sums, the fitting chain and the synthesis overlap. One ``run`` over T
-    frames equals successive runs over any split of them up to float32
-    accumulation order inside the networks.
+    The carried state is each lockstep stack's GridNet state, each
+    network's ledger of the ``lookahead`` estimates it has emitted that are
+    not yet due (zero frames at the start), each iteration's Wiener-filter
+    statistics, the rescale sums, the fitting chain and the synthesis
+    overlap. Successive runs of at most ``lookahead`` frames equal one run
+    over their frames up to float32 accumulation order inside the networks.
 
     Network i > 0 reads network i-1's estimates due at the run's frames.
     In a run of T <= ``lookahead`` frames the ledgers hold all of them
     before any network runs, so the networks are independent: such a run
     takes every due estimate from its ledger, steps each Wiener filter and
-    runs the networks in lockstep, two per stacked forward. A longer run
-    runs them one per stack, in order. Two is the most a stack takes: at
-    full scale the recurrence blocks of four LSTM directions fit a 2 MB L2
-    cache, those of eight do not.
+    runs the networks in lockstep, two per stacked forward, each stack on
+    its own state. A longer run needs each network's fresh output and runs
+    them one per stack, in order; that is the offline form, which sets
+    ``states`` to None so each stack of one starts from zero state and
+    keeps none. Two is the most a stack takes: at full scale the
+    recurrence blocks of four LSTM directions fit a 2 MB L2 cache, those of
+    eight do not.
     """
 
     STACK = 2  # networks per stacked forward in a lockstep run
@@ -200,7 +204,6 @@ class _Cascade:
         first = MisoGridNet(config.model, store, embedding, "dnn1")
         second = MisoGridNet(config.second_stage(), store, embedding, "dnn2")
         self.nets = [first] + [second] * config.iterations
-        self.states = [net.zero_state() for net in self.nets]
         self.ledgers = [
             np.zeros((stft.lookahead, stft.bins), dtype=np.complex64) for _ in self.nets
         ]
@@ -213,6 +216,7 @@ class _Cascade:
             ]
             for size in (1, self.STACK)
         }
+        self.states = [model.zero_state() for model, _ in self.stacks[self.STACK]]
         self.rescale = RescaleState()
         self.fitting = fitting
         self.synth = StreamingSynthesizer(stft)
@@ -228,7 +232,14 @@ class _Cascade:
         # due[i]: network i's estimates due at these frames; in lockstep all
         # of them are in the ledgers already
         due = [ledger[:t_len] if lockstep else None for ledger in self.ledgers]
-        for model, members in self.stacks[self.STACK if lockstep else 1]:
+        stacks = self.stacks[self.STACK if lockstep else 1]
+        if self.states is None:  # the offline form: every stack from zero state
+            states = [None] * len(stacks)
+        elif lockstep:
+            states = self.states
+        else:
+            raise ValueError(f"a run of {t_len} frames cannot continue the lockstep state")
+        for (model, members), state in zip(stacks, states):
             extras = []
             for i in members:
                 if i:  # pass i filters with the previous network's estimates
@@ -237,7 +248,7 @@ class _Cascade:
                     extras.append(np.stack([prev, beamformed], axis=-1))
                 else:
                     extras.append(None)
-            fresh = model.forward(frames, extras, [self.states[i] for i in members])
+            fresh = model.forward(frames, extras, state)
             for i, est in zip(members, fresh):
                 due[i], self.ledgers[i] = np.split(np.concatenate([self.ledgers[i], est]), [t_len])
         gains = [self.rescale.update(z, s) for z, s in zip(beamformed, due[-1])]
@@ -311,10 +322,8 @@ class StreamingEnhancer:
         self._buffer = np.zeros((0, channels))
         # Prime on zero frames so an estimate of frame k is in hand when
         # mixture frame k arrives; their output is the dropped chain-offset
-        # head. One frame per run keeps the float32 sums of the hops to come.
-        zero = np.zeros((1, stft.bins, channels), dtype=np.complex128)
-        for _ in range(stft.lookahead):
-            self.cascade.run(zero)
+        # head. The ``lookahead`` frames are one lockstep run.
+        self.cascade.run(np.zeros((stft.lookahead, stft.bins, channels), dtype=np.complex128))
 
     def process(self, block: np.ndarray) -> np.ndarray:
         """Consume samples; returns 128 output samples per completed hop."""
@@ -371,7 +380,7 @@ def enhance_offline(
     ``est2`` and ``gain``.
     """
     cascade = _Cascade(config, store, embedding, fitting)
-    cascade.states = [None] * len(cascade.nets)  # forward from zero state, keeping none
+    cascade.states = None  # forward each stack of one from zero state, keeping none
     x, n = _padded_signal(signal, config)
     stft = config.stft
     frames = StreamingAnalyzer(stft, x.shape[1]).analyze(x)  # [T, F, C]

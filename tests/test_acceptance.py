@@ -334,7 +334,7 @@ def test_criterion_08_causal_kernels(toy_cfg, toy_store):
     model = MisoGridNet(toy_cfg.model, toy_store, emb, "dnn1")
 
     def temporal(a):
-        return gridnet._temporal(a[None], model.layers[0], [model._zero_block()], model.config)[0]
+        return gridnet._temporal(a[None], model.layers[0], model._zero_block(), model.config)[0]
 
     temporal_ok = np.array_equal(temporal(tx)[:, : cut + 1], temporal(txp)[:, : cut + 1])
 

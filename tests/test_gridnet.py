@@ -35,7 +35,7 @@ def make_model(config, emb=EMB, seed=0, prefix="dnn1"):
 
 def temporal(model, x):
     """The first block's temporal module over one network's x[D, T, F], from zero state."""
-    return gridnet._temporal(x[None], model.layers[0], [model._zero_block()], model.config)[0]
+    return gridnet._temporal(x[None], model.layers[0], model._zero_block(), model.config)[0]
 
 
 def spectral(model, x):
@@ -514,7 +514,7 @@ class TestAttentionCache:
         x = np.zeros((self.CFG.d, 1, self.CFG.n_freq), np.float32)
         x[0, 0, 3] = np.inf
         with pytest.raises(ValueError, match="dnn1.block0.attn: non-finite query"), np.errstate(invalid="ignore"):
-            gridnet._attention(x, model.blocks[0], block, model.config)
+            gridnet._attention(x[None], model.layers[0], block, model.config)
         assert block["frames"] == 0
 
     @pytest.mark.parametrize("bad", [np.nan, 1e39], ids=["nan", "float32_overflow"])

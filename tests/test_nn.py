@@ -875,6 +875,20 @@ class TestMaskedAttention:
         ref = masked_attention(q, k.copy(), v.copy(), heads=2)
         assert_array_equal(out, ref)
 
+    @pytest.mark.parametrize(
+        "k_shape, v_shape, heads",
+        [((4, 6), (4, 6), 2), ((4, 4), (3, 6), 2), ((4, 4), (4, 6), 3)],
+        ids=["k_width", "v_frames", "heads"],
+    )
+    def test_mismatched_shapes_named(self, k_shape, v_shape, heads):
+        # a k narrower or wider than q is a shape mismatch, not a head count
+        # that fails to divide; the error names every shape and the heads
+        q = np.zeros((2, 4), np.float32)
+        k, v = np.zeros(k_shape, np.float32), np.zeros(v_shape, np.float32)
+        shapes = rf"q \(2, 4\), k \({k_shape[0]}, {k_shape[1]}\) and v \({v_shape[0]}, {v_shape[1]}\)"
+        with pytest.raises(ValueError, match=rf"masked_attention: {shapes} do not fit {heads} heads"):
+            masked_attention(q, k, v, heads=heads)
+
     def test_float32_value_product_long_cache(self):
         # softmax weights in float64, value product in float32
         rng = np.random.default_rng(22)

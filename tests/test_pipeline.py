@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hearstream import gridnet, kernels
@@ -590,18 +590,48 @@ def same_state(a, b) -> bool:
     return np.array_equal(a, b)  # arrays and frame counts
 
 
+def network_state(state: dict, k: int, n_net: int) -> dict:
+    """Network k's slice of a stack's state, as copies laid out as a lone
+    network's: histories, LSTM (h, c), the cache rows' part of its heads
+    (every row, so the capacity too) and the frame count."""
+
+    def cut(a):
+        return a[k : k + 1].copy()
+
+    def heads(cache):
+        return cache.reshape(len(cache), n_net, -1)[:, k].copy()
+
+    blocks = [
+        {
+            "unfold": cut(b["unfold"]),
+            "lstm": tuple(cut(a) for a in b["lstm"]),
+            "deconv": cut(b["deconv"]),
+            "k": heads(b["k"]),
+            "v": heads(b["v"]),
+            "frames": b["frames"],
+        }
+        for b in state["blocks"]
+    ]
+    conv_in = [state["conv_in"][k].copy()]
+    return {"conv_in": conv_in, "blocks": blocks, "deconv_out": cut(state["deconv_out"])}
+
+
 @settings(max_examples=20)
 @given(
     channels=st.integers(1, 2),
     iterations=st.integers(1, 3),
-    hops=st.integers(0, 6),
+    hops=st.integers(0, 20),
     t_len=st.integers(1, SMALL_STFT.lookahead),
     seed=st.integers(0, 2**16),
 )
+# the cache starts at 16 rows and priming fills 3: these runs cross the doubling
+@example(channels=1, iterations=1, hops=13, t_len=1, seed=1)
+@example(channels=2, iterations=3, hops=12, t_len=3, seed=2)
 def test_lockstep_forward_equals_networks_one_at_a_time(channels, iterations, hops, t_len, seed):
     # the stacks a stream hop runs, each over random frames from the state a
     # random number of hops left, against its networks' own forwards from
-    # copies of that state: estimates and every carried state, bit for bit
+    # their slices of that state: estimates and every network's slice of
+    # the state the stack leaves, bit for bit
     cfg = PipelineConfig(
         model=GridNetConfig.toy(channels=channels, n_freq=SMALL_STFT.bins),
         stft=SMALL_STFT,
@@ -619,15 +649,40 @@ def test_lockstep_forward_equals_networks_one_at_a_time(channels, iterations, ho
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     frames = spect(t_len, SMALL_STFT.bins, channels)
-    for model, members in cascade.stacks[2]:
-        assert len(members) == min(2, len(cascade.nets) - members[0])
+    for (model, members), state in zip(cascade.stacks[2], cascade.states):
+        n_net = len(members)
+        assert n_net == min(2, len(cascade.nets) - members[0])
+        assert all(b["frames"] == SMALL_STFT.lookahead + hops for b in state["blocks"])
         extras = [spect(t_len, SMALL_STFT.bins, 2) if i else None for i in members]
-        alone = [copy.deepcopy(cascade.states[i]) for i in members]
-        stacked = model.forward(frames, extras, [cascade.states[i] for i in members])
-        assert stacked.shape == (len(members), t_len, SMALL_STFT.bins)
+        alone = [network_state(state, k, n_net) for k in range(n_net)]
+        stacked = model.forward(frames, extras, state)
+        assert stacked.shape == (n_net, t_len, SMALL_STFT.bins)
         for k, i in enumerate(members):
             assert np.array_equal(stacked[k], cascade.nets[i].forward(frames, extras[k], alone[k]))
-            assert same_state(cascade.states[i], alone[k])
+            assert same_state(network_state(state, k, n_net), alone[k])
+
+
+def test_stack_rejects_another_models_state(cfg, store, emb):
+    # a stack owns one state for all its networks; a lone network's state
+    # is refused before any of it moves
+    cascade = StreamingEnhancer(cfg, store, emb).cascade
+    (pair, _), lone = cascade.stacks[2][0], cascade.nets[0]
+    frames = np.zeros((1, cfg.stft.bins, cfg.model.channels), complex)
+    extras = [None, np.zeros((1, cfg.stft.bins, 2), complex)]
+    state = lone.zero_state()
+    before = copy.deepcopy(state)
+    with pytest.raises(ValueError, match=r"dnn1\+dnn2: a state of 1 networks"):
+        pair.forward(frames, extras, state)
+    assert same_state(state, before)
+
+
+def test_stream_cascade_rejects_a_longer_run(cfg, store, emb):
+    # a stream carries one state per lockstep stack; a run of more than
+    # lookahead frames runs stacks of one, which only the offline form does
+    engine = StreamingEnhancer(cfg, store, emb)
+    frames = np.zeros((cfg.stft.lookahead + 1, cfg.stft.bins, cfg.model.channels), complex)
+    with pytest.raises(ValueError, match="a run of 4 frames cannot continue the lockstep state"):
+        engine.cascade.run(frames)
 
 
 @settings(max_examples=20)

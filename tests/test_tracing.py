@@ -101,15 +101,15 @@ def test_run_phase_stream_hop_counts():
     # one toy hop runs dnn1 and one dnn2 pass as one stack of both. Per block
     # each network makes one temporal LSTM step, and the stack one spectral
     # step per unfold window for all their directions together. Each network
-    # calls conv-in, the output deconv, and per block the temporal LSTM and
-    # attention; the stack calls the input layer norm, and per block FiLM,
-    # two layer norms, the spectral LSTM and the spectral deconv
+    # calls conv-in, the output deconv, and per block the temporal LSTM; the
+    # stack calls the input layer norm, and per block FiLM, two layer norms,
+    # the spectral LSTM, the spectral deconv and attention
     cfg = PipelineConfig()
     model = cfg.model
     nets = 1 + cfg.iterations
     steps = model.blocks * (nets + model.n_freq - model.unfold_kernel + 1)
-    calls = 2 * nets + 1 + model.blocks * (2 * nets + 5)
-    assert (steps, calls) == (516, 23)
+    calls = 2 * nets + 1 + model.blocks * (nets + 6)
+    assert (steps, calls) == (516, 21)
     store = init_pipeline_weights(cfg, seed=0)
     emb = np.random.default_rng(0).standard_normal(128).astype(np.float32)
     x = np.random.default_rng(1).standard_normal((3 * cfg.stft.hop, model.channels))
@@ -123,5 +123,7 @@ def test_run_phase_stream_hop_counts():
         tracer.phase, tracer.frame = "run", 0
         engine.process(x[2 * cfg.stft.hop :])
     assert (tracer.lstm_steps, tracer.kernel_calls) == (steps, calls)
+    # the stack's one cache holds the three primed frames and the three hops
+    assert tracer.attention_keys == cfg.stft.lookahead + 3
     names = {s[0] for s in tracer.spans[split:]}
     assert {"kernels.lstm_temporal", "kernels.lstm_spectral"} <= names
