@@ -22,9 +22,10 @@ carried state: `MisoGridNet.forward` runs it over any number of frames, from
 zero state or continuing a given one, and `GridNetStream` runs the same code
 on one frame at a time. A model resolves its weights when it is built, into
 one record per block that each stage takes its kernel arguments from.
-``MisoGridNet.stack`` runs networks that read one mixture side by side
-through the same code, with a leading network axis on the feature grid and
-on the one carried state the stack owns; a lone network is a stack of one.
+Every model is a stack of networks that read one mixture, run side by side
+through the same code with a leading network axis on the feature grid and
+on the one carried state the stack owns: a network is built as a stack of
+one, and ``MisoGridNet.stack`` joins stacks into one.
 
 The second-stage network is the same architecture with extra input channels
 (first-stage estimate and beamformer output stacked after the mixture).
@@ -85,14 +86,13 @@ class GridNetConfig:
     emb_dim: int = EMB_DIM
 
     def __post_init__(self) -> None:
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
+        for name in "channels d blocks unfold_kernel hidden heads qk_channels emb_dim".split():
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.extra_inputs % 2 or self.extra_inputs < 0:
             raise ValueError("extra_inputs must be an even non-negative count")
         if self.d % self.heads:
             raise ValueError(f"attention heads ({self.heads}) must divide d ({self.d})")
-        if min(self.d, self.blocks, self.unfold_kernel, self.hidden, self.heads) < 1:
-            raise ValueError("d, blocks, unfold_kernel, hidden, heads must all be >= 1")
         if self.n_freq < self.unfold_kernel:
             raise ValueError(f"n_freq ({self.n_freq}) must be >= unfold_kernel")
 
@@ -205,21 +205,24 @@ def infer_config(store: WeightStore) -> GridNetConfig:
     default STFT's bin count. The channel count is half the input planes:
     the first stage has no extra inputs.
     """
-    key = "dnn1.conv_in.w"
-    if key not in store:
-        raise ValueError(f"store holds no 'dnn1' model (missing {key})")
-    d, in_ch, _, _ = store[key].shape
+
+    def shape(name: str) -> tuple:
+        if f"dnn1.{name}" not in store:
+            raise ValueError(f"store holds no complete 'dnn1' model (missing dnn1.{name})")
+        return store[f"dnn1.{name}"].shape
+
+    d, in_ch, _, _ = shape("conv_in.w")
     if in_ch % 2:
-        raise ValueError(f"{key}: odd input plane count {in_ch}")
+        raise ValueError(f"dnn1.conv_in.w: odd input plane count {in_ch}")
     blocks = 0
     while f"dnn1.block{blocks}.film.w_gamma" in store:
         blocks += 1
-    emb = store["dnn1.block0.film.w_gamma"].shape[1]
-    hidden, _, unfold_kernel = store["dnn1.block0.temporal.deconv.w"].shape
+    emb = shape("block0.film.w_gamma")[1]
+    hidden, _, unfold_kernel = shape("block0.temporal.deconv.w")
     heads = 0
     while f"dnn1.block0.attn.head{heads}.q.w" in store:
         heads += 1
-    qk = store["dnn1.block0.attn.head0.q.w"].shape[0]
+    qk = shape("block0.attn.head0.q.w")[0]
     return GridNetConfig(
         channels=in_ch // 2,
         d=d,
@@ -305,89 +308,53 @@ def _unfold_windows(seq: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate([seq[..., i : i + n_win, :] for i in range(width)], axis=-1)
 
 
-class _Stem(NamedTuple):
-    """The outer layers' kernel arguments, grouped as each kernel takes them."""
-
-    conv_in: tuple  # (w, b)
-    ln_in: tuple  # (gamma, beta)
-    deconv_out: tuple  # (w, b)
-
-
 class _Block(NamedTuple):
-    """One block's kernel arguments, grouped as each kernel takes them."""
+    """One block's kernel arguments over a stack's S networks, grouped as
+    each kernel takes them.
 
-    name: str  # "<prefix>.block<b>", for error messages
-    film: tuple  # this speaker's (gamma, beta)
-    temporal_ln: tuple  # (gamma, beta)
-    temporal_lstm: tuple  # (w, r, b), the store's own arrays
-    temporal_deconv: tuple  # ([I*H, D] taps, row block k weighing LSTM step t-I+1+k; b)
-    spectral_ln: tuple  # (gamma, beta)
-    spectral_fwd: tuple  # (w, r, b)
-    spectral_bwd: tuple  # (w, r, b)
-    spectral_deconv: tuple  # (w, b)
-    qkv: tuple  # (w, b, alpha), head projections stacked as [q heads, k heads, v heads]
-    out: tuple  # (w, b, alpha)
-
-
-class _Layer(NamedTuple):
-    """One block across a stack's S networks: each network's ``_Block``,
-    and the arguments of the kernels that run once for the whole stack.
-
-    Vectors and the attention projections (a few thousand floats per
-    network and block) are stacked on a leading network axis; the LSTM
-    and deconv matrices stay one per network, each the network's own
-    array, for the kernels take a sequence of them.
+    An array has a leading network axis: vectors and the attention
+    projections, a few thousand floats per network, for the kernels that
+    run once for the stack. A list has one entry per network, that
+    network's own arrays: the LSTM and deconv matrices, for the kernels
+    that take a sequence of them or run per network.
     """
 
-    blocks: tuple  # each network's _Block, for the stages run per network
-    film: tuple  # (gamma, beta), [S, D] each
+    names: list  # "<prefix>.block<b>", for error messages
+    film: tuple  # this speaker's (gamma, beta), [S, D] each
     temporal_ln: tuple  # (gamma, beta), [S, D, 1, 1] each
+    temporal_lstm: list  # (w, r, b), the store's own arrays
+    temporal_deconv: tuple  # ([I*H, D] taps, row block k weighing LSTM step t-I+1+k; b [S, D])
     spectral_ln: tuple  # (gamma, beta), [S, D, 1, 1] each
-    spectral_fwd: tuple  # (ws, rs, bs), one of each per network
-    spectral_bwd: tuple  # one (w, r, b) per network
-    spectral_deconv: tuple  # (ws, b): one kernel per network, biases [S, D]
-    qkv: tuple  # (w, b, alpha), [S, P, D] and [S, P]: each network's _Block.qkv
+    spectral_fwd: tuple  # (ws, rs, bs)
+    spectral_bwd: list  # (w, r, b)
+    spectral_deconv: tuple  # (ws, b [S, D])
+    qkv: tuple  # (w, b, alpha), [S, P, D] and [S, P], heads stacked as [q heads, k heads, v heads]
     out: tuple  # (w, b, alpha), [S, D, D] and [S, D]
 
 
-def _stack(arrays) -> np.ndarray:
-    """One array per network -> one array with a leading network axis; a
-    stack of one views its network's array."""
-    return np.stack(arrays) if len(arrays) > 1 else arrays[0][None]
-
-
-def _stacked(parts) -> tuple:
-    """Per-network tuples of arrays -> one tuple of stacked arrays."""
-    return tuple(_stack(arrays) for arrays in zip(*parts))
-
-
-def _layer(blocks) -> _Layer:
-    kernels, biases = zip(*(blk.spectral_deconv for blk in blocks))
-    return _Layer(
-        blocks=tuple(blocks),
-        film=_stacked(blk.film for blk in blocks),
-        temporal_ln=_stacked(blk.temporal_ln for blk in blocks),
-        spectral_ln=_stacked(blk.spectral_ln for blk in blocks),
-        spectral_fwd=tuple(zip(*(blk.spectral_fwd for blk in blocks))),
-        spectral_bwd=tuple(blk.spectral_bwd for blk in blocks),
-        spectral_deconv=(kernels, _stack(biases)),
-        qkv=_stacked(blk.qkv for blk in blocks),
-        out=_stacked(blk.out for blk in blocks),
-    )
+def _joined(parts):
+    """The records of several stacks -> the record of one stack over all
+    their networks: arrays join on the network axis, lists chain, and
+    tuples join item by item."""
+    if isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
+    if isinstance(parts[0], list):
+        return [item for part in parts for item in part]
+    return tuple(_joined(items) for items in zip(*parts))
 
 
 class MisoGridNet:
-    """The network over frames with carried state; one instance per (weights,
-    speaker embedding, prefix), or a stack of such networks.
+    """The network over frames with carried state: a stack of networks, each
+    built for one (weights, speaker embedding, prefix).
 
-    Building a network resolves the store into ``stem`` and ``blocks``, one
-    ``_Block`` record per block, so no hop looks up a weight by name.
-    ``forward`` runs frames from zero state or continuing a given one;
-    ``GridNetStream`` runs the same code one frame at a time with its own
-    state. ``MisoGridNet.stack`` joins networks that read the same mixture
-    into one model, whose forward runs them side by side over one state
-    with a leading network axis: a lone network runs the same code, over a
-    stack of one.
+    Building a network resolves the store into a stack of one: ``conv_in``,
+    ``ln_in`` and ``deconv_out`` for the outer layers and one ``_Block``
+    record per block, so no hop looks up a weight by name. ``forward`` runs
+    frames from zero state or continuing a given one; ``GridNetStream`` runs
+    the same code one frame at a time with its own state.
+    ``MisoGridNet.stack`` joins stacks that read the same mixture into one,
+    whose forward runs their networks side by side over one state with a
+    leading network axis.
     """
 
     def __init__(
@@ -403,15 +370,20 @@ class MisoGridNet:
             )
         if not np.all(np.isfinite(embedding)):
             raise ValueError("embedding contains non-finite values")
-        self.config = config
+        self.configs = [config]
         self.prefix = prefix
         w = store.resolve(weight_schema(config, prefix), prefix)
 
         def group(name: str, parts=("w", "b")) -> tuple:
             return tuple(w[f"{name}.{part}"] for part in parts)
 
+        def one(arrays) -> tuple:
+            """Arrays as a stack of one: views with a network axis."""
+            return tuple(a[None] for a in arrays)
+
         norm, lstm, act = ("gamma", "beta"), ("w", "r", "b"), ("w", "b", "alpha")
-        self.stem = _Stem(group("conv_in"), group("ln_in", norm), group("deconv_out"))
+        self.conv_in, self.deconv_out = [group("conv_in")], [group("deconv_out")]
+        self.ln_in = one(group("ln_in", norm))
         self.blocks = []
         for b in range(config.blocks):
             p = f"block{b}"
@@ -419,80 +391,67 @@ class MisoGridNet:
             films = (group(f"{p}.film", (f"w_{part}", f"b_{part}")) for part in norm)
             kernel, bias = group(f"{p}.temporal.deconv")  # [H, D, I], tap k weighs step t-k
             taps = kernel[:, :, ::-1].transpose(2, 0, 1).reshape(-1, kernel.shape[1])
+            deconv, deconv_bias = group(f"{p}.spectral.deconv")
             self.blocks.append(
                 _Block(
-                    name=f"{prefix}.{p}",
-                    film=tuple(linear(embedding, *wb) for wb in films),
-                    temporal_ln=group(f"{p}.temporal.ln", norm),
-                    temporal_lstm=group(f"{p}.temporal.lstm", lstm),
-                    temporal_deconv=(taps, bias),
-                    spectral_ln=group(f"{p}.spectral.ln", norm),
-                    spectral_fwd=group(f"{p}.spectral.lstm_fwd", lstm),
-                    spectral_bwd=group(f"{p}.spectral.lstm_bwd", lstm),
-                    spectral_deconv=group(f"{p}.spectral.deconv"),
-                    qkv=tuple(np.concatenate(ws) for ws in zip(*(group(n, act) for n in heads))),
-                    out=group(f"{p}.attn.out", act),
+                    names=[f"{prefix}.{p}"],
+                    film=one(linear(embedding, *wb) for wb in films),
+                    temporal_ln=one(group(f"{p}.temporal.ln", norm)),
+                    temporal_lstm=[group(f"{p}.temporal.lstm", lstm)],
+                    temporal_deconv=([taps], bias[None]),
+                    spectral_ln=one(group(f"{p}.spectral.ln", norm)),
+                    spectral_fwd=tuple([a] for a in group(f"{p}.spectral.lstm_fwd", lstm)),
+                    spectral_bwd=[group(f"{p}.spectral.lstm_bwd", lstm)],
+                    spectral_deconv=([deconv], deconv_bias[None]),
+                    qkv=one(np.concatenate(ws) for ws in zip(*(group(n, act) for n in heads))),
+                    out=one(group(f"{p}.attn.out", act)),
                 )
             )
-        self.members = ()  # a lone network; a stack lists the networks it runs
-        self._join([self])
 
     @classmethod
-    def stack(cls, nets) -> "MisoGridNet":
-        """One model over networks that read the same mixture and share one
-        architecture up to extra inputs; its prefix joins theirs with "+".
+    def stack(cls, models) -> "MisoGridNet":
+        """One stack over the networks of ``models``, which read the same
+        mixture and share one architecture up to extra inputs; its prefix
+        joins theirs with "+".
 
         Its ``forward`` returns their estimates stacked, bit for bit what
-        each network's own forward returns, and network k's slice of its
+        each model's own forward returns, and network k's slice of its
         state is bit for bit what that network's own forward leaves. Per
         block, FiLM, the layer norms, the spectral LSTM (every network's
         directions in one call), the spectral deconv and attention run once
         for the stack; the input conv, the temporal LSTM and its deconv
         taps, and the output deconv run per network.
         """
-        nets = tuple(nets)
-        shared = {replace(net.config, extra_inputs=0) for net in nets}
+        models = tuple(models)
+        shared = {replace(cfg, extra_inputs=0) for m in models for cfg in m.configs}
         if len(shared) != 1:
             raise ValueError("stacked networks must share one architecture up to extra inputs")
         model = cls.__new__(cls)
-        model.prefix = "+".join(net.prefix for net in nets)
-        model.members = nets
-        model._join(nets)
+        model.prefix = "+".join(m.prefix for m in models)
+        model.configs, model.conv_in, model.ln_in, model.deconv_out = _joined(
+            [(m.configs, m.conv_in, m.ln_in, m.deconv_out) for m in models]
+        )
+        model.blocks = [_Block(*_joined(blocks)) for blocks in zip(*(m.blocks for m in models))]
         return model
-
-    def _join(self, nets) -> None:
-        """Stack the kernel arguments of ``nets`` that run once per stack."""
-        self.ln_in = _stacked(net.stem.ln_in for net in nets)
-        self.layers = [_layer(blocks) for blocks in zip(*(net.blocks for net in nets))]
-
-    @property
-    def _nets(self) -> tuple:
-        """The networks this model runs: a stack's members, or itself."""
-        return self.members or (self,)
 
     # -- forward -------------------------------------------------------------
 
-    def forward(self, mixture: np.ndarray, extras=None, state=None) -> np.ndarray:
-        """mixture[T, F, C] complex (+ optional extras[T, F, K]) -> complex [T, F].
+    def forward(self, mixture: np.ndarray, extras, state=None) -> np.ndarray:
+        """mixture[T, F, C] complex, with one extras[T, F, K] (complex) or
+        None per network -> the networks' estimates, complex [S, T, F].
 
-        The estimate is for the speaker the model was built for.
+        Each estimate is for the speaker the network was built for.
         ``state`` (from ``zero_state()``) is continued and updated in place;
         None runs from zero state. Each stage that looks back in time reads
         its past frames from the state and leaves its own last frames there,
         so one call over T frames equals successive calls over any split.
-        A stack takes ``extras`` as a sequence with one entry (or None) per
-        network, and one state for the stack, and returns [S, T, F]. Input
-        with no frames, or a value that is NaN or Inf once cast to float32,
-        raises ValueError before any state moves.
+        Input with no frames, or a value that is NaN or Inf once cast to
+        float32, raises ValueError before any state moves.
         """
-        nets = self._nets
-        if not self.members:
-            extras = [extras]
-        if len(extras) != len(nets):
+        if len(extras) != len(self.configs):
             raise ValueError(f"{self.prefix}: needs one extras per network")
         inputs = []
-        for net, ex in zip(nets, extras):
-            cfg = net.config
+        for cfg, ex in zip(self.configs, extras):
             x = stack_ri(mixture, ex)
             if x.shape[0] != cfg.input_channels or x.shape[2] != cfg.n_freq:
                 raise ValueError(
@@ -503,23 +462,23 @@ class MisoGridNet:
                 raise ValueError(f"mixture {np.shape(mixture)} has no frames")
             inputs.append(x)
         state = self.zero_state() if state is None else state
-        if len(state["conv_in"]) != len(nets):
+        if len(state["conv_in"]) != len(self.configs):
             raise ValueError(f"{self.prefix}: a state of {len(state['conv_in'])} networks")
         joined = [_with_history(history, x) for history, x in zip(state["conv_in"], inputs)]
         state["conv_in"] = [history for _, history in joined]
-        maps = [conv2d(window, *net.stem.conv_in) for net, (window, _) in zip(nets, joined)]
+        maps = [conv2d(window, *wb) for wb, (window, _) in zip(self.conv_in, joined)]
         x = layer_norm(np.stack(maps), *self.ln_in)  # [S, D, T, F]
         inputs = joined = maps = None  # free the input side before the blocks run
-        cfg = nets[0].config
-        for layer, carried in zip(self.layers, state["blocks"]):
-            x = film(x, *layer.film)
-            x = x + _temporal(x, layer, carried, cfg)
-            x = x + _spectral(x, layer, cfg)
-            x = x + _attention(x, layer, carried, cfg)
+        cfg = self.configs[0]
+        for blk, carried in zip(self.blocks, state["blocks"]):
+            x = film(x, *blk.film)
+            x = x + _temporal(x, blk, carried, cfg)
+            x = x + _spectral(x, blk, cfg)
+            x = x + _attention(x, blk, carried, cfg)
         window, state["deconv_out"] = _with_history(state["deconv_out"], x)
-        heads = [net.stem.deconv_out for net in nets]
-        out = np.stack([unstack_ri(conv_transpose2d(y, *wb)) for y, wb in zip(window, heads)])
-        return out if self.members else out[0]
+        return np.stack(
+            [unstack_ri(conv_transpose2d(y, *wb)) for y, wb in zip(window, self.deconv_out)]
+        )
 
     def zero_state(self) -> dict:
         """The carried state before the first frame: every history is zeros.
@@ -528,15 +487,14 @@ class MisoGridNet:
         convolution, ``deconv_out`` the stack's [S, D, Kt-1, F] last frames
         into the output one, ``blocks`` one ``_zero_block`` state per block.
         """
-        nets = self._nets
-        cfg, hist = nets[0].config, _CONV_KT - 1
+        cfg, hist = self.configs[0], _CONV_KT - 1
         return {
             "conv_in": [
-                np.zeros((net.config.input_channels, hist, cfg.n_freq), dtype=np.float32)
-                for net in nets
+                np.zeros((c.input_channels, hist, cfg.n_freq), dtype=np.float32)
+                for c in self.configs
             ],
             "blocks": [self._zero_block() for _ in range(cfg.blocks)],
-            "deconv_out": np.zeros((len(nets), cfg.d, hist, cfg.n_freq), dtype=np.float32),
+            "deconv_out": np.zeros((len(self.configs), cfg.d, hist, cfg.n_freq), dtype=np.float32),
         }
 
     def _zero_block(self) -> dict:
@@ -551,8 +509,7 @@ class MisoGridNet:
         hold every frame seen so far. Rows past ``frames`` are spare
         capacity; ``_attention`` doubles it when a call would overflow.
         """
-        nets = self._nets
-        n_net, cfg = len(nets), nets[0].config
+        n_net, cfg = len(self.configs), self.configs[0]
         f, hist, h = cfg.n_freq, cfg.unfold_kernel - 1, cfg.hidden
         width = n_net * cfg.heads * f
         return {
@@ -568,17 +525,17 @@ class MisoGridNet:
 # -- block stages over a stack x[S, D, T, F] -------------------------------------
 
 
-def _temporal(x: np.ndarray, layer: _Layer, state: dict, cfg: GridNetConfig) -> np.ndarray:
+def _temporal(x: np.ndarray, blk: _Block, state: dict, cfg: GridNetConfig) -> np.ndarray:
     """Causal sub-band temporal module, continuing the stack's block
     ``state``. The LSTM runs per network, on the store's own (w, r, b),
     which the benchmark's tracer tells it apart by; in a stream hop it makes
     one step, so a joint call would save no steps."""
-    y = layer_norm(x, *layer.temporal_ln)
+    y = layer_norm(x, *blk.temporal_ln)
     seq, state["unfold"] = _with_history(state["unfold"], y.transpose(0, 3, 2, 1))
     windows = _unfold_windows(seq, cfg.unfold_kernel)  # [S, F, T, I*D]
     runs = [
-        lstm_forward(w, *blk.temporal_lstm, state=hc)
-        for w, blk, *hc in zip(windows, layer.blocks, *state["lstm"])
+        lstm_forward(w, *weights, state=hc)
+        for w, weights, *hc in zip(windows, blk.temporal_lstm, *state["lstm"])
     ]
     state["lstm"] = tuple(np.stack(part) for part in zip(*(hc for _, hc in runs)))
     # the head-cropped transposed conv as a valid correlation: frame t
@@ -588,25 +545,24 @@ def _temporal(x: np.ndarray, layer: _Layer, state: dict, cfg: GridNetConfig) -> 
     # C order, as x: a residual sum takes its operands' memory order, and
     # the later stages run slower on the LSTM's [F, T, D] order
     out = np.empty(x.shape, dtype=np.float32)
-    for k, (uk, blk) in enumerate(zip(u, layer.blocks)):
-        taps, bias = blk.temporal_deconv
+    for k, (uk, taps, bias) in enumerate(zip(u, *blk.temporal_deconv)):
         y = uk.reshape(-1, uk.shape[2]) @ taps + bias
         out[k] = y.reshape(uk.shape[0], uk.shape[1], -1).transpose(2, 1, 0)
     return out
 
 
-def _spectral(x: np.ndarray, layer: _Layer, cfg: GridNetConfig) -> np.ndarray:
+def _spectral(x: np.ndarray, blk: _Block, cfg: GridNetConfig) -> np.ndarray:
     """Intra-frame spectral module: one bidirectional LSTM call over every
     network's unfold windows, each network's two directions reading its own."""
-    y = layer_norm(x, *layer.spectral_ln)
+    y = layer_norm(x, *blk.spectral_ln)
     seq = np.ascontiguousarray(y.transpose(0, 2, 3, 1))  # [S, T, F, D]
     windows = _unfold_windows(seq, cfg.unfold_kernel)  # [S, T, F-I+1, I*D]
-    h = lstm_forward(windows, *layer.spectral_fwd, backward=layer.spectral_bwd)
-    full = conv_transpose1d(h, *layer.spectral_deconv)
+    h = lstm_forward(windows, *blk.spectral_fwd, backward=blk.spectral_bwd)
+    full = conv_transpose1d(h, *blk.spectral_deconv)
     return full.transpose(0, 3, 1, 2)  # length restored exactly: (F-I+1)-1+I == F
 
 
-def _attention(x: np.ndarray, layer: _Layer, state: dict, cfg: GridNetConfig) -> np.ndarray:
+def _attention(x: np.ndarray, blk: _Block, state: dict, cfg: GridNetConfig) -> np.ndarray:
     """Full-band self-attention over time for the stack's x[S, D, T, F]: the
     keys and values of x's frames are written after those cached in the
     block ``state``, and each frame of x attends to its own frame and every
@@ -617,12 +573,12 @@ def _attention(x: np.ndarray, layer: _Layer, state: dict, cfg: GridNetConfig) ->
     the one cache, and each head has its own softmax."""
     n_net, d, t_len, f_len = x.shape
     heads = n_net * cfg.heads
-    w_qkv, b_qkv, alpha_qkv = layer.qkv
+    w_qkv, b_qkv, alpha_qkv = blk.qkv
     z = np.matmul(w_qkv, x.reshape(n_net, d, -1)).reshape(n_net, -1, t_len, f_len)
     z = prelu(z + b_qkv[..., None, None], alpha_qkv[..., None, None])
     if not np.all(np.isfinite(z)):
-        blk = next(blk for blk, zk in zip(layer.blocks, z) if not np.all(np.isfinite(zk)))
-        raise ValueError(f"{blk.name}.attn: non-finite query, key or value")
+        name = next(name for name, zk in zip(blk.names, z) if not np.all(np.isfinite(zk)))
+        raise ValueError(f"{name}.attn: non-finite query, key or value")
     # [S, heads * W, T, F] -> [T, S, heads, F, W]: masked_attention's row layout
     qk_rows = cfg.heads * cfg.qk_channels
     q, k, v = (
@@ -641,13 +597,14 @@ def _attention(x: np.ndarray, layer: _Layer, state: dict, cfg: GridNetConfig) ->
     out = masked_attention(q.reshape(t_len, -1), state["k"][:end], state["v"][:end], heads=heads)
     o = out.reshape(t_len, n_net, cfg.heads, f_len, cfg.value_channels)
     o = o.transpose(1, 2, 4, 0, 3).reshape(n_net, d, -1)
-    w_out, b_out, alpha_out = layer.out
+    w_out, b_out, alpha_out = blk.out
     y = np.matmul(w_out, o).reshape(x.shape)
     return prelu(y + b_out[..., None, None], alpha_out[..., None, None])
 
 
 class GridNetStream:
-    """Frame-by-frame inference: ``MisoGridNet.forward`` on one frame at a time.
+    """Frame-by-frame inference: ``MisoGridNet.forward`` on one frame at a
+    time, driving a stack of one network.
 
     The stream is the same code as the whole-sequence forward, run on one
     frame with carried state, so it matches that forward within float32
@@ -662,4 +619,4 @@ class GridNetStream:
     def step(self, frame: np.ndarray, extras: np.ndarray | None = None) -> np.ndarray:
         """One complex frame [F, C] (+ extras [F, K]) -> complex estimate [F]."""
         extras = None if extras is None else np.asarray(extras)[None]
-        return self.model.forward(np.asarray(frame)[None], extras, self.state)[0]
+        return self.model.forward(np.asarray(frame)[None], [extras], self.state)[0, 0]

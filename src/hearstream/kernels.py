@@ -146,19 +146,16 @@ def conv_transpose2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.
 
 
 def conv_transpose1d(x: np.ndarray, kernel, bias) -> np.ndarray:
-    """Stride-1 transposed 1-D convolution of x[N, L, C_in] with kernel[C_in, C_out, K].
+    """Stride-1 transposed 1-D convolutions of a stack x[S, N, L, C_in]:
+    input s with kernel[s], one of a sequence of S kernels [C_in, C_out, K],
+    plus bias[s], a row of the stacked biases [S, C_out].
 
-    Returns the full output [N, L + K - 1, C_out]; callers crop. out[o] sums
-    x[i] * kernel[:, :, o - i], so out[o] depends only on inputs at
-    positions i <= o (head crop keeps causality). A stack x[S, N, L, C_in]
-    takes a sequence of S kernels, one per input, and their biases stacked
-    [S, C_out], and returns [S, N, L + K - 1, C_out]; the kernels are read
+    Returns the full outputs [S, N, L + K - 1, C_out]; callers crop. out[o]
+    sums x[i] * kernel[:, :, o - i], so out[o] depends only on inputs at
+    positions i <= o (head crop keeps causality). The kernels are read
     where they are.
     """
     x = np.asarray(x, dtype=np.float32)
-    stacked = x.ndim == 4
-    if not stacked:
-        x, kernel, bias = x[None], [kernel], np.asarray(bias)[None]
     c_in, c_out, k = kernel[0].shape
     if (
         x.ndim != 4
@@ -178,7 +175,7 @@ def conv_transpose1d(x: np.ndarray, kernel, bias) -> np.ndarray:
     for tap in range(k):
         out[:, :, tap : tap + length] += y[..., tap]
     out += np.asarray(bias, dtype=np.float32)[:, None, None]
-    return out if stacked else out[0]
+    return out
 
 
 # -- normalization and modulation --------------------------------------------
@@ -243,7 +240,10 @@ def lstm_forward(
     then sequences with one entry per input, input s feeds its own forward
     (and backward) direction, and the result is [S, N, T, H] (or 2H). A
     stacked call takes no state. The weights are read where they are: a
-    call copies none of them, whatever the stack.
+    call copies none of them, whatever the stack. The lone form remains
+    only for the GridNet's temporal LSTM, run once per network: it alone
+    carries ``state``, and the benchmark's tracer labels the call by the
+    identity of the store's ``w`` it is passed (see ROADMAP item 9).
 
     The gates live gate-major, [4, n_dir, N, H], so each is one contiguous
     slice over every direction. A step does one batched matmul of h, viewed

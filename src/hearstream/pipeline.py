@@ -34,7 +34,7 @@ stream hop, and the priming) they therefore all came out of earlier runs,
 so no network reads another's output of the same run: the networks of a
 hop are independent, and ``_Cascade`` runs them in lockstep, two per
 stacked forward. A longer run needs each network's fresh output and runs
-them one at a time, in order.
+the networks themselves, one at a time, in order.
 """
 
 from __future__ import annotations
@@ -172,12 +172,12 @@ class _Cascade:
     before any network runs, so the networks are independent: such a run
     takes every due estimate from its ledger, steps each Wiener filter and
     runs the networks in lockstep, two per stacked forward, each stack on
-    its own state. A longer run needs each network's fresh output and runs
-    them one per stack, in order; that is the offline form, which sets
-    ``states`` to None so each stack of one starts from zero state and
-    keeps none. Two is the most a stack takes: at full scale the
-    recurrence blocks of four LSTM directions fit a 2 MB L2 cache, those of
-    eight do not.
+    its own state; the first such run builds the stacks and their states.
+    A longer run needs each network's fresh output: that is the offline
+    form, which runs the networks themselves, in order, each from zero
+    state, and keeps none of it. Two is the most a stack takes: at full
+    scale the recurrence blocks of four LSTM directions fit a 2 MB L2
+    cache, those of eight do not.
     """
 
     STACK = 2  # networks per stacked forward in a lockstep run
@@ -207,16 +207,7 @@ class _Cascade:
         self.ledgers = [
             np.zeros((stft.lookahead, stft.bins), dtype=np.complex64) for _ in self.nets
         ]
-        # (stacked model, the indices of its networks) by stack size, in order
-        n = len(self.nets)
-        self.stacks = {
-            size: [
-                (MisoGridNet.stack(self.nets[lo : lo + size]), range(lo, min(lo + size, n)))
-                for lo in range(0, n, size)
-            ]
-            for size in (1, self.STACK)
-        }
-        self.states = [model.zero_state() for model, _ in self.stacks[self.STACK]]
+        self.stacks = []  # (model, the indices of its networks, its state) once lockstep runs
         self.rescale = RescaleState()
         self.fitting = fitting
         self.synth = StreamingSynthesizer(stft)
@@ -232,14 +223,16 @@ class _Cascade:
         # due[i]: network i's estimates due at these frames; in lockstep all
         # of them are in the ledgers already
         due = [ledger[:t_len] if lockstep else None for ledger in self.ledgers]
-        stacks = self.stacks[self.STACK if lockstep else 1]
-        if self.states is None:  # the offline form: every stack from zero state
-            states = [None] * len(stacks)
-        elif lockstep:
-            states = self.states
-        else:
+        if lockstep and not self.stacks:
+            for lo in range(0, len(self.nets), self.STACK):
+                model = MisoGridNet.stack(self.nets[lo : lo + self.STACK])
+                members = range(lo, lo + len(model.configs))
+                self.stacks.append((model, members, model.zero_state()))
+        elif not lockstep and self.stacks:
             raise ValueError(f"a run of {t_len} frames cannot continue the lockstep state")
-        for (model, members), state in zip(stacks, states):
+        # the offline form runs each network from zero state, keeping none
+        stacks = self.stacks if lockstep else [(net, [i], None) for i, net in enumerate(self.nets)]
+        for model, members, state in stacks:
             extras = []
             for i in members:
                 if i:  # pass i filters with the previous network's estimates
@@ -380,7 +373,6 @@ def enhance_offline(
     ``est2`` and ``gain``.
     """
     cascade = _Cascade(config, store, embedding, fitting)
-    cascade.states = None  # forward each stack of one from zero state, keeping none
     x, n = _padded_signal(signal, config)
     stft = config.stft
     frames = StreamingAnalyzer(stft, x.shape[1]).analyze(x)  # [T, F, C]

@@ -334,14 +334,14 @@ def test_criterion_08_causal_kernels(toy_cfg, toy_store):
     model = MisoGridNet(toy_cfg.model, toy_store, emb, "dnn1")
 
     def temporal(a):
-        return gridnet._temporal(a[None], model.layers[0], model._zero_block(), model.config)[0]
+        return gridnet._temporal(a[None], model.blocks[0], model._zero_block(), model.configs[0])[0]
 
     temporal_ok = np.array_equal(temporal(tx)[:, : cut + 1], temporal(txp)[:, : cut + 1])
 
     frames = rng.standard_normal((12, 257, 2)) + 1j * rng.standard_normal((12, 257, 2))
     framesp = frames.copy()
     framesp[cut + 1 :] = rng.standard_normal(framesp[cut + 1 :].shape)
-    model_ok = exact_prefix(model.forward(frames), model.forward(framesp))
+    model_ok = exact_prefix(model.forward(frames, [None])[0], model.forward(framesp, [None])[0])
 
     # FiLM identity: zeroed projections with unit gamma make the output
     # independent of the embedding, bit for bit: a model built for emb and
@@ -351,8 +351,8 @@ def test_criterion_08_causal_kernels(toy_cfg, toy_store):
         if ".film.w_gamma" in name or ".film.w_beta" in name:
             neutered[name] = np.zeros_like(neutered[name])
     film_ok = np.array_equal(
-        MisoGridNet(toy_cfg.model, neutered, emb, "dnn1").forward(frames),
-        MisoGridNet(toy_cfg.model, neutered, -emb, "dnn1").forward(frames),
+        MisoGridNet(toy_cfg.model, neutered, emb, "dnn1").forward(frames, [None])[0],
+        MisoGridNet(toy_cfg.model, neutered, -emb, "dnn1").forward(frames, [None])[0],
     )
     report(
         8,
@@ -367,7 +367,7 @@ def test_criterion_09_streaming_equivalence(toy_cfg, toy_store):
     emb = rng.standard_normal(128).astype(np.float32)
     model = MisoGridNet(toy_cfg.model, toy_store, emb, "dnn1")
     frames = rng.standard_normal((24, 257, 2)) + 1j * rng.standard_normal((24, 257, 2))
-    full = model.forward(frames)
+    full = model.forward(frames, [None])[0]
     stream = GridNetStream(model)
     inc = np.stack([stream.step(frames[t]) for t in range(24)])
     scale = float(np.max(np.abs(full)))

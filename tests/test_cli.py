@@ -305,6 +305,35 @@ class TestEmbedAndEnhance:
         assert err.startswith("error:") and "\n" not in err
         assert "bad.inxw" in err and "'dnn1.conv_in.w'" in err
 
+    @pytest.mark.parametrize(
+        "field, pattern, axis",
+        [("qk_channels", r"\.attn\.head\d+\.[qk]\.", 0), ("emb_dim", r"\.film\.w_", 1)],
+        ids=["qk_channels", "emb_dim"],
+    )
+    def test_weights_with_an_empty_width_fail_cleanly(
+        self, weights_path, scene_dir, tmp_path, capsys, field, pattern, axis
+    ):
+        # such a file once built an engine that died on an mmap of 0 bytes
+        # with a bare OSError
+        from hearstream.weights import WeightStore
+
+        store = WeightStore.load(weights_path)
+        for name in store.keys():
+            if name.startswith("dnn") and re.search(pattern, name):
+                shape = list(store[name].shape)
+                shape[axis] = 0
+                store[name] = np.zeros(shape, np.float32)
+        path = str(tmp_path / "empty.inxw")
+        store.save(path)
+        code = main(
+            ["enhance", "--input", f"{scene_dir}/mixture.wav", "--weights", path,
+             "--enroll", f"{scene_dir}/anechoic_target.wav",
+             "--output", str(tmp_path / "o.wav")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err and f"{field} must be >= 1" in err
+
 
 class TestCheckLatency:
     def test_default_budget_exits_zero(self, weights_path, capsys):

@@ -35,12 +35,12 @@ def make_model(config, emb=EMB, seed=0, prefix="dnn1"):
 
 def temporal(model, x):
     """The first block's temporal module over one network's x[D, T, F], from zero state."""
-    return gridnet._temporal(x[None], model.layers[0], model._zero_block(), model.config)[0]
+    return gridnet._temporal(x[None], model.blocks[0], model._zero_block(), model.configs[0])[0]
 
 
 def spectral(model, x):
     """The first block's spectral module over one network's x[D, T, F]."""
-    return gridnet._spectral(x[None], model.layers[0], model.config)[0]
+    return gridnet._spectral(x[None], model.blocks[0], model.configs[0])[0]
 
 
 def n_params(config):
@@ -69,6 +69,14 @@ class TestConfig:
             GridNetConfig(extra_inputs=3)
         with pytest.raises(ValueError):
             GridNetConfig(channels=0)
+
+    @pytest.mark.parametrize("field", ["qk_channels", "emb_dim", "heads"])
+    def test_empty_width_rejected(self, field):
+        # a zero width once built a model whose attention cache or FiLM
+        # projection was empty, and the engine died on an mmap of 0 bytes;
+        # zero heads once raised ZeroDivisionError from the heads-divide-d check
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            GridNetConfig(**{field: 0})
 
     def test_fewer_bins_than_the_unfold_rejected(self):
         with pytest.raises(ValueError, match="n_freq"):
@@ -168,38 +176,38 @@ class TestForward:
         store = WeightStore({s.name: np.zeros(s.shape, np.float32) for s in weight_schema(SMALL)})
         model = MisoGridNet(SMALL, store, np.ones(128, np.float32))
         rng = np.random.default_rng(3)
-        out = model.forward(rand_spect(rng, 5, 33, 1))
+        out = model.forward(rand_spect(rng, 5, 33, 1), [None])[0]
         assert_array_equal(out, 0)
 
     def test_output_shape(self):
         rng = np.random.default_rng(4)
         x = rand_spect(rng, 6, 33, 1)
-        out = make_model(SMALL, rng.standard_normal(128)).forward(x)
+        out = make_model(SMALL, rng.standard_normal(128)).forward(x, [None])[0]
         assert out.shape == (6, 33)
         assert np.all(np.isfinite(out))
 
     def test_single_frame(self):
         rng = np.random.default_rng(5)
         x = rand_spect(rng, 1, 33, 1)
-        out = make_model(SMALL, rng.standard_normal(128)).forward(x)
+        out = make_model(SMALL, rng.standard_normal(128)).forward(x, [None])[0]
         assert out.shape == (1, 33)
 
     def test_zero_frames_rejected(self):
         model = make_model(SMALL)
         state = model.zero_state()
         with pytest.raises(ValueError, match=r"mixture \(0, 33, 1\) has no frames"):
-            model.forward(np.zeros((0, 33, 1), np.complex64), None, state)
+            model.forward(np.zeros((0, 33, 1), np.complex64), [None], state)
         assert state["blocks"][0]["frames"] == 0
 
     def test_causality_exact(self):
         rng = np.random.default_rng(6)
         model = make_model(SMALL, rng.standard_normal(128), seed=1)
         x = rand_spect(rng, 10, 33, 1)
-        base = model.forward(x)
+        base = model.forward(x, [None])[0]
         for k in (2, 5, 9):
             xp = x.copy()
             xp[k:] = rand_spect(rng, 10 - k, 33, 1)
-            pert = model.forward(xp)
+            pert = model.forward(xp, [None])[0]
             assert_array_equal(base[:k], pert[:k])
             assert np.abs(base[k:] - pert[k:]).max() > 0
 
@@ -210,16 +218,16 @@ class TestForward:
         xp = x.copy()
         xp[5:] = rand_spect(rng, 5, 33, 1)
         with leaky_attention():
-            base = model.forward(x)
-            pert = model.forward(xp)
+            base = model.forward(x, [None])[0]
+            pert = model.forward(xp, [None])[0]
         assert np.abs(base[:5] - pert[:5]).max() > 1e-7
 
     def test_embedding_sensitivity(self):
         # one model per speaker: the same weights built for two embeddings
         rng = np.random.default_rng(8)
         x = rand_spect(rng, 4, 33, 1)
-        a = make_model(SMALL, rng.standard_normal(128), seed=2).forward(x)
-        b = make_model(SMALL, rng.standard_normal(128), seed=2).forward(x)
+        a = make_model(SMALL, rng.standard_normal(128), seed=2).forward(x, [None])[0]
+        b = make_model(SMALL, rng.standard_normal(128), seed=2).forward(x, [None])[0]
         assert np.abs(a - b).max() > 0
 
     def test_film_identity_matches_unconditioned(self):
@@ -232,8 +240,8 @@ class TestForward:
             store[f"dnn1.block{b}.film.b_beta"] = np.zeros(SMALL.d, np.float32)
         rng = np.random.default_rng(9)
         x = rand_spect(rng, 5, 33, 1)
-        a = MisoGridNet(SMALL, store, rng.standard_normal(128)).forward(x)
-        b = MisoGridNet(SMALL, store, rng.standard_normal(128)).forward(x)
+        a = MisoGridNet(SMALL, store, rng.standard_normal(128)).forward(x, [None])[0]
+        b = MisoGridNet(SMALL, store, rng.standard_normal(128)).forward(x, [None])[0]
         assert_array_equal(a, b)
 
     def test_bad_embedding_length(self):
@@ -248,9 +256,9 @@ class TestForward:
         emb = rng.standard_normal(128).astype(np.float32)
         x = rand_spect(rng, 3, 33, 1)
         model = make_model(SMALL, emb, seed=2)
-        before = model.forward(x)
+        before = model.forward(x, [None])[0]
         emb[:] = rng.standard_normal(128)
-        assert_array_equal(model.forward(x), before)
+        assert_array_equal(model.forward(x, [None])[0], before)
 
     def test_hop_entry_points_take_no_embedding(self):
         params = inspect.signature(MisoGridNet.forward).parameters
@@ -266,7 +274,7 @@ class TestForward:
         cfg = GridNetConfig(channels=1, extra_inputs=4, d=8, blocks=1, unfold_kernel=2, hidden=8, heads=2, n_freq=33)
         rng = np.random.default_rng(10)
         x, emb, ex = rand_spect(rng, 4, 33, 1), rng.standard_normal(128), rand_spect(rng, 4, 33, 2)
-        out = make_model(cfg, emb, seed=4, prefix="dnn2").forward(x, extras=ex)
+        out = make_model(cfg, emb, seed=4, prefix="dnn2").forward(x, [ex])[0]
         assert out.shape == (4, 33)
 
 
@@ -357,7 +365,7 @@ class TestStreaming:
         rng = np.random.default_rng(17)
         model = make_model(SMALL, rng.standard_normal(128), seed=10)
         x = rand_spect(rng, 12, 33, 1)
-        offline = model.forward(x)
+        offline = model.forward(x, [None])[0]
         stream = GridNetStream(model)
         stepped = np.stack([stream.step(x[t]) for t in range(12)])
         assert np.abs(stepped - offline).max() <= 1e-5
@@ -368,7 +376,7 @@ class TestStreaming:
         model = make_model(cfg, rng.standard_normal(128), seed=11, prefix="dnn2")
         x = rand_spect(rng, 9, 33, 1)
         ex = rand_spect(rng, 9, 33, 2)
-        offline = model.forward(x, extras=ex)
+        offline = model.forward(x, [ex])[0]
         stream = GridNetStream(model)
         stepped = np.stack([stream.step(x[t], extras=ex[t]) for t in range(9)])
         assert np.abs(stepped - offline).max() <= 1e-5
@@ -420,10 +428,10 @@ class TestSharedPath:
         x, ex = case["x"], case["extras"]
         state = model.zero_state()
         chunks = [
-            model.forward(x[a:b], None if ex is None else ex[a:b], state)
+            model.forward(x[a:b], [None if ex is None else ex[a:b]], state)[0]
             for a, b in zip(case["bounds"], case["bounds"][1:])
         ]
-        assert_close_to_peak(np.concatenate(chunks), model.forward(x, extras=ex))
+        assert_close_to_peak(np.concatenate(chunks), model.forward(x, [ex])[0])
 
     @settings(max_examples=100)
     @given(case=shared_path_cases())
@@ -437,7 +445,7 @@ class TestSharedPath:
             stepped = np.stack(
                 [stream.step(x[t], None if ex is None else ex[t]) for t in range(len(x))]
             )
-        assert_close_to_peak(stepped, model.forward(x, extras=ex))
+        assert_close_to_peak(stepped, model.forward(x, [ex])[0])
 
 
 class TestAttentionCache:
@@ -453,7 +461,7 @@ class TestAttentionCache:
         x = rand_spect(rng, 70, self.CFG.n_freq, 1)
         stream = GridNetStream(model)
         stepped = np.stack([stream.step(x[t]) for t in range(len(x))])
-        assert_close_to_peak(stepped, model.forward(x))
+        assert_close_to_peak(stepped, model.forward(x, [None])[0])
         start = len(model._zero_block()["k"])
         for block in stream.state["blocks"]:
             assert block["frames"] == len(x)
@@ -467,8 +475,8 @@ class TestAttentionCache:
         x = rand_spect(rng, 70, self.CFG.n_freq, 1)
         state = model.zero_state()
         bounds = [0, 10, 20, 45, 70]
-        chunks = [model.forward(x[a:b], None, state) for a, b in zip(bounds, bounds[1:])]
-        assert_close_to_peak(np.concatenate(chunks), model.forward(x))
+        chunks = [model.forward(x[a:b], [None], state)[0] for a, b in zip(bounds, bounds[1:])]
+        assert_close_to_peak(np.concatenate(chunks), model.forward(x, [None])[0])
         assert all(len(block["k"]) == 128 for block in state["blocks"])
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -487,7 +495,7 @@ class TestAttentionCache:
         x = rand_spect(rng, 40, self.CFG.n_freq, 1)
         model = make_model(self.CFG, rng.standard_normal(128), seed=24)
         state = model.zero_state()
-        model.forward(x, None, state)
+        model.forward(x, [None], state)
         assert all(len(block["k"]) == block["frames"] == 40 for block in state["blocks"])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -495,12 +503,12 @@ class TestAttentionCache:
         rng = np.random.default_rng(29)
         model = make_model(self.CFG, rng.standard_normal(128), seed=28)
         state = model.zero_state()
-        model.forward(rand_spect(rng, 5, self.CFG.n_freq, 1), None, state)
+        model.forward(rand_spect(rng, 5, self.CFG.n_freq, 1), [None], state)
         before = [(b["frames"], b["k"].copy(), b["v"].copy()) for b in state["blocks"]]
         frame = rand_spect(rng, 1, self.CFG.n_freq, 1)
         frame[0, 3, 0] = bad
         with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
-            model.forward(frame, None, state)
+            model.forward(frame, [None], state)
         for block, (frames, k, v) in zip(state["blocks"], before):
             assert block["frames"] == frames == 5
             assert_array_equal(block["k"], k)
@@ -514,7 +522,7 @@ class TestAttentionCache:
         x = np.zeros((self.CFG.d, 1, self.CFG.n_freq), np.float32)
         x[0, 0, 3] = np.inf
         with pytest.raises(ValueError, match="dnn1.block0.attn: non-finite query"), np.errstate(invalid="ignore"):
-            gridnet._attention(x[None], model.layers[0], block, model.config)
+            gridnet._attention(x[None], model.blocks[0], block, model.configs[0])
         assert block["frames"] == 0
 
     @pytest.mark.parametrize("bad", [np.nan, 1e39], ids=["nan", "float32_overflow"])

@@ -477,7 +477,7 @@ class TestConvTranspose:
         # single channel, kernel [1,1,2] = [1, 10]: out[o] = x[o] + 10*x[o-1]
         x = np.array([[[1.0], [2.0], [3.0]]], dtype=np.float32)
         k = np.array([[[1.0, 10.0]]], dtype=np.float32)
-        out = conv_transpose1d(x, k, np.zeros(1, np.float32))
+        out = conv_transpose1d(x[None], [k], np.zeros((1, 1), np.float32))[0]
         assert_allclose(out[0, :, 0], [1.0, 12.0, 23.0, 30.0], atol=0)
 
 

@@ -1,6 +1,7 @@
 """End-to-end engine: timing contract, equivalences, rescale, integration."""
 
 import copy
+import re
 import warnings
 import weakref
 from dataclasses import replace
@@ -164,6 +165,20 @@ class TestWeights:
         assert infer_config(store) == cfg.model
         with pytest.raises(ValueError):
             infer_config(WeightStore({n: store[n] for n in store.keys() if not n.startswith("dnn1.")}))
+
+    @pytest.mark.parametrize(
+        "part, missing",
+        [
+            ("dnn1.block0.", "dnn1.block0.film.w_gamma"),
+            ("dnn1.block0.attn.head0.", "dnn1.block0.attn.head0.q.w"),
+            ("dnn1.block0.temporal.deconv.w", "dnn1.block0.temporal.deconv.w"),
+        ],
+    )
+    def test_infer_config_names_a_missing_part(self, store, part, missing):
+        # each once raised a bare KeyError, which the CLI printed as the key alone
+        partial = WeightStore({n: store[n] for n in store.keys() if not n.startswith(part)})
+        with pytest.raises(ValueError, match=f"'dnn1' model \\(missing {re.escape(missing)}\\)"):
+            infer_config(partial)
 
 
 class TestRescale:
@@ -466,7 +481,7 @@ class TestIterations:
         three_cfg = replace(cfg, iterations=3)
         x = small_scene.mixture
         engine = StreamingEnhancer(three_cfg, store, emb)
-        assert [list(members) for _, members in engine.cascade.stacks[2]] == [[0, 1], [2, 3]]
+        assert [list(members) for _, members, _ in engine.cascade.stacks] == [[0, 1], [2, 3]]
         streamed = engine.process(x)
         offline = enhance_offline(x, three_cfg, store, emb)
         assert np.max(np.abs(streamed - offline)) <= 1e-5 * np.max(np.abs(offline))
@@ -649,7 +664,7 @@ def test_lockstep_forward_equals_networks_one_at_a_time(channels, iterations, ho
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     frames = spect(t_len, SMALL_STFT.bins, channels)
-    for (model, members), state in zip(cascade.stacks[2], cascade.states):
+    for model, members, state in cascade.stacks:
         n_net = len(members)
         assert n_net == min(2, len(cascade.nets) - members[0])
         assert all(b["frames"] == SMALL_STFT.lookahead + hops for b in state["blocks"])
@@ -658,7 +673,8 @@ def test_lockstep_forward_equals_networks_one_at_a_time(channels, iterations, ho
         stacked = model.forward(frames, extras, state)
         assert stacked.shape == (n_net, t_len, SMALL_STFT.bins)
         for k, i in enumerate(members):
-            assert np.array_equal(stacked[k], cascade.nets[i].forward(frames, extras[k], alone[k]))
+            alone_out = cascade.nets[i].forward(frames, [extras[k]], alone[k])
+            assert np.array_equal(stacked[k], alone_out[0])
             assert same_state(network_state(state, k, n_net), alone[k])
 
 
@@ -666,7 +682,7 @@ def test_stack_rejects_another_models_state(cfg, store, emb):
     # a stack owns one state for all its networks; a lone network's state
     # is refused before any of it moves
     cascade = StreamingEnhancer(cfg, store, emb).cascade
-    (pair, _), lone = cascade.stacks[2][0], cascade.nets[0]
+    (pair, _, _), lone = cascade.stacks[0], cascade.nets[0]
     frames = np.zeros((1, cfg.stft.bins, cfg.model.channels), complex)
     extras = [None, np.zeros((1, cfg.stft.bins, 2), complex)]
     state = lone.zero_state()
@@ -678,11 +694,47 @@ def test_stack_rejects_another_models_state(cfg, store, emb):
 
 def test_stream_cascade_rejects_a_longer_run(cfg, store, emb):
     # a stream carries one state per lockstep stack; a run of more than
-    # lookahead frames runs stacks of one, which only the offline form does
+    # lookahead frames runs the networks themselves, which only the offline
+    # form does
     engine = StreamingEnhancer(cfg, store, emb)
     frames = np.zeros((cfg.stft.lookahead + 1, cfg.stft.bins, cfg.model.channels), complex)
     with pytest.raises(ValueError, match="a run of 4 frames cannot continue the lockstep state"):
         engine.cascade.run(frames)
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+def test_each_cascade_builds_only_the_stacks_it_runs(cfg, store, emb, small_scene, iterations):
+    # the offline form runs the networks themselves and builds no stack; a
+    # stream builds its ceil(n / 2) lockstep stacks, and one state for
+    # each, once, however many hops it runs
+    config = replace(cfg, iterations=iterations)
+    stack, zero_state = MisoGridNet.stack, MisoGridNet.zero_state
+    sizes, states = [], []
+
+    def counted_stack(models):
+        models = list(models)
+        sizes.append(len(models))
+        return stack(models)
+
+    def counted_zero_state(model):
+        states.append(model)
+        return zero_state(model)
+
+    x = small_scene.mixture
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MisoGridNet, "stack", staticmethod(counted_stack))
+        patch.setattr(MisoGridNet, "zero_state", counted_zero_state)
+        enhance_offline(x, config, store, emb)
+        assert sizes == []
+        assert [model.prefix for model in states] == ["dnn1"] + ["dnn2"] * iterations
+        sizes.clear()
+        states.clear()
+        engine = StreamingEnhancer(config, store, emb)
+        engine.process(x)
+    stacks = [model for model, _, _ in engine.cascade.stacks]
+    assert len(sizes) == len(stacks) == -(-(1 + iterations) // 2)
+    assert sum(sizes) == 1 + iterations and max(sizes) <= 2
+    assert states == stacks  # each stack's state, built once
 
 
 @settings(max_examples=20)
