@@ -24,7 +24,7 @@ import numpy as np
 from .dsp import StftConfig, StreamingAnalyzer, causality_check
 from .embedder import EmbedConfig, SpeakerEmbedder, cache_embedding, load_embedding
 from .fitting import EQ_DELAY, ListenerFitting, load_listener
-from .gridnet import GridNetConfig, infer_config
+from .gridnet import EMB_DIM, GridNetConfig, infer_config
 from .metrics import multires_si_loss, si_sdr, si_sdri
 from .pipeline import (
     PipelineConfig,
@@ -115,7 +115,7 @@ def _cmd_enhance(args) -> int:
         fitting = ListenerFitting(listeners[args.ear], stft=config.stft)
     mixture = read_wav(args.input)
     if args.embedding:
-        embedding = load_embedding(args.embedding, emb_dim=config.model.emb_dim)
+        embedding = load_embedding(args.embedding)
     else:
         embedding = _enroll(store, args.enroll)
     out = enhance_signal(mixture, config, store, embedding, fitting=fitting)
@@ -125,8 +125,7 @@ def _cmd_enhance(args) -> int:
 
 
 def _enroll(store: WeightStore, wav_path: str) -> np.ndarray:
-    """The speaker embedding of a WAV's channel 0. The engine rejects it if
-    the model was built for another embedding size."""
+    """The speaker embedding of a WAV's channel 0."""
     frames = StreamingAnalyzer(StftConfig(), 1).analyze(read_wav(wav_path)[:, 0])
     return SpeakerEmbedder(EmbedConfig(), store).embed(frames[:, :, 0])
 
@@ -156,7 +155,7 @@ def _cmd_check_latency(args) -> int:
     warm_in = 8 * config.stft.hop
     baseline = embedding = None
     for probe_seed in range(32):
-        cand = np.random.default_rng(probe_seed).standard_normal(model.emb_dim)
+        cand = np.random.default_rng(probe_seed).standard_normal(EMB_DIM)
         cand = cand.astype(np.float32)
         out = enhance_offline(x, config, store, cand)
         hop_rms = np.sqrt(np.mean(out[warm_in:].reshape(-1, config.stft.hop) ** 2, axis=1))

@@ -26,6 +26,7 @@ that differs from a baseline the caller computed once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,7 +69,8 @@ class StftConfig:
     by default), so ``lookahead * hop == warmup`` and a predicted frame
     lands on its own output position. ``win`` must be a multiple of ``hop``
     and at least twice it: the shifted windows then overlap-add to a
-    constant (``cola_constant``), which synthesis divides out.
+    constant (``cola_constant``), which synthesis divides out. All three
+    fields are ints (not bools), and ``sample_rate`` is at least 1.
     """
 
     sample_rate: int = 32000
@@ -76,6 +78,12 @@ class StftConfig:
     hop: int = 128
 
     def __post_init__(self) -> None:
+        for name in ("sample_rate", "win", "hop"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.sample_rate < 1:
+            raise ValueError(f"sample_rate must be >= 1, got {self.sample_rate}")
         if self.win < 2 or self.win % 2 != 0:
             raise ValueError(f"win must be an even integer >= 2, got {self.win}")
         if self.hop < 1 or self.win % self.hop != 0 or self.win // self.hop < 2:

@@ -274,13 +274,13 @@ def cache_embedding(path: str, embedding: np.ndarray) -> None:
     WeightStore({EMBEDDING_NAME: embedding}).save(path)
 
 
-def load_embedding(path: str, emb_dim: int) -> np.ndarray:
+def load_embedding(path: str) -> np.ndarray:
     store = WeightStore.load(path)
     if EMBEDDING_NAME not in store:
         raise WeightFormatError(f"{path}: no {EMBEDDING_NAME!r} tensor")
     emb = store[EMBEDDING_NAME]
-    if emb.shape != (emb_dim,):
+    if emb.shape != (EMB_DIM,):
         raise WeightFormatError(
-            f"{path}: embedding has shape {emb.shape}, expected ({emb_dim},)"
+            f"{path}: embedding has shape {emb.shape}, expected ({EMB_DIM},)"
         )
     return emb

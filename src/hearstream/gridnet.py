@@ -22,10 +22,10 @@ carried state: `MisoGridNet.forward` runs it over any number of frames, from
 zero state or continuing a given one, and `GridNetStream` runs the same code
 on one frame at a time. A model resolves its weights when it is built, into
 one record per block that each stage takes its kernel arguments from.
-Every model is a stack of networks that read one mixture, run side by side
-through the same code with a leading network axis on the feature grid and
-on the one carried state the stack owns: a network is built as a stack of
-one, and ``MisoGridNet.stack`` joins stacks into one.
+Every model is a stack of networks that read one mixture, built in one step
+from the store and run side by side through the same code, with a leading
+network axis on the feature grid and on the one carried state the stack
+owns; a lone network is a stack of one.
 
 The second-stage network is the same architecture with extra input channels
 (first-stage estimate and beamformer output stacked after the mixture).
@@ -83,10 +83,9 @@ class GridNetConfig:
     heads: int = 2
     qk_channels: int = 2
     n_freq: int = StftConfig().bins
-    emb_dim: int = EMB_DIM
 
     def __post_init__(self) -> None:
-        for name in "channels d blocks unfold_kernel hidden heads qk_channels emb_dim".split():
+        for name in "channels d blocks unfold_kernel hidden heads qk_channels".split():
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.extra_inputs % 2 or self.extra_inputs < 0:
@@ -132,7 +131,7 @@ _CACHE_ROWS = 16  # attention cache capacity (frames) before its first growth
 def weight_schema(config: GridNetConfig, prefix: str = "dnn1") -> list[ParamSpec]:
     """Every named parameter the model resolves, in a fixed order."""
     d, h, i_k = config.d, config.hidden, config.unfold_kernel
-    e, dv, emb = config.qk_channels, config.value_channels, config.emb_dim
+    e, dv, emb = config.qk_channels, config.value_channels, EMB_DIM
     specs = [
         ParamSpec(
             f"{prefix}.conv_in.w",
@@ -203,7 +202,8 @@ def infer_config(store: WeightStore) -> GridNetConfig:
 
     The weights encode every hyperparameter except n_freq, which keeps the
     default STFT's bin count. The channel count is half the input planes:
-    the first stage has no extra inputs.
+    the first stage has no extra inputs. A FiLM width other than
+    ``EMB_DIM`` raises ValueError: no embedding the engine takes fits it.
     """
 
     def shape(name: str) -> tuple:
@@ -218,6 +218,10 @@ def infer_config(store: WeightStore) -> GridNetConfig:
     while f"dnn1.block{blocks}.film.w_gamma" in store:
         blocks += 1
     emb = shape("block0.film.w_gamma")[1]
+    if emb != EMB_DIM:
+        raise ValueError(
+            f"dnn1.block0.film.w_gamma: FiLM width {emb}, not the embedding's {EMB_DIM}"
+        )
     hidden, _, unfold_kernel = shape("block0.temporal.deconv.w")
     heads = 0
     while f"dnn1.block0.attn.head{heads}.q.w" in store:
@@ -231,7 +235,6 @@ def infer_config(store: WeightStore) -> GridNetConfig:
         hidden=hidden,
         heads=heads,
         qk_channels=qk,
-        emb_dim=emb,
     )
 
 
@@ -332,107 +335,71 @@ class _Block(NamedTuple):
     out: tuple  # (w, b, alpha), [S, D, D] and [S, D]
 
 
-def _joined(parts):
-    """The records of several stacks -> the record of one stack over all
-    their networks: arrays join on the network axis, lists chain, and
-    tuples join item by item."""
-    if isinstance(parts[0], np.ndarray):
-        return np.concatenate(parts)
-    if isinstance(parts[0], list):
-        return [item for part in parts for item in part]
-    return tuple(_joined(items) for items in zip(*parts))
-
-
 class MisoGridNet:
-    """The network over frames with carried state: a stack of networks, each
-    built for one (weights, speaker embedding, prefix).
+    """The network over frames with carried state: a stack of networks that
+    read one mixture, built from one store for one speaker embedding.
 
-    Building a network resolves the store into a stack of one: ``conv_in``,
-    ``ln_in`` and ``deconv_out`` for the outer layers and one ``_Block``
-    record per block, so no hop looks up a weight by name. ``forward`` runs
-    frames from zero state or continuing a given one; ``GridNetStream`` runs
-    the same code one frame at a time with its own state.
-    ``MisoGridNet.stack`` joins stacks that read the same mixture into one,
-    whose forward runs their networks side by side over one state with a
-    leading network axis.
+    ``nets`` holds one (config, prefix) per network, all of one
+    architecture up to extra inputs; the stack's prefix joins theirs with
+    "+". Building resolves the store into ``conv_in``, ``ln_in`` and
+    ``deconv_out`` and one ``_Block`` record per block, so no hop looks up
+    a weight by name. ``forward`` runs frames from zero state or continuing
+    a given one, every network side by side over one state with a leading
+    network axis; ``GridNetStream`` runs the same code one frame at a time.
     """
 
-    def __init__(
-        self, config: GridNetConfig, store: WeightStore, embedding: np.ndarray, prefix: str = "dnn1"
-    ) -> None:
-        """``embedding`` is the target speaker's length-emb_dim vector; one
-        with another shape, or a value that is NaN or Inf as float32, raises
-        ValueError. The model keeps only what the blocks derive from it."""
+    def __init__(self, nets, store: WeightStore, embedding: np.ndarray) -> None:
+        """``embedding`` is the target speaker's length-``EMB_DIM`` vector;
+        one with another shape, or a value that is NaN or Inf as float32,
+        raises ValueError. The model keeps only what the blocks derive from it."""
         embedding = np.asarray(embedding, dtype=np.float32)
-        if embedding.shape != (config.emb_dim,):
-            raise ValueError(
-                f"embedding must have shape ({config.emb_dim},), got {embedding.shape}"
-            )
+        if embedding.shape != (EMB_DIM,):
+            raise ValueError(f"embedding must have shape ({EMB_DIM},), got {embedding.shape}")
         if not np.all(np.isfinite(embedding)):
             raise ValueError("embedding contains non-finite values")
-        self.configs = [config]
-        self.prefix = prefix
-        w = store.resolve(weight_schema(config, prefix), prefix)
+        self.configs = [cfg for cfg, _ in nets]
+        if len({replace(cfg, extra_inputs=0) for cfg in self.configs}) != 1:
+            raise ValueError("stacked networks must share one architecture up to extra inputs")
+        self.prefix = "+".join(prefix for _, prefix in nets)
+        ws = [store.resolve(weight_schema(cfg, prefix), prefix) for cfg, prefix in nets]
 
-        def group(name: str, parts=("w", "b")) -> tuple:
-            return tuple(w[f"{name}.{part}"] for part in parts)
+        def each(name: str, parts=("w", "b")) -> list:
+            """Each network's own arrays of ``name``, one tuple per network."""
+            return [tuple(w[f"{name}.{part}"] for part in parts) for w in ws]
 
-        def one(arrays) -> tuple:
-            """Arrays as a stack of one: views with a network axis."""
-            return tuple(a[None] for a in arrays)
+        def stacked(arrays) -> tuple:
+            """Per-network tuples of arrays -> one array per item, network axis first."""
+            return tuple(np.stack(items) for items in zip(*arrays))
 
         norm, lstm, act = ("gamma", "beta"), ("w", "r", "b"), ("w", "b", "alpha")
-        self.conv_in, self.deconv_out = [group("conv_in")], [group("deconv_out")]
-        self.ln_in = one(group("ln_in", norm))
-        self.blocks = []
-        for b in range(config.blocks):
+        self.conv_in, self.deconv_out = each("conv_in"), each("deconv_out")
+        self.ln_in = stacked(each("ln_in", norm))
+        cfg, self.blocks = self.configs[0], []
+        for b in range(cfg.blocks):
             p = f"block{b}"
-            heads = [f"{p}.attn.head{l}.{proj}" for proj in "qkv" for l in range(config.heads)]
-            films = (group(f"{p}.film", (f"w_{part}", f"b_{part}")) for part in norm)
-            kernel, bias = group(f"{p}.temporal.deconv")  # [H, D, I], tap k weighs step t-k
-            taps = kernel[:, :, ::-1].transpose(2, 0, 1).reshape(-1, kernel.shape[1])
-            deconv, deconv_bias = group(f"{p}.spectral.deconv")
+            heads = [f"{p}.attn.head{l}.{proj}" for proj in "qkv" for l in range(cfg.heads)]
+            films = [each(f"{p}.film", (f"w_{n}", f"b_{n}")) for n in norm]
+            kernels, biases = zip(*each(f"{p}.temporal.deconv"))  # [H, D, I], tap k weighs step t-k
+            taps = [k[:, :, ::-1].transpose(2, 0, 1).reshape(-1, k.shape[1]) for k in kernels]
+            deconvs, deconv_biases = zip(*each(f"{p}.spectral.deconv"))
             self.blocks.append(
                 _Block(
-                    names=[f"{prefix}.{p}"],
-                    film=one(linear(embedding, *wb) for wb in films),
-                    temporal_ln=one(group(f"{p}.temporal.ln", norm)),
-                    temporal_lstm=[group(f"{p}.temporal.lstm", lstm)],
-                    temporal_deconv=([taps], bias[None]),
-                    spectral_ln=one(group(f"{p}.spectral.ln", norm)),
-                    spectral_fwd=tuple([a] for a in group(f"{p}.spectral.lstm_fwd", lstm)),
-                    spectral_bwd=[group(f"{p}.spectral.lstm_bwd", lstm)],
-                    spectral_deconv=([deconv], deconv_bias[None]),
-                    qkv=one(np.concatenate(ws) for ws in zip(*(group(n, act) for n in heads))),
-                    out=one(group(f"{p}.attn.out", act)),
+                    names=[f"{prefix}.{p}" for _, prefix in nets],
+                    film=tuple(np.stack([linear(embedding, *wb) for wb in f]) for f in films),
+                    temporal_ln=stacked(each(f"{p}.temporal.ln", norm)),
+                    temporal_lstm=each(f"{p}.temporal.lstm", lstm),
+                    temporal_deconv=(taps, np.stack(biases)),
+                    spectral_ln=stacked(each(f"{p}.spectral.ln", norm)),
+                    spectral_fwd=tuple(map(list, zip(*each(f"{p}.spectral.lstm_fwd", lstm)))),
+                    spectral_bwd=each(f"{p}.spectral.lstm_bwd", lstm),
+                    spectral_deconv=(list(deconvs), np.stack(deconv_biases)),
+                    qkv=stacked(
+                        tuple(np.concatenate([w[f"{h}.{part}"] for h in heads]) for part in act)
+                        for w in ws
+                    ),
+                    out=stacked(each(f"{p}.attn.out", act)),
                 )
             )
-
-    @classmethod
-    def stack(cls, models) -> "MisoGridNet":
-        """One stack over the networks of ``models``, which read the same
-        mixture and share one architecture up to extra inputs; its prefix
-        joins theirs with "+".
-
-        Its ``forward`` returns their estimates stacked, bit for bit what
-        each model's own forward returns, and network k's slice of its
-        state is bit for bit what that network's own forward leaves. Per
-        block, FiLM, the layer norms, the spectral LSTM (every network's
-        directions in one call), the spectral deconv and attention run once
-        for the stack; the input conv, the temporal LSTM and its deconv
-        taps, and the output deconv run per network.
-        """
-        models = tuple(models)
-        shared = {replace(cfg, extra_inputs=0) for m in models for cfg in m.configs}
-        if len(shared) != 1:
-            raise ValueError("stacked networks must share one architecture up to extra inputs")
-        model = cls.__new__(cls)
-        model.prefix = "+".join(m.prefix for m in models)
-        model.configs, model.conv_in, model.ln_in, model.deconv_out = _joined(
-            [(m.configs, m.conv_in, m.ln_in, m.deconv_out) for m in models]
-        )
-        model.blocks = [_Block(*_joined(blocks)) for blocks in zip(*(m.blocks for m in models))]
-        return model
 
     # -- forward -------------------------------------------------------------
 

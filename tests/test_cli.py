@@ -119,7 +119,7 @@ class TestEmbedAndEnhance:
         assert code == 0
         from hearstream.embedder import load_embedding
 
-        emb = load_embedding(emb_path, 128)
+        emb = load_embedding(emb_path)
         assert emb.shape == (128,)
         assert np.all(np.isfinite(emb))
 
@@ -197,12 +197,16 @@ class TestEmbedAndEnhance:
         assert "channels" in capsys.readouterr().err
 
     def test_enroll_for_another_embedding_size_fails(self, scene_dir, tmp_path, capsys):
-        from hearstream.gridnet import GridNetConfig
+        # networks whose FiLM layers read 64-wide embeddings: no enrolled
+        # 128-wide one fits them
         from hearstream.pipeline import PipelineConfig, init_pipeline_weights
 
         path = str(tmp_path / "emb64.inxw")
-        config = PipelineConfig(model=GridNetConfig.toy(emb_dim=64))
-        init_pipeline_weights(config, seed=0).save(path)
+        store = init_pipeline_weights(PipelineConfig(), seed=0)
+        for name in list(store.keys()):
+            if name.startswith("dnn") and ".film.w_" in name:
+                store[name] = np.zeros((store[name].shape[0], 64), np.float32)
+        store.save(path)
         code = main(
             ["enhance", "--input", f"{scene_dir}/mixture.wav", "--weights", path,
              "--enroll", f"{scene_dir}/anechoic_target.wav",
@@ -210,7 +214,7 @@ class TestEmbedAndEnhance:
         )
         assert code == 2
         err = capsys.readouterr().err.strip()
-        assert err.startswith("error:") and "\n" not in err and "(64,)" in err
+        assert err.startswith("error:") and "\n" not in err and "FiLM width 64" in err
 
     def test_enroll_and_embedding_mutually_exclusive(self, weights_path, tmp_path, capsys):
         wav = str(tmp_path / "w.wav")
@@ -306,12 +310,15 @@ class TestEmbedAndEnhance:
         assert "bad.inxw" in err and "'dnn1.conv_in.w'" in err
 
     @pytest.mark.parametrize(
-        "field, pattern, axis",
-        [("qk_channels", r"\.attn\.head\d+\.[qk]\.", 0), ("emb_dim", r"\.film\.w_", 1)],
+        "pattern, axis, message",
+        [
+            (r"\.attn\.head\d+\.[qk]\.", 0, "qk_channels must be >= 1"),
+            (r"\.film\.w_", 1, "FiLM width 0, not the embedding's 128"),
+        ],
         ids=["qk_channels", "emb_dim"],
     )
     def test_weights_with_an_empty_width_fail_cleanly(
-        self, weights_path, scene_dir, tmp_path, capsys, field, pattern, axis
+        self, weights_path, scene_dir, tmp_path, capsys, pattern, axis, message
     ):
         # such a file once built an engine that died on an mmap of 0 bytes
         # with a bare OSError
@@ -332,7 +339,7 @@ class TestEmbedAndEnhance:
         )
         assert code == 2
         err = capsys.readouterr().err.strip()
-        assert err.startswith("error:") and "\n" not in err and f"{field} must be >= 1" in err
+        assert err.startswith("error:") and "\n" not in err and message in err
 
 
 class TestCheckLatency:

@@ -75,6 +75,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="at least twice"):
             StftConfig(win=512, hop=512)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sample_rate", float("nan")),
+            ("sample_rate", -32000),
+            ("sample_rate", 0),
+            ("win", 512.0),
+            ("hop", True),
+        ],
+        ids=["nan_rate", "negative_rate", "zero_rate", "float_win", "bool_hop"],
+    )
+    def test_bad_setting_rejected(self, field, value):
+        # a NaN rate once reached LAPACK in the fitting design, a negative
+        # one designed a nonsense equalizer, 0 failed with a bare NumPy
+        # message, and a float window failed in the analyzer
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            StftConfig(**{field: value})
+
 
 class TestAnalyzer:
     def test_zero_input_zero_frame(self):

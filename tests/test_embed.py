@@ -17,7 +17,7 @@ from hearstream.embedder import (
     embed_weight_schema,
     load_embedding,
 )
-from hearstream.gridnet import EMB_DIM, GridNetConfig
+from hearstream.gridnet import EMB_DIM, GridNetConfig, weight_schema
 from hearstream.weights import WeightFormatError, WeightStore, seeded_init
 
 TINY = EmbedConfig(n_freq=33)  # the bins of the test suite's StftConfig(win=64, hop=16)
@@ -49,7 +49,8 @@ class TestConfig:
     def test_emb_dim_is_tcn_width(self):
         # the pooled TCN output is the embedding the networks' FiLM layers read
         tcn = {s.shape[0] for s in embed_weight_schema(TINY) if ".tcn." in s.name}
-        assert tcn == {EMB_DIM} == {GridNetConfig().emb_dim}
+        film = {s.shape[1] for s in weight_schema(GridNetConfig()) if ".film.w_" in s.name}
+        assert tcn == {EMB_DIM} == film
 
 
 class TestParams:
@@ -300,20 +301,20 @@ class TestCache:
         vec = emb.embed(rand_spect(25, 257, seed=8))
         path = str(tmp_path / "emb.inxw")
         cache_embedding(path, vec)
-        back = load_embedding(path, EMB_DIM)
+        back = load_embedding(path)
         assert back.tobytes() == vec.tobytes()
 
     def test_wrong_length_rejected(self, tmp_path):
         path = str(tmp_path / "short.inxw")
         cache_embedding(path, np.zeros(127, dtype=np.float32))
         with pytest.raises(WeightFormatError):
-            load_embedding(path, EMB_DIM)
+            load_embedding(path)
 
     def test_missing_tensor_rejected(self, tmp_path):
         path = str(tmp_path / "other.inxw")
         WeightStore({"misc": np.zeros(4, dtype=np.float32)}).save(path)
         with pytest.raises(WeightFormatError):
-            load_embedding(path, EMB_DIM)
+            load_embedding(path)
 
     def test_non_vector_rejected(self, tmp_path):
         with pytest.raises(ValueError):

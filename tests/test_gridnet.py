@@ -30,7 +30,7 @@ EMB = np.zeros(128, np.float32)  # for tests of stages that FiLM does not touch
 
 
 def make_model(config, emb=EMB, seed=0, prefix="dnn1"):
-    return MisoGridNet(config, seeded_init(weight_schema(config, prefix), seed), emb, prefix)
+    return MisoGridNet([(config, prefix)], seeded_init(weight_schema(config, prefix), seed), emb)
 
 
 def temporal(model, x):
@@ -74,7 +74,18 @@ class TestConfig:
     def test_empty_width_rejected(self, field):
         # a zero width once built a model whose attention cache or FiLM
         # projection was empty, and the engine died on an mmap of 0 bytes;
-        # zero heads once raised ZeroDivisionError from the heads-divide-d check
+        # zero heads once raised ZeroDivisionError from the heads-divide-d
+        # check. The FiLM width is EMB_DIM, no config field: a store's
+        # other width is rejected as the config is read from it
+        if field == "emb_dim":
+            store = seeded_init(weight_schema(SMALL), 0)
+            for name in list(store.keys()):
+                if ".film.w_" in name:
+                    store[name] = np.zeros((SMALL.d, 0), np.float32)
+            message = r"dnn1\.block0\.film\.w_gamma: FiLM width 0, not the embedding's 128"
+            with pytest.raises(ValueError, match=message):
+                gridnet.infer_config(store)
+            return
         with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
             GridNetConfig(**{field: 0})
 
@@ -174,7 +185,7 @@ class TestParamCount:
 class TestForward:
     def test_zero_weights_zero_output(self):
         store = WeightStore({s.name: np.zeros(s.shape, np.float32) for s in weight_schema(SMALL)})
-        model = MisoGridNet(SMALL, store, np.ones(128, np.float32))
+        model = MisoGridNet([(SMALL, "dnn1")], store, np.ones(128, np.float32))
         rng = np.random.default_rng(3)
         out = model.forward(rand_spect(rng, 5, 33, 1), [None])[0]
         assert_array_equal(out, 0)
@@ -240,8 +251,8 @@ class TestForward:
             store[f"dnn1.block{b}.film.b_beta"] = np.zeros(SMALL.d, np.float32)
         rng = np.random.default_rng(9)
         x = rand_spect(rng, 5, 33, 1)
-        a = MisoGridNet(SMALL, store, rng.standard_normal(128)).forward(x, [None])[0]
-        b = MisoGridNet(SMALL, store, rng.standard_normal(128)).forward(x, [None])[0]
+        a = MisoGridNet([(SMALL, "dnn1")], store, rng.standard_normal(128)).forward(x, [None])[0]
+        b = MisoGridNet([(SMALL, "dnn1")], store, rng.standard_normal(128)).forward(x, [None])[0]
         assert_array_equal(a, b)
 
     def test_bad_embedding_length(self):
@@ -268,7 +279,15 @@ class TestForward:
     def test_missing_weights(self):
         store = seeded_init(weight_schema(SMALL), 0)
         with pytest.raises(KeyError):
-            MisoGridNet(GridNetConfig(channels=1, d=8, blocks=2, unfold_kernel=2, hidden=8, heads=2, n_freq=33), store, EMB)
+            MisoGridNet([(GridNetConfig(channels=1, d=8, blocks=2, unfold_kernel=2, hidden=8, heads=2, n_freq=33), "dnn1")], store, EMB)
+
+    def test_stack_needs_one_architecture(self):
+        # a stack runs its networks through one code path, extra inputs aside
+        wide = GridNetConfig(channels=1, d=8, blocks=1, unfold_kernel=2, hidden=16, heads=2, n_freq=33)
+        store = seeded_init(weight_schema(SMALL) + weight_schema(wide, "dnn2"), 0)
+        for nets in ([(SMALL, "dnn1"), (wide, "dnn2")], []):
+            with pytest.raises(ValueError, match="one architecture"):
+                MisoGridNet(nets, store, EMB)
 
     def test_extras_second_stage(self):
         cfg = GridNetConfig(channels=1, extra_inputs=4, d=8, blocks=1, unfold_kernel=2, hidden=8, heads=2, n_freq=33)
@@ -286,7 +305,7 @@ class TestTemporalModule:
             store[f"dnn1.block0.temporal.lstm.{part}"] = np.zeros(
                 store[f"dnn1.block0.temporal.lstm.{part}"].shape, np.float32
             )
-        model = MisoGridNet(cfg, store, EMB)
+        model = MisoGridNet([(cfg, "dnn1")], store, EMB)
         x = np.random.default_rng(11).standard_normal((8, 6, 17)).astype(np.float32)
         assert_array_equal(temporal(model, x), 0)
 
@@ -322,7 +341,7 @@ class TestSpectralModule:
     def test_zero_weights(self):
         cfg = SMALL
         store = WeightStore({s.name: np.zeros(s.shape, np.float32) for s in weight_schema(cfg)})
-        model = MisoGridNet(cfg, store, EMB)
+        model = MisoGridNet([(cfg, "dnn1")], store, EMB)
         x = np.random.default_rng(15).standard_normal((8, 4, 33)).astype(np.float32)
         assert_array_equal(spectral(model, x), 0)
 
@@ -332,7 +351,7 @@ class TestSpectralModule:
         # the output along frequency.
         cfg = GridNetConfig(channels=1, d=4, blocks=1, unfold_kernel=2, hidden=4, heads=2, n_freq=9)
         base_store = seeded_init(weight_schema(cfg), 9)
-        model = MisoGridNet(cfg, base_store, EMB)
+        model = MisoGridNet([(cfg, "dnn1")], base_store, EMB)
 
         d, h, i_k = cfg.d, cfg.hidden, cfg.unfold_kernel
 
@@ -352,7 +371,7 @@ class TestSpectralModule:
         k_orig = base_store[f"{pre}.deconv.w"]  # [2H, D, I]
         swapped = np.concatenate([k_orig[h:], k_orig[:h]], axis=0)
         mirror[f"{pre}.deconv.w"] = swapped[:, :, ::-1]
-        model_m = MisoGridNet(cfg, mirror, EMB)
+        model_m = MisoGridNet([(cfg, "dnn1")], mirror, EMB)
 
         x = np.random.default_rng(16).standard_normal((d, 3, cfg.n_freq)).astype(np.float32)
         out = spectral(model, x)
@@ -424,7 +443,7 @@ class TestSharedPath:
     @settings(max_examples=100)
     @given(case=shared_path_cases(leaky=st.just(False)))
     def test_chunked_run_matches_forward(self, case):
-        model = MisoGridNet(case["config"], case["store"], case["emb"])
+        model = MisoGridNet([(case["config"], "dnn1")], case["store"], case["emb"])
         x, ex = case["x"], case["extras"]
         state = model.zero_state()
         chunks = [
@@ -438,7 +457,7 @@ class TestSharedPath:
     def test_stream_matches_forward(self, case, leaky_attention):
         # one query frame attends to past keys only whatever the mask, so the
         # stream under unmasked attention equals the causal forward
-        model = MisoGridNet(case["config"], case["store"], case["emb"])
+        model = MisoGridNet([(case["config"], "dnn1")], case["store"], case["emb"])
         x, ex = case["x"], case["extras"]
         stream = GridNetStream(model)
         with leaky_attention() if case["leaky"] else contextlib.nullcontext():

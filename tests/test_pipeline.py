@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hearstream import gridnet, kernels
 from hearstream.dsp import StftConfig, StreamingAnalyzer, causality_check, istft_frames
 from hearstream.embedder import EmbedConfig, SpeakerEmbedder
-from hearstream.gridnet import GridNetConfig, MisoGridNet, infer_config, weight_schema
+from hearstream.gridnet import EMB_DIM, GridNetConfig, MisoGridNet, infer_config, weight_schema
 from hearstream.metrics import si_sdr
 from hearstream.pipeline import (
     MAX_ITERATIONS,
@@ -159,7 +159,7 @@ class TestWeights:
         store = init_pipeline_weights(cfg, seed=0)
         embedder = SpeakerEmbedder(EmbedConfig(n_freq=SMALL_STFT.bins), store)
         spect = StreamingAnalyzer(SMALL_STFT).analyze(np.ones(160))
-        assert embedder.embed(spect).shape == (cfg.model.emb_dim,)
+        assert embedder.embed(spect).shape == (EMB_DIM,)
 
     def test_infer_config_roundtrip(self, cfg, store):
         assert infer_config(store) == cfg.model
@@ -291,7 +291,7 @@ class TestEngine:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(MisoGridNet, "zero_state", no_state)
             with pytest.raises(ValueError, match="embedding"):
-                MisoGridNet(cfg.model, store, emb, "dnn1")
+                MisoGridNet([(cfg.model, "dnn1")], store, emb)
             with pytest.raises(ValueError, match="embedding"):
                 StreamingEnhancer(cfg, store, emb)
             with pytest.raises(ValueError, match="embedding"):
@@ -358,6 +358,24 @@ class TestEngine:
         for enhance in (enhance_signal, enhance_offline):
             with pytest.raises(ValueError, match="non-finite"):
                 enhance(x, cfg, store, emb)
+
+    def test_complex_block_rejected_without_state_change(self, cfg, store, emb, scene, streamed):
+        # a float64 cast once dropped the imaginary part with only a
+        # ComplexWarning, so the engine ran on half its input
+        x = scene.mixture
+        engine = StreamingEnhancer(cfg, store, emb)
+        parts = [engine.process(x[:2500])]
+        with pytest.raises(ValueError, match="complex"):
+            engine.process(x[2500:4000] + 0j)
+        parts.append(engine.process(x[2500:]))
+        assert np.array_equal(np.concatenate(parts), streamed)
+
+    @pytest.mark.parametrize("enhance", [enhance_signal, enhance_offline])
+    def test_complex_signal_rejected(self, cfg, store, emb, enhance):
+        x = np.zeros((300, 2), complex)
+        x[200, 0] = 1j
+        with pytest.raises(ValueError, match="complex"):
+            enhance(x, cfg, store, emb)
 
     @pytest.mark.parametrize("big", [1e300, 1e37], ids=["float64_scale", "float32_scale"])
     def test_out_of_range_block_is_a_no_op(self, cfg, store, emb, scene, big):
@@ -579,7 +597,7 @@ def test_block_partition_bit_exact(channels, iterations, n, cuts, seed):
     specs = weight_schema(cfg.model, "dnn1") + weight_schema(cfg.second_stage(), "dnn2")
     store = seeded_init(specs, seed)
     rng = np.random.default_rng(seed)
-    emb = rng.standard_normal(cfg.model.emb_dim).astype(np.float32)
+    emb = rng.standard_normal(EMB_DIM).astype(np.float32)
     x = 0.1 * rng.standard_normal((n, channels))
     whole = StreamingEnhancer(cfg, store, emb)
     expected = whole.process(x)
@@ -655,7 +673,7 @@ def test_lockstep_forward_equals_networks_one_at_a_time(channels, iterations, ho
     specs = weight_schema(cfg.model, "dnn1") + weight_schema(cfg.second_stage(), "dnn2")
     store = seeded_init(specs, seed)
     rng = np.random.default_rng(seed)
-    emb = rng.standard_normal(cfg.model.emb_dim).astype(np.float32)
+    emb = rng.standard_normal(EMB_DIM).astype(np.float32)
     engine = StreamingEnhancer(cfg, store, emb)
     engine.process(0.1 * rng.standard_normal((hops * SMALL_STFT.hop, channels)))
     cascade = engine.cascade
@@ -673,7 +691,8 @@ def test_lockstep_forward_equals_networks_one_at_a_time(channels, iterations, ho
         stacked = model.forward(frames, extras, state)
         assert stacked.shape == (n_net, t_len, SMALL_STFT.bins)
         for k, i in enumerate(members):
-            alone_out = cascade.nets[i].forward(frames, [extras[k]], alone[k])
+            network = MisoGridNet([cascade.nets[i]], store, emb)
+            alone_out = network.forward(frames, [extras[k]], alone[k])
             assert np.array_equal(stacked[k], alone_out[0])
             assert same_state(network_state(state, k, n_net), alone[k])
 
@@ -682,7 +701,7 @@ def test_stack_rejects_another_models_state(cfg, store, emb):
     # a stack owns one state for all its networks; a lone network's state
     # is refused before any of it moves
     cascade = StreamingEnhancer(cfg, store, emb).cascade
-    (pair, _, _), lone = cascade.stacks[0], cascade.nets[0]
+    (pair, _, _), lone = cascade.stacks[0], MisoGridNet(cascade.nets[:1], store, emb)
     frames = np.zeros((1, cfg.stft.bins, cfg.model.channels), complex)
     extras = [None, np.zeros((1, cfg.stft.bins, 2), complex)]
     state = lone.zero_state()
@@ -704,17 +723,16 @@ def test_stream_cascade_rejects_a_longer_run(cfg, store, emb):
 
 @pytest.mark.parametrize("iterations", [1, 2, 3])
 def test_each_cascade_builds_only_the_stacks_it_runs(cfg, store, emb, small_scene, iterations):
-    # the offline form runs the networks themselves and builds no stack; a
-    # stream builds its ceil(n / 2) lockstep stacks, and one state for
-    # each, once, however many hops it runs
+    # the offline form builds each of its networks as a stack of one; a
+    # stream builds its ceil(n / 2) lockstep stacks and no other network,
+    # and one state for each stack, once, however many hops it runs
     config = replace(cfg, iterations=iterations)
-    stack, zero_state = MisoGridNet.stack, MisoGridNet.zero_state
+    init, zero_state = MisoGridNet.__init__, MisoGridNet.zero_state
     sizes, states = [], []
 
-    def counted_stack(models):
-        models = list(models)
-        sizes.append(len(models))
-        return stack(models)
+    def counted_init(model, nets, *args):
+        sizes.append(len(nets))
+        init(model, nets, *args)
 
     def counted_zero_state(model):
         states.append(model)
@@ -722,10 +740,10 @@ def test_each_cascade_builds_only_the_stacks_it_runs(cfg, store, emb, small_scen
 
     x = small_scene.mixture
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(MisoGridNet, "stack", staticmethod(counted_stack))
+        patch.setattr(MisoGridNet, "__init__", counted_init)
         patch.setattr(MisoGridNet, "zero_state", counted_zero_state)
         enhance_offline(x, config, store, emb)
-        assert sizes == []
+        assert sizes == [1] * (1 + iterations)
         assert [model.prefix for model in states] == ["dnn1"] + ["dnn2"] * iterations
         sizes.clear()
         states.clear()
@@ -734,7 +752,25 @@ def test_each_cascade_builds_only_the_stacks_it_runs(cfg, store, emb, small_scen
     stacks = [model for model, _, _ in engine.cascade.stacks]
     assert len(sizes) == len(stacks) == -(-(1 + iterations) // 2)
     assert sum(sizes) == 1 + iterations and max(sizes) <= 2
+    assert sizes == [len(model.configs) for model in stacks]  # every build is a stack it runs
     assert states == stacks  # each stack's state, built once
+
+
+def test_offline_builds_every_network_before_the_first_runs(cfg, store, emb, small_scene):
+    # a store missing a second-stage tensor fails before dnn1 spends a
+    # whole-utterance forward
+    broken = WeightStore({n: store[n] for n in store.keys() if n != "dnn2.deconv_out.b"})
+    forward, forwards = MisoGridNet.forward, []
+
+    def counted_forward(model, *args, **kwargs):
+        forwards.append(model.prefix)
+        return forward(model, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MisoGridNet, "forward", counted_forward)
+        with pytest.raises(KeyError, match="dnn2.deconv_out.b"):
+            enhance_offline(small_scene.mixture, cfg, broken, emb)
+    assert forwards == []
 
 
 @settings(max_examples=20)
@@ -755,7 +791,7 @@ def test_derived_horizon_holds_for_every_geometry(win, ratio, hops, tail, cuts, 
     specs = weight_schema(cfg.model, "dnn1") + weight_schema(cfg.second_stage(), "dnn2")
     store = seeded_init(specs, seed)
     rng = np.random.default_rng(seed)
-    emb = rng.standard_normal(cfg.model.emb_dim).astype(np.float32)
+    emb = rng.standard_normal(EMB_DIM).astype(np.float32)
     n = hops * stft.hop + int(tail * stft.hop)
     x = 0.1 * rng.standard_normal((n, cfg.model.channels))
     offline = enhance_offline(x, cfg, store, emb)
