@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check-latency", help="verify the algorithmic latency budget")
     p.add_argument("--weights", required=True)
-    p.add_argument("--budget-samples", type=int, default=128)
+    p.add_argument("--budget-samples", type=int, default=StftConfig().hop)
     p.add_argument("--trials", type=int, default=20)
 
     p = sub.add_parser("simulate", help="render a synthetic scene to WAV files")
@@ -177,7 +177,7 @@ def _cmd_check_latency(args) -> int:
     rng = np.random.default_rng(2718)
     failures = 0
     for trial in range(args.trials):
-        n = int(rng.integers(2 * warm_in, x.shape[0] - 128))
+        n = int(rng.integers(2 * warm_in, x.shape[0] - config.stft.hop))
         report = causality_check(
             run, x, n=n, budget_samples=args.budget_samples, baseline=baseline
         )

@@ -22,24 +22,23 @@ carried state: `MisoGridNet.forward` runs it over any number of frames, from
 zero state or continuing a given one, and `GridNetStream` runs the same code
 on one frame at a time. A model resolves its weights when it is built, into
 one record per block that each stage takes its kernel arguments from.
-Every model is a stack of networks that read one mixture, built in one step
-from the store and run side by side through the same code, with a leading
-network axis on the feature grid and on the one carried state the stack
-owns; a lone network is a stack of one.
-
-The second-stage network is the same architecture with extra input channels
-(first-stage estimate and beamformer output stacked after the mixture).
+Every model is a stack of networks of one ``GridNetConfig`` that read one
+mixture, built in one step from the store and run side by side through the
+same code, with a leading network axis on the feature grid and on the one
+carried state the stack owns; a lone network is a stack of one. Networks
+differ only in extra input planes (the second stage's first-stage estimate
+and beamformer output), and the input supplies the bin count.
 """
 
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dsp import StftConfig
 from .kernels import (
     conv2d,
     conv_transpose1d,
@@ -67,53 +66,40 @@ EMB_DIM = 128  # speaker embedding width: the enrollment encoder's output
 
 @dataclass(frozen=True)
 class GridNetConfig:
-    """Architecture hyperparameters.
+    """Architecture hyperparameters, shared by every network of a stack.
 
-    channels is the microphone count; extra_inputs counts additional real
-    feature planes stacked after the mixture (4 for the second stage: RI of
-    the first-stage estimate and of the beamformer output).
+    channels is the microphone count. Each field is an int >= 1 (not a
+    bool); another value raises ValueError naming the field.
     """
 
     channels: int = 2
-    extra_inputs: int = 0
     d: int = 16
     blocks: int = 2
     unfold_kernel: int = 2
     hidden: int = 32
     heads: int = 2
     qk_channels: int = 2
-    n_freq: int = StftConfig().bins
 
     def __post_init__(self) -> None:
         for name in "channels d blocks unfold_kernel hidden heads qk_channels".split():
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.extra_inputs % 2 or self.extra_inputs < 0:
-            raise ValueError("extra_inputs must be an even non-negative count")
+            _check_count(name, getattr(self, name), 1)
         if self.d % self.heads:
             raise ValueError(f"attention heads ({self.heads}) must divide d ({self.d})")
-        if self.n_freq < self.unfold_kernel:
-            raise ValueError(f"n_freq ({self.n_freq}) must be >= unfold_kernel")
-
-    @property
-    def input_channels(self) -> int:
-        return 2 * self.channels + self.extra_inputs
 
     @property
     def value_channels(self) -> int:
         return self.d // self.heads
 
     @classmethod
-    def toy(cls, channels: int = 2, extra_inputs: int = 0, **kw) -> "GridNetConfig":
+    def toy(cls, channels: int = 2, **kw) -> "GridNetConfig":
         """Desk-scale configuration used by the test suite."""
-        return cls(channels=channels, extra_inputs=extra_inputs, **kw)
+        return cls(channels=channels, **kw)
 
     @classmethod
-    def full_scale(cls, channels: int = 6, extra_inputs: int = 0) -> "GridNetConfig":
+    def full_scale(cls, channels: int = 6) -> "GridNetConfig":
         """Full-size configuration (approx. 9.6 M parameters per network)."""
         return cls(
             channels=channels,
-            extra_inputs=extra_inputs,
             d=128,
             blocks=6,
             unfold_kernel=4,
@@ -123,21 +109,34 @@ class GridNetConfig:
         )
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an int (not a bool) >= ``least``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 _CONV_KT = 3  # input/output conv kernel extent over time (causal side)
 _CONV_KF = 3  # and over frequency (centered)
 _CACHE_ROWS = 16  # attention cache capacity (frames) before its first growth
 
 
-def weight_schema(config: GridNetConfig, prefix: str = "dnn1") -> list[ParamSpec]:
-    """Every named parameter the model resolves, in a fixed order."""
+def weight_schema(config: GridNetConfig, prefix="dnn1", extra_inputs=0) -> list[ParamSpec]:
+    """Every named parameter of one network, in a fixed order; its input
+    stacks an even int ``extra_inputs`` >= 0 of real planes after the mixture's."""
+    _check_count("extra_inputs", extra_inputs, 0)
+    if extra_inputs % 2:
+        raise ValueError(f"extra_inputs must be even, got {extra_inputs}")
     d, h, i_k = config.d, config.hidden, config.unfold_kernel
     e, dv, emb = config.qk_channels, config.value_channels, EMB_DIM
+    planes = 2 * config.channels + extra_inputs
     specs = [
         ParamSpec(
             f"{prefix}.conv_in.w",
-            (d, config.input_channels, _CONV_KT, _CONV_KF),
+            (d, planes, _CONV_KT, _CONV_KF),
             "weight",
-            fan_in=config.input_channels * _CONV_KT * _CONV_KF,
+            fan_in=planes * _CONV_KT * _CONV_KF,
         ),
         ParamSpec(f"{prefix}.conv_in.b", (d,), "bias"),
         ParamSpec(f"{prefix}.ln_in.gamma", (d, 1, 1), "gamma"),
@@ -198,11 +197,11 @@ def weight_schema(config: GridNetConfig, prefix: str = "dnn1") -> list[ParamSpec
 
 
 def infer_config(store: WeightStore) -> GridNetConfig:
-    """Recover the first-stage (``dnn1``) architecture from tensor shapes in a store.
+    """Recover the architecture from the first-stage (``dnn1``) tensor shapes
+    in a store.
 
-    The weights encode every hyperparameter except n_freq, which keeps the
-    default STFT's bin count. The channel count is half the input planes:
-    the first stage has no extra inputs. A FiLM width other than
+    The weights encode every field. The channel count is half the input
+    planes: the first stage has no extra inputs. A FiLM width other than
     ``EMB_DIM`` raises ValueError: no embedding the engine takes fits it.
     """
 
@@ -336,19 +335,21 @@ class _Block(NamedTuple):
 
 
 class MisoGridNet:
-    """The network over frames with carried state: a stack of networks that
-    read one mixture, built from one store for one speaker embedding.
+    """The network over frames with carried state: a stack of networks of
+    one architecture that read one mixture, built from one store for one
+    speaker embedding.
 
-    ``nets`` holds one (config, prefix) per network, all of one
-    architecture up to extra inputs; the stack's prefix joins theirs with
-    "+". Building resolves the store into ``conv_in``, ``ln_in`` and
-    ``deconv_out`` and one ``_Block`` record per block, so no hop looks up
-    a weight by name. ``forward`` runs frames from zero state or continuing
-    a given one, every network side by side over one state with a leading
-    network axis; ``GridNetStream`` runs the same code one frame at a time.
+    ``config`` is the architecture; ``nets`` holds one (prefix, extra_inputs)
+    per network, as ``weight_schema`` takes them. The stack's prefix joins
+    theirs with "+". Building resolves the store into ``conv_in``,
+    ``ln_in`` and ``deconv_out`` and one ``_Block`` record per block, so no
+    hop looks up a weight by name. ``forward`` runs frames from zero state
+    or continuing a given one, every network side by side over one state
+    with a leading network axis; ``GridNetStream`` runs the same code one
+    frame at a time.
     """
 
-    def __init__(self, nets, store: WeightStore, embedding: np.ndarray) -> None:
+    def __init__(self, config: GridNetConfig, nets, store: WeightStore, embedding) -> None:
         """``embedding`` is the target speaker's length-``EMB_DIM`` vector;
         one with another shape, or a value that is NaN or Inf as float32,
         raises ValueError. The model keeps only what the blocks derive from it."""
@@ -357,11 +358,10 @@ class MisoGridNet:
             raise ValueError(f"embedding must have shape ({EMB_DIM},), got {embedding.shape}")
         if not np.all(np.isfinite(embedding)):
             raise ValueError("embedding contains non-finite values")
-        self.configs = [cfg for cfg, _ in nets]
-        if len({replace(cfg, extra_inputs=0) for cfg in self.configs}) != 1:
-            raise ValueError("stacked networks must share one architecture up to extra inputs")
-        self.prefix = "+".join(prefix for _, prefix in nets)
-        ws = [store.resolve(weight_schema(cfg, prefix), prefix) for cfg, prefix in nets]
+        self.config = config
+        self.planes = [2 * config.channels + extra for _, extra in nets]  # input planes
+        self.prefix = "+".join(prefix for prefix, _ in nets)
+        ws = [store.resolve(weight_schema(config, *net), net[0]) for net in nets]
 
         def each(name: str, parts=("w", "b")) -> list:
             """Each network's own arrays of ``name``, one tuple per network."""
@@ -374,17 +374,17 @@ class MisoGridNet:
         norm, lstm, act = ("gamma", "beta"), ("w", "r", "b"), ("w", "b", "alpha")
         self.conv_in, self.deconv_out = each("conv_in"), each("deconv_out")
         self.ln_in = stacked(each("ln_in", norm))
-        cfg, self.blocks = self.configs[0], []
-        for b in range(cfg.blocks):
+        self.blocks = []
+        for b in range(config.blocks):
             p = f"block{b}"
-            heads = [f"{p}.attn.head{l}.{proj}" for proj in "qkv" for l in range(cfg.heads)]
+            heads = [f"{p}.attn.head{l}.{proj}" for proj in "qkv" for l in range(config.heads)]
             films = [each(f"{p}.film", (f"w_{n}", f"b_{n}")) for n in norm]
             kernels, biases = zip(*each(f"{p}.temporal.deconv"))  # [H, D, I], tap k weighs step t-k
             taps = [k[:, :, ::-1].transpose(2, 0, 1).reshape(-1, k.shape[1]) for k in kernels]
             deconvs, deconv_biases = zip(*each(f"{p}.spectral.deconv"))
             self.blocks.append(
                 _Block(
-                    names=[f"{prefix}.{p}" for _, prefix in nets],
+                    names=[f"{prefix}.{p}" for prefix, _ in nets],
                     film=tuple(np.stack([linear(embedding, *wb) for wb in f]) for f in films),
                     temporal_ln=stacked(each(f"{p}.temporal.ln", norm)),
                     temporal_lstm=each(f"{p}.temporal.lstm", lstm),
@@ -408,63 +408,57 @@ class MisoGridNet:
         None per network -> the networks' estimates, complex [S, T, F].
 
         Each estimate is for the speaker the network was built for.
-        ``state`` (from ``zero_state()``) is continued and updated in place;
+        ``state`` (from ``zero_state(F)``) is continued and updated in place;
         None runs from zero state. Each stage that looks back in time reads
         its past frames from the state and leaves its own last frames there,
         so one call over T frames equals successive calls over any split.
-        Input with no frames, or a value that is NaN or Inf once cast to
-        float32, raises ValueError before any state moves.
+        Input with no frames, a value that is NaN or Inf once cast to
+        float32, or a state of another stack or bin count raises ValueError
+        before any state moves.
         """
-        if len(extras) != len(self.configs):
-            raise ValueError(f"{self.prefix}: needs one extras per network")
-        inputs = []
-        for cfg, ex in zip(self.configs, extras):
-            x = stack_ri(mixture, ex)
-            if x.shape[0] != cfg.input_channels or x.shape[2] != cfg.n_freq:
-                raise ValueError(
-                    f"input planes {x.shape} do not match config "
-                    f"({cfg.input_channels} channels, {cfg.n_freq} bins)"
-                )
-            if x.shape[1] == 0:
-                raise ValueError(f"mixture {np.shape(mixture)} has no frames")
-            inputs.append(x)
-        state = self.zero_state() if state is None else state
-        if len(state["conv_in"]) != len(self.configs):
-            raise ValueError(f"{self.prefix}: a state of {len(state['conv_in'])} networks")
+        inputs = [stack_ri(mixture, ex) for ex in extras]
+        planes = [x.shape[0] for x in inputs]
+        if planes != self.planes:  # one extras per network, each of its count
+            raise ValueError(f"{self.prefix}: input planes {planes}, not {self.planes}")
+        if inputs[0].shape[1] == 0:
+            raise ValueError(f"mixture {np.shape(mixture)} has no frames")
+        bins = inputs[0].shape[2]
+        state = self.zero_state(bins) if state is None else state
+        held = len(state["conv_in"]), state["deconv_out"].shape[-1]
+        if held != (len(self.planes), bins):
+            raise ValueError(f"{self.prefix}: a state of {held[0]} networks over {held[1]} bins")
         joined = [_with_history(history, x) for history, x in zip(state["conv_in"], inputs)]
         state["conv_in"] = [history for _, history in joined]
         maps = [conv2d(window, *wb) for wb, (window, _) in zip(self.conv_in, joined)]
         x = layer_norm(np.stack(maps), *self.ln_in)  # [S, D, T, F]
         inputs = joined = maps = None  # free the input side before the blocks run
-        cfg = self.configs[0]
         for blk, carried in zip(self.blocks, state["blocks"]):
             x = film(x, *blk.film)
-            x = x + _temporal(x, blk, carried, cfg)
-            x = x + _spectral(x, blk, cfg)
-            x = x + _attention(x, blk, carried, cfg)
+            x = x + _temporal(x, blk, carried, self.config)
+            x = x + _spectral(x, blk, self.config)
+            x = x + _attention(x, blk, carried, self.config)
         window, state["deconv_out"] = _with_history(state["deconv_out"], x)
         return np.stack(
             [unstack_ri(conv_transpose2d(y, *wb)) for y, wb in zip(window, self.deconv_out)]
         )
 
-    def zero_state(self) -> dict:
-        """The carried state before the first frame: every history is zeros.
+    def zero_state(self, bins: int) -> dict:
+        """The carried state before the first frame over ``bins`` >=
+        ``unfold_kernel`` frequency bins (else ValueError): all zeros.
 
         ``conv_in`` holds each network's last Kt-1 input frames of the input
         convolution, ``deconv_out`` the stack's [S, D, Kt-1, F] last frames
         into the output one, ``blocks`` one ``_zero_block`` state per block.
         """
-        cfg, hist = self.configs[0], _CONV_KT - 1
+        cfg, hist = self.config, _CONV_KT - 1
+        _check_count("bins", bins, cfg.unfold_kernel)
         return {
-            "conv_in": [
-                np.zeros((c.input_channels, hist, cfg.n_freq), dtype=np.float32)
-                for c in self.configs
-            ],
-            "blocks": [self._zero_block() for _ in range(cfg.blocks)],
-            "deconv_out": np.zeros((len(self.configs), cfg.d, hist, cfg.n_freq), dtype=np.float32),
+            "conv_in": [np.zeros((n, hist, bins), dtype=np.float32) for n in self.planes],
+            "blocks": [self._zero_block(bins) for _ in range(cfg.blocks)],
+            "deconv_out": np.zeros((len(self.planes), cfg.d, hist, bins), dtype=np.float32),
         }
 
-    def _zero_block(self) -> dict:
+    def _zero_block(self, bins: int) -> dict:
         """One block's state over the stack's S networks: the temporal
         unfold history (I-1 frames of normalized input), the temporal LSTM
         (h, c), the last I-1 LSTM outputs for the temporal deconv, and the
@@ -476,8 +470,8 @@ class MisoGridNet:
         hold every frame seen so far. Rows past ``frames`` are spare
         capacity; ``_attention`` doubles it when a call would overflow.
         """
-        n_net, cfg = len(self.configs), self.configs[0]
-        f, hist, h = cfg.n_freq, cfg.unfold_kernel - 1, cfg.hidden
+        n_net, cfg = len(self.planes), self.config
+        f, hist, h = bins, cfg.unfold_kernel - 1, cfg.hidden
         width = n_net * cfg.heads * f
         return {
             "unfold": np.zeros((n_net, f, hist, cfg.d), dtype=np.float32),
@@ -581,9 +575,12 @@ class GridNetStream:
 
     def __init__(self, model: MisoGridNet) -> None:
         self.model = model
-        self.state = model.zero_state()
+        self.state = None  # sized for the first frame the model takes
 
     def step(self, frame: np.ndarray, extras: np.ndarray | None = None) -> np.ndarray:
         """One complex frame [F, C] (+ extras [F, K]) -> complex estimate [F]."""
+        state = self.state or self.model.zero_state(len(np.atleast_1d(frame)))
         extras = None if extras is None else np.asarray(extras)[None]
-        return self.model.forward(np.asarray(frame)[None], [extras], self.state)[0, 0]
+        out = self.model.forward(np.asarray(frame)[None], [extras], state)[0, 0]
+        self.state = state
+        return out

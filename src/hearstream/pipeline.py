@@ -40,7 +40,7 @@ the networks themselves, one at a time, in order.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +58,9 @@ RESCALE_EPS = 1e-8  # floor of the rescale gain's denominator
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Engine wiring: model geometry, STFT, Wiener-filter settings.
+    """Engine wiring: model architecture, STFT, Wiener-filter settings.
 
+    Every network has the architecture ``model``, over the STFT's bins.
     ``iterations`` counts Wiener-filter + second-stage passes, an int from 1
     to ``MAX_ITERATIONS``; each extra pass re-estimates the spatial filter
     from the previous refinement. The cap bounds what an engine holds and
@@ -81,20 +82,13 @@ class PipelineConfig:
         is_int = isinstance(its, numbers.Integral) and not isinstance(its, bool)
         if not is_int or not 1 <= its <= MAX_ITERATIONS:
             raise ValueError(f"iterations must be an int from 1 to {MAX_ITERATIONS}, got {its!r}")
-        if self.model.n_freq != self.stft.bins:
-            raise ValueError(
-                f"model n_freq {self.model.n_freq} != STFT bins {self.stft.bins}"
-            )
-
-    def second_stage(self) -> GridNetConfig:
-        return replace(self.model, extra_inputs=SECOND_STAGE_EXTRAS)
 
 
 def init_pipeline_weights(config: PipelineConfig, seed: int) -> WeightStore:
     """Seeded store holding both stages and the speaker embedder."""
     specs = (
         weight_schema(config.model, "dnn1")
-        + weight_schema(config.second_stage(), "dnn2")
+        + weight_schema(config.model, "dnn2", SECOND_STAGE_EXTRAS)
         + embed_weight_schema(EmbedConfig(n_freq=config.stft.bins))
     )
     return seeded_init(specs, seed)
@@ -160,14 +154,14 @@ def beamform_frames(
 class _Cascade:
     """The enhancement cascade over frames, continuing one carried state.
 
-    ``nets`` holds each network's (config, prefix), ``dnn1`` then each
-    ``dnn2`` pass. The carried state is each lockstep stack's GridNet
-    state, each network's ledger of the ``lookahead`` estimates it has
-    emitted that are not yet due (zero frames at the start), each
-    iteration's Wiener-filter statistics, the rescale sums, the fitting
-    chain and the synthesis overlap. Successive runs of at most
-    ``lookahead`` frames equal one run over their frames up to float32
-    accumulation order inside the networks.
+    ``nets`` holds each network's (prefix, extra_inputs), ``dnn1`` then
+    each ``dnn2`` pass, all of the architecture ``config.model``. The
+    carried state is each lockstep stack's GridNet state, each network's
+    ledger of the ``lookahead`` estimates it has emitted that are not yet
+    due (zero frames at the start), each iteration's Wiener-filter
+    statistics, the rescale sums, the fitting chain and the synthesis
+    overlap. Successive runs of at most ``lookahead`` frames equal one run
+    over their frames up to float32 accumulation order inside the networks.
 
     Network i > 0 reads network i-1's estimates due at the run's frames.
     In a run of T <= ``lookahead`` frames the ledgers hold all of them
@@ -204,8 +198,8 @@ class _Cascade:
             )
             for _ in range(config.iterations)
         ]
-        self.nets = [(config.model, "dnn1")] + [(config.second_stage(), "dnn2")] * config.iterations
-        self.store, self.embedding = store, embedding
+        self.nets = [("dnn1", 0)] + [("dnn2", SECOND_STAGE_EXTRAS)] * config.iterations
+        self.model, self.store, self.embedding = config.model, store, embedding
         self.ledgers = [
             np.zeros((stft.lookahead, stft.bins), dtype=np.complex64) for _ in self.nets
         ]
@@ -228,14 +222,15 @@ class _Cascade:
         if lockstep and not self.stacks:
             for lo in range(0, len(self.nets), self.STACK):
                 members = range(lo, min(lo + self.STACK, len(self.nets)))
-                model = MisoGridNet([self.nets[i] for i in members], self.store, self.embedding)
-                self.stacks.append((model, members, model.zero_state()))
+                nets = [self.nets[i] for i in members]
+                model = MisoGridNet(self.model, nets, self.store, self.embedding)
+                self.stacks.append((model, members, model.zero_state(frames.shape[1])))
         elif not lockstep and self.stacks:
             raise ValueError(f"a run of {t_len} frames cannot continue the lockstep state")
         # the offline form builds every network first (a list), so a bad store
         # fails before any forward, then runs each from zero state, keeping none
         stacks = self.stacks if lockstep else [
-            (MisoGridNet([net], self.store, self.embedding), [i], None)
+            (MisoGridNet(self.model, [net], self.store, self.embedding), [i], None)
             for i, net in enumerate(self.nets)
         ]
         for model, members, state in stacks:

@@ -13,6 +13,7 @@ spec simulates to bit-identical audio on every call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .wavio import SAMPLE_RATE
 class SceneSpec:
     """Recipe for one synthetic scene.
 
+    ``seed`` is an int >= 0 and ``channels`` an int >= 1 (not bools).
     ``snr_db`` is finite, or ``math.inf`` for a noise-free scene; NaN and
     -inf are rejected. ``duration_s`` must round to at least one sample.
     """
@@ -34,8 +36,10 @@ class SceneSpec:
     snr_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
+        for name, least in (("seed", 0), ("channels", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
         if not (math.isfinite(self.duration_s) and self.samples >= 1):
             raise ValueError(f"duration_s must give at least one sample, got {self.duration_s}")
         if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):

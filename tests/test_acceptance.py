@@ -331,10 +331,11 @@ def test_criterion_08_causal_kernels(toy_cfg, toy_store):
     txp = tx.copy()
     txp[:, cut + 1 :] = rng.standard_normal(txp[:, cut + 1 :].shape)
     emb = rng.standard_normal(128).astype(np.float32)
-    model = MisoGridNet([(toy_cfg.model, "dnn1")], toy_store, emb)
+    model = MisoGridNet(toy_cfg.model, [("dnn1", 0)], toy_store, emb)
 
     def temporal(a):
-        return gridnet._temporal(a[None], model.blocks[0], model._zero_block(), model.configs[0])[0]
+        block = model._zero_block(a.shape[2])
+        return gridnet._temporal(a[None], model.blocks[0], block, model.config)[0]
 
     temporal_ok = np.array_equal(temporal(tx)[:, : cut + 1], temporal(txp)[:, : cut + 1])
 
@@ -351,8 +352,8 @@ def test_criterion_08_causal_kernels(toy_cfg, toy_store):
         if ".film.w_gamma" in name or ".film.w_beta" in name:
             neutered[name] = np.zeros_like(neutered[name])
     film_ok = np.array_equal(
-        MisoGridNet([(toy_cfg.model, "dnn1")], neutered, emb).forward(frames, [None])[0],
-        MisoGridNet([(toy_cfg.model, "dnn1")], neutered, -emb).forward(frames, [None])[0],
+        MisoGridNet(toy_cfg.model, [("dnn1", 0)], neutered, emb).forward(frames, [None])[0],
+        MisoGridNet(toy_cfg.model, [("dnn1", 0)], neutered, -emb).forward(frames, [None])[0],
     )
     report(
         8,
@@ -365,7 +366,7 @@ def test_criterion_08_causal_kernels(toy_cfg, toy_store):
 def test_criterion_09_streaming_equivalence(toy_cfg, toy_store):
     rng = np.random.default_rng(9)
     emb = rng.standard_normal(128).astype(np.float32)
-    model = MisoGridNet([(toy_cfg.model, "dnn1")], toy_store, emb)
+    model = MisoGridNet(toy_cfg.model, [("dnn1", 0)], toy_store, emb)
     frames = rng.standard_normal((24, 257, 2)) + 1j * rng.standard_normal((24, 257, 2))
     full = model.forward(frames, [None])[0]
     stream = GridNetStream(model)

@@ -4,6 +4,7 @@ import contextlib
 import inspect
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,27 +21,39 @@ from hearstream.gridnet import (
     unstack_ri,
     weight_schema,
 )
+from hearstream.scenes import SceneSpec
 from hearstream.weights import WeightStore, seeded_init
 
 # small footprint for module-level tests; full toy defaults where counts matter
-SMALL = GridNetConfig(channels=1, d=8, blocks=1, unfold_kernel=2, hidden=8, heads=2, n_freq=33)
+SMALL = GridNetConfig(channels=1, d=8, blocks=1, unfold_kernel=2, hidden=8, heads=2)
 
 
 EMB = np.zeros(128, np.float32)  # for tests of stages that FiLM does not touch
 
 
-def make_model(config, emb=EMB, seed=0, prefix="dnn1"):
-    return MisoGridNet([(config, prefix)], seeded_init(weight_schema(config, prefix), seed), emb)
+def make_model(config, emb=EMB, seed=0, prefix="dnn1", extra_inputs=0):
+    store = seeded_init(weight_schema(config, prefix, extra_inputs), seed)
+    return MisoGridNet(config, [(prefix, extra_inputs)], store, emb)
 
 
 def temporal(model, x):
     """The first block's temporal module over one network's x[D, T, F], from zero state."""
-    return gridnet._temporal(x[None], model.blocks[0], model._zero_block(), model.configs[0])[0]
+    block = model._zero_block(x.shape[2])
+    return gridnet._temporal(x[None], model.blocks[0], block, model.config)[0]
 
 
 def spectral(model, x):
     """The first block's spectral module over one network's x[D, T, F]."""
-    return gridnet._spectral(x[None], model.blocks[0], model.configs[0])[0]
+    return gridnet._spectral(x[None], model.blocks[0], model.config)[0]
+
+
+def state_arrays(state) -> list:
+    """Copies of every array and count of a carried state, in a fixed order."""
+    if isinstance(state, dict):
+        return [a for key in sorted(state) for a in state_arrays(state[key])]
+    if isinstance(state, (list, tuple)):
+        return [a for item in state for a in state_arrays(item)]
+    return [np.array(state, copy=True)]
 
 
 def n_params(config):
@@ -56,19 +69,50 @@ def rand_spect(rng, t, f, c):
 class TestConfig:
     def test_defaults(self):
         cfg = GridNetConfig()
-        assert cfg.input_channels == 4
+        assert weight_schema(cfg)[0].shape[1] == 4  # input planes: RI of 2 channels
         assert cfg.value_channels == 8
 
     def test_second_stage_inputs(self):
-        assert GridNetConfig(channels=6, extra_inputs=4).input_channels == 16
+        assert weight_schema(GridNetConfig(channels=6), "dnn2", 4)[0].shape[1] == 16
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             GridNetConfig(d=15, heads=2)
         with pytest.raises(ValueError):
-            GridNetConfig(extra_inputs=3)
+            weight_schema(GridNetConfig(), "dnn2", 3)
         with pytest.raises(ValueError):
             GridNetConfig(channels=0)
+
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("hidden", lambda: GridNetConfig(hidden=8.0)),
+            ("blocks", lambda: GridNetConfig(blocks=True)),
+            ("channels", lambda: GridNetConfig(channels=np.float64(2))),
+            ("extra_inputs", lambda: weight_schema(GridNetConfig(), "dnn2", 4.0)),
+            ("extra_inputs", lambda: weight_schema(GridNetConfig(), "dnn2", -2)),
+            ("channels", lambda: SceneSpec(channels=2.5)),
+            ("channels", lambda: SceneSpec(channels=True)),
+            ("seed", lambda: SceneSpec(seed=-1)),
+            ("seed", lambda: SceneSpec(seed=1.0)),
+        ],
+        ids=[
+            "float_hidden",
+            "bool_blocks",
+            "numpy_float_channels",
+            "float_extra_inputs",
+            "negative_extra_inputs",
+            "float_scene_channels",
+            "bool_scene_channels",
+            "negative_scene_seed",
+            "float_scene_seed",
+        ],
+    )
+    def test_int_setting_rejected_by_name(self, field, build):
+        # a float width was accepted and failed deep in NumPy, a bool passed
+        # as 1, and a negative scene seed failed in NumPy's seeding
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            build()
 
     @pytest.mark.parametrize("field", ["qk_channels", "emb_dim", "heads"])
     def test_empty_width_rejected(self, field):
@@ -90,9 +134,10 @@ class TestConfig:
             GridNetConfig(**{field: 0})
 
     def test_fewer_bins_than_the_unfold_rejected(self):
-        with pytest.raises(ValueError, match="n_freq"):
-            GridNetConfig(unfold_kernel=4, n_freq=3)
-        assert GridNetConfig(unfold_kernel=4, n_freq=4).n_freq == 4
+        model = make_model(GridNetConfig(unfold_kernel=4))
+        with pytest.raises(ValueError, match="bins must be >= 4, got 3"):
+            model.zero_state(3)
+        assert model.zero_state(4)["deconv_out"].shape[-1] == 4
 
 
 class TestUnfoldWindows:
@@ -172,7 +217,7 @@ class TestParamCount:
 
     def test_second_stage_differs_only_in_first_conv(self):
         a = {s.name: s.shape for s in weight_schema(GridNetConfig(), "m")}
-        b = {s.name: s.shape for s in weight_schema(GridNetConfig(extra_inputs=4), "m")}
+        b = {s.name: s.shape for s in weight_schema(GridNetConfig(), "m", 4)}
         assert set(a) == set(b)
         diff = [k for k in a if a[k] != b[k]]
         assert diff == ["m.conv_in.w"]
@@ -185,7 +230,7 @@ class TestParamCount:
 class TestForward:
     def test_zero_weights_zero_output(self):
         store = WeightStore({s.name: np.zeros(s.shape, np.float32) for s in weight_schema(SMALL)})
-        model = MisoGridNet([(SMALL, "dnn1")], store, np.ones(128, np.float32))
+        model = MisoGridNet(SMALL, [("dnn1", 0)], store, np.ones(128, np.float32))
         rng = np.random.default_rng(3)
         out = model.forward(rand_spect(rng, 5, 33, 1), [None])[0]
         assert_array_equal(out, 0)
@@ -205,7 +250,7 @@ class TestForward:
 
     def test_zero_frames_rejected(self):
         model = make_model(SMALL)
-        state = model.zero_state()
+        state = model.zero_state(33)
         with pytest.raises(ValueError, match=r"mixture \(0, 33, 1\) has no frames"):
             model.forward(np.zeros((0, 33, 1), np.complex64), [None], state)
         assert state["blocks"][0]["frames"] == 0
@@ -251,8 +296,8 @@ class TestForward:
             store[f"dnn1.block{b}.film.b_beta"] = np.zeros(SMALL.d, np.float32)
         rng = np.random.default_rng(9)
         x = rand_spect(rng, 5, 33, 1)
-        a = MisoGridNet([(SMALL, "dnn1")], store, rng.standard_normal(128)).forward(x, [None])[0]
-        b = MisoGridNet([(SMALL, "dnn1")], store, rng.standard_normal(128)).forward(x, [None])[0]
+        a = MisoGridNet(SMALL, [("dnn1", 0)], store, rng.standard_normal(128)).forward(x, [None])[0]
+        b = MisoGridNet(SMALL, [("dnn1", 0)], store, rng.standard_normal(128)).forward(x, [None])[0]
         assert_array_equal(a, b)
 
     def test_bad_embedding_length(self):
@@ -279,33 +324,24 @@ class TestForward:
     def test_missing_weights(self):
         store = seeded_init(weight_schema(SMALL), 0)
         with pytest.raises(KeyError):
-            MisoGridNet([(GridNetConfig(channels=1, d=8, blocks=2, unfold_kernel=2, hidden=8, heads=2, n_freq=33), "dnn1")], store, EMB)
-
-    def test_stack_needs_one_architecture(self):
-        # a stack runs its networks through one code path, extra inputs aside
-        wide = GridNetConfig(channels=1, d=8, blocks=1, unfold_kernel=2, hidden=16, heads=2, n_freq=33)
-        store = seeded_init(weight_schema(SMALL) + weight_schema(wide, "dnn2"), 0)
-        for nets in ([(SMALL, "dnn1"), (wide, "dnn2")], []):
-            with pytest.raises(ValueError, match="one architecture"):
-                MisoGridNet(nets, store, EMB)
+            MisoGridNet(replace(SMALL, blocks=2), [("dnn1", 0)], store, EMB)
 
     def test_extras_second_stage(self):
-        cfg = GridNetConfig(channels=1, extra_inputs=4, d=8, blocks=1, unfold_kernel=2, hidden=8, heads=2, n_freq=33)
         rng = np.random.default_rng(10)
         x, emb, ex = rand_spect(rng, 4, 33, 1), rng.standard_normal(128), rand_spect(rng, 4, 33, 2)
-        out = make_model(cfg, emb, seed=4, prefix="dnn2").forward(x, [ex])[0]
+        out = make_model(SMALL, emb, seed=4, prefix="dnn2", extra_inputs=4).forward(x, [ex])[0]
         assert out.shape == (4, 33)
 
 
 class TestTemporalModule:
     def test_zero_lstm_weights_zero_output(self):
-        cfg = GridNetConfig(channels=1, d=8, blocks=1, unfold_kernel=1, hidden=8, heads=2, n_freq=17)
+        cfg = GridNetConfig(channels=1, d=8, blocks=1, unfold_kernel=1, hidden=8, heads=2)
         store = seeded_init(weight_schema(cfg), 5)
         for part in ("w", "r", "b"):
             store[f"dnn1.block0.temporal.lstm.{part}"] = np.zeros(
                 store[f"dnn1.block0.temporal.lstm.{part}"].shape, np.float32
             )
-        model = MisoGridNet([(cfg, "dnn1")], store, EMB)
+        model = MisoGridNet(cfg, [("dnn1", 0)], store, EMB)
         x = np.random.default_rng(11).standard_normal((8, 6, 17)).astype(np.float32)
         assert_array_equal(temporal(model, x), 0)
 
@@ -341,7 +377,7 @@ class TestSpectralModule:
     def test_zero_weights(self):
         cfg = SMALL
         store = WeightStore({s.name: np.zeros(s.shape, np.float32) for s in weight_schema(cfg)})
-        model = MisoGridNet([(cfg, "dnn1")], store, EMB)
+        model = MisoGridNet(cfg, [("dnn1", 0)], store, EMB)
         x = np.random.default_rng(15).standard_normal((8, 4, 33)).astype(np.float32)
         assert_array_equal(spectral(model, x), 0)
 
@@ -349,9 +385,9 @@ class TestSpectralModule:
         # reversing the input along frequency, with fwd/bwd LSTMs swapped
         # (window-block-permuted) and deconv taps/halves mirrored, reverses
         # the output along frequency.
-        cfg = GridNetConfig(channels=1, d=4, blocks=1, unfold_kernel=2, hidden=4, heads=2, n_freq=9)
+        cfg, n_freq = GridNetConfig(channels=1, d=4, blocks=1, unfold_kernel=2, hidden=4, heads=2), 9
         base_store = seeded_init(weight_schema(cfg), 9)
-        model = MisoGridNet([(cfg, "dnn1")], base_store, EMB)
+        model = MisoGridNet(cfg, [("dnn1", 0)], base_store, EMB)
 
         d, h, i_k = cfg.d, cfg.hidden, cfg.unfold_kernel
 
@@ -371,9 +407,9 @@ class TestSpectralModule:
         k_orig = base_store[f"{pre}.deconv.w"]  # [2H, D, I]
         swapped = np.concatenate([k_orig[h:], k_orig[:h]], axis=0)
         mirror[f"{pre}.deconv.w"] = swapped[:, :, ::-1]
-        model_m = MisoGridNet([(cfg, "dnn1")], mirror, EMB)
+        model_m = MisoGridNet(cfg, [("dnn1", 0)], mirror, EMB)
 
-        x = np.random.default_rng(16).standard_normal((d, 3, cfg.n_freq)).astype(np.float32)
+        x = np.random.default_rng(16).standard_normal((d, 3, n_freq)).astype(np.float32)
         out = spectral(model, x)
         out_m = spectral(model_m, x[:, :, ::-1].copy())
         assert_allclose(out_m, out[:, :, ::-1], atol=1e-5)
@@ -390,9 +426,9 @@ class TestStreaming:
         assert np.abs(stepped - offline).max() <= 1e-5
 
     def test_matches_offline_with_extras(self):
-        cfg = GridNetConfig(channels=1, extra_inputs=4, d=8, blocks=1, unfold_kernel=3, hidden=8, heads=2, n_freq=33)
+        cfg = GridNetConfig(channels=1, d=8, blocks=1, unfold_kernel=3, hidden=8, heads=2)
         rng = np.random.default_rng(18)
-        model = make_model(cfg, rng.standard_normal(128), seed=11, prefix="dnn2")
+        model = make_model(cfg, rng.standard_normal(128), seed=11, prefix="dnn2", extra_inputs=4)
         x = rand_spect(rng, 9, 33, 1)
         ex = rand_spect(rng, 9, 33, 2)
         offline = model.forward(x, [ex])[0]
@@ -405,24 +441,25 @@ class TestStreaming:
 def shared_path_cases(draw, leaky=st.booleans()):
     """A small network, its weights and T frames of input, with cut points;
     ``leaky`` runs the case under the unmasked-attention mutant."""
+    extra_inputs = draw(st.sampled_from([0, 4]))
     cfg = GridNetConfig(
         channels=1,
-        extra_inputs=draw(st.sampled_from([0, 4])),
         d=4,
         blocks=draw(st.integers(1, 2)),
         unfold_kernel=draw(st.integers(1, 3)),  # 1 carries no history
         hidden=4,
         heads=draw(st.integers(1, 2)),
-        n_freq=draw(st.integers(3, 9)),
     )
+    n_freq = draw(st.integers(3, 9))
     t_len = draw(st.integers(1, 12))
     cuts = draw(st.lists(st.booleans(), min_size=t_len - 1, max_size=t_len - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    extras = rand_spect(rng, t_len, cfg.n_freq, 2) if cfg.extra_inputs else None
+    extras = rand_spect(rng, t_len, n_freq, 2) if extra_inputs else None
     return {
         "config": cfg,
-        "store": seeded_init(weight_schema(cfg), int(rng.integers(2**32))),
-        "x": rand_spect(rng, t_len, cfg.n_freq, 1),
+        "nets": [("dnn1", extra_inputs)],
+        "store": seeded_init(weight_schema(cfg, "dnn1", extra_inputs), int(rng.integers(2**32))),
+        "x": rand_spect(rng, t_len, n_freq, 1),
         "extras": extras,
         "emb": rng.standard_normal(128),
         "leaky": draw(leaky),
@@ -443,9 +480,9 @@ class TestSharedPath:
     @settings(max_examples=100)
     @given(case=shared_path_cases(leaky=st.just(False)))
     def test_chunked_run_matches_forward(self, case):
-        model = MisoGridNet([(case["config"], "dnn1")], case["store"], case["emb"])
+        model = MisoGridNet(case["config"], case["nets"], case["store"], case["emb"])
         x, ex = case["x"], case["extras"]
-        state = model.zero_state()
+        state = model.zero_state(x.shape[1])
         chunks = [
             model.forward(x[a:b], [None if ex is None else ex[a:b]], state)[0]
             for a, b in zip(case["bounds"], case["bounds"][1:])
@@ -457,7 +494,7 @@ class TestSharedPath:
     def test_stream_matches_forward(self, case, leaky_attention):
         # one query frame attends to past keys only whatever the mask, so the
         # stream under unmasked attention equals the causal forward
-        model = MisoGridNet([(case["config"], "dnn1")], case["store"], case["emb"])
+        model = MisoGridNet(case["config"], case["nets"], case["store"], case["emb"])
         x, ex = case["x"], case["extras"]
         stream = GridNetStream(model)
         with leaky_attention() if case["leaky"] else contextlib.nullcontext():
@@ -467,21 +504,63 @@ class TestSharedPath:
         assert_close_to_peak(stepped, model.forward(x, [ex])[0])
 
 
+class TestBinsFromInput:
+    """The input supplies the bin count: one model runs at any count its
+    unfold fits, and a state serves the count it was sized for."""
+
+    @settings(max_examples=30)
+    @given(
+        unfold_kernel=st.integers(1, 3),
+        more=st.integers(0, 40),
+        t_len=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_bin_count_from_the_unfold_up(self, unfold_kernel, more, t_len, seed):
+        cfg = GridNetConfig(channels=1, d=4, blocks=1, unfold_kernel=unfold_kernel, hidden=4, heads=2)
+        rng = np.random.default_rng(seed)
+        model = make_model(cfg, rng.standard_normal(128), seed=seed)
+        bins = unfold_kernel + more
+        x = rand_spect(rng, t_len, bins, 1)
+        offline = model.forward(x, [None])[0]
+        assert offline.shape == (t_len, bins)
+        stream = GridNetStream(model)
+        assert_close_to_peak(np.stack([stream.step(frame) for frame in x]), offline)
+        with pytest.raises(ValueError, match=f"bins must be >= {unfold_kernel}"):
+            model.zero_state(unfold_kernel - 1)
+        # a state sized for F bins refuses F + 1 before any of it moves
+        before = state_arrays(stream.state)
+        with pytest.raises(ValueError, match=f"a state of 1 networks over {bins} bins"):
+            stream.step(rand_spect(rng, 1, bins + 1, 1)[0])
+        after = state_arrays(stream.state)
+        assert len(after) == len(before)
+        for a, b in zip(after, before):
+            assert_array_equal(a, b)
+
+    def test_stream_takes_its_bins_from_the_first_frame(self):
+        stream = GridNetStream(make_model(GridNetConfig(channels=1, unfold_kernel=3)))
+        with pytest.raises(ValueError, match="bins must be >= 3, got 2"):
+            stream.step(np.zeros((2, 1), complex))
+        assert stream.state is None
+        stream.step(np.zeros((5, 1), complex))
+        assert stream.state["deconv_out"].shape[-1] == 5
+
+
 class TestAttentionCache:
     """The attention cache is one preallocated K and one V array per block,
     grown by doubling; growth must not change what the network computes."""
 
-    CFG = GridNetConfig(channels=1, d=4, blocks=2, unfold_kernel=2, hidden=4, heads=2, n_freq=9)
+    CFG = GridNetConfig(channels=1, d=4, blocks=2, unfold_kernel=2, hidden=4, heads=2)
+    BINS = 9
 
     def test_stream_across_growth(self):
         # 70 frames from a 16-row start: the cache doubles three times
         rng = np.random.default_rng(21)
         model = make_model(self.CFG, rng.standard_normal(128), seed=20)
-        x = rand_spect(rng, 70, self.CFG.n_freq, 1)
+        x = rand_spect(rng, 70, self.BINS, 1)
         stream = GridNetStream(model)
         stepped = np.stack([stream.step(x[t]) for t in range(len(x))])
         assert_close_to_peak(stepped, model.forward(x, [None])[0])
-        start = len(model._zero_block()["k"])
+        start = len(model._zero_block(self.BINS)["k"])
         for block in stream.state["blocks"]:
             assert block["frames"] == len(x)
             assert block["k"].dtype == block["v"].dtype == np.float32
@@ -491,8 +570,8 @@ class TestAttentionCache:
         # chunk ends 10, 20, 45, 70 each cross the capacity left by the last
         rng = np.random.default_rng(23)
         model = make_model(self.CFG, rng.standard_normal(128), seed=22)
-        x = rand_spect(rng, 70, self.CFG.n_freq, 1)
-        state = model.zero_state()
+        x = rand_spect(rng, 70, self.BINS, 1)
+        state = model.zero_state(self.BINS)
         bounds = [0, 10, 20, 45, 70]
         chunks = [model.forward(x[a:b], [None], state)[0] for a, b in zip(bounds, bounds[1:])]
         assert_close_to_peak(np.concatenate(chunks), model.forward(x, [None])[0])
@@ -511,9 +590,9 @@ class TestAttentionCache:
 
     def test_offline_fills_cache_in_one_write(self):
         rng = np.random.default_rng(25)
-        x = rand_spect(rng, 40, self.CFG.n_freq, 1)
+        x = rand_spect(rng, 40, self.BINS, 1)
         model = make_model(self.CFG, rng.standard_normal(128), seed=24)
-        state = model.zero_state()
+        state = model.zero_state(self.BINS)
         model.forward(x, [None], state)
         assert all(len(block["k"]) == block["frames"] == 40 for block in state["blocks"])
 
@@ -521,10 +600,10 @@ class TestAttentionCache:
     def test_nonfinite_frame_rejected_before_cache_write(self, bad):
         rng = np.random.default_rng(29)
         model = make_model(self.CFG, rng.standard_normal(128), seed=28)
-        state = model.zero_state()
-        model.forward(rand_spect(rng, 5, self.CFG.n_freq, 1), [None], state)
+        state = model.zero_state(self.BINS)
+        model.forward(rand_spect(rng, 5, self.BINS, 1), [None], state)
         before = [(b["frames"], b["k"].copy(), b["v"].copy()) for b in state["blocks"]]
-        frame = rand_spect(rng, 1, self.CFG.n_freq, 1)
+        frame = rand_spect(rng, 1, self.BINS, 1)
         frame[0, 3, 0] = bad
         with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
             model.forward(frame, [None], state)
@@ -537,11 +616,11 @@ class TestAttentionCache:
         # a finite input can still overflow inside the network; attention
         # checks its own projection before it writes a row
         model = make_model(self.CFG, seed=28)
-        block = model._zero_block()
-        x = np.zeros((self.CFG.d, 1, self.CFG.n_freq), np.float32)
+        block = model._zero_block(self.BINS)
+        x = np.zeros((self.CFG.d, 1, self.BINS), np.float32)
         x[0, 0, 3] = np.inf
         with pytest.raises(ValueError, match="dnn1.block0.attn: non-finite query"), np.errstate(invalid="ignore"):
-            gridnet._attention(x[None], model.blocks[0], block, model.configs[0])
+            gridnet._attention(x[None], model.blocks[0], block, model.config)
         assert block["frames"] == 0
 
     @pytest.mark.parametrize("bad", [np.nan, 1e39], ids=["nan", "float32_overflow"])
@@ -549,7 +628,7 @@ class TestAttentionCache:
         # 1e39 is finite as float64 but inf once cast to float32
         rng = np.random.default_rng(31)
         model = make_model(self.CFG, rng.standard_normal(128), seed=30)
-        x = rand_spect(rng, 6, self.CFG.n_freq, 1)
+        x = rand_spect(rng, 6, self.BINS, 1)
         clean, hit = GridNetStream(model), GridNetStream(model)
         expected = [clean.step(x[t]) for t in (0, 1, 3, 4, 5)]
         frame = x[2].copy()
@@ -563,10 +642,10 @@ class TestAttentionCache:
 
     def test_per_hop_memory_bounded_as_stream_ages(self):
         # a cache restacked on every hop reads 8.7x here
-        cfg = GridNetConfig(channels=1, blocks=1, n_freq=33)
+        cfg = GridNetConfig(channels=1, blocks=1)
         rng = np.random.default_rng(27)
         model = make_model(cfg, rng.standard_normal(128), seed=26)
-        x = rand_spect(rng, 250, cfg.n_freq, 1)
+        x = rand_spect(rng, 250, 33, 1)
         stream = GridNetStream(model)
         peaks = []
         tracemalloc.start()
@@ -579,7 +658,7 @@ class TestAttentionCache:
         finally:
             tracemalloc.stop()
         assert np.median(peaks[240:250]) <= 1.5 * np.median(peaks[20:30])
-        start = len(model._zero_block()["k"])
+        start = len(model._zero_block(33)["k"])
         for block in stream.state["blocks"]:
             assert set(block) == {"unfold", "lstm", "deconv", "k", "v", "frames"}
             assert block["frames"] == len(x)

@@ -18,6 +18,7 @@ from hearstream.gridnet import EMB_DIM, GridNetConfig, MisoGridNet, infer_config
 from hearstream.metrics import si_sdr
 from hearstream.pipeline import (
     MAX_ITERATIONS,
+    SECOND_STAGE_EXTRAS,
     PipelineConfig,
     RescaleState,
     StreamingEnhancer,
@@ -59,7 +60,7 @@ BAD_SETTINGS = [
 ]
 
 
-def no_state(model):
+def no_state(model, bins):
     """Stands in for ``MisoGridNet.zero_state`` where building state is a fault."""
     raise AssertionError("network state built for a bad input")
 
@@ -95,15 +96,17 @@ def offlined(cfg, store, emb, scene):
 
 
 class TestConfig:
-    def test_defaults(self, cfg):
+    def test_defaults(self, cfg, store, emb):
         assert cfg.iterations == 1
-        assert cfg.second_stage().extra_inputs == 4
-        assert cfg.second_stage().channels == cfg.model.channels
+        cascade = StreamingEnhancer(cfg, store, emb).cascade
+        assert cascade.nets == [("dnn1", 0), ("dnn2", SECOND_STAGE_EXTRAS)]
+        assert SECOND_STAGE_EXTRAS == 4
+        assert cascade.model == cfg.model  # one architecture, so one channel count
 
     def test_rejections(self, store, emb):
         with pytest.raises(ValueError):
             PipelineConfig(iterations=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # the bins come from the STFT, not the model
             PipelineConfig(model=GridNetConfig(n_freq=129))
         # the Wiener filter's range rule lives in CovarianceState, which
         # every engine builds
@@ -155,7 +158,7 @@ class TestWeights:
         assert not same_store(init_pipeline_weights(cfg, seed=1), store)
 
     def test_store_for_another_stft_builds_its_embedder(self):
-        cfg = PipelineConfig(model=GridNetConfig.toy(n_freq=SMALL_STFT.bins), stft=SMALL_STFT)
+        cfg = PipelineConfig(model=GridNetConfig.toy(), stft=SMALL_STFT)
         store = init_pipeline_weights(cfg, seed=0)
         embedder = SpeakerEmbedder(EmbedConfig(n_freq=SMALL_STFT.bins), store)
         spect = StreamingAnalyzer(SMALL_STFT).analyze(np.ones(160))
@@ -291,7 +294,7 @@ class TestEngine:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(MisoGridNet, "zero_state", no_state)
             with pytest.raises(ValueError, match="embedding"):
-                MisoGridNet([(cfg.model, "dnn1")], store, emb)
+                MisoGridNet(cfg.model, [("dnn1", 0)], store, emb)
             with pytest.raises(ValueError, match="embedding"):
                 StreamingEnhancer(cfg, store, emb)
             with pytest.raises(ValueError, match="embedding"):
@@ -515,8 +518,8 @@ class TestIterations:
         markers, started = [], []
         zero_state, forward = MisoGridNet.zero_state, MisoGridNet.forward
 
-        def marked_zero_state(model):
-            state = zero_state(model)
+        def marked_zero_state(model, bins):
+            state = zero_state(model, bins)
             state["marker"] = marker = Marker()
             markers.append((model.prefix, weakref.ref(marker)))
             return state
@@ -590,11 +593,11 @@ SMALL_STFT = StftConfig(win=64, hop=16)
 )
 def test_block_partition_bit_exact(channels, iterations, n, cuts, seed):
     cfg = PipelineConfig(
-        model=GridNetConfig.toy(channels=channels, n_freq=SMALL_STFT.bins),
+        model=GridNetConfig.toy(channels=channels),
         stft=SMALL_STFT,
         iterations=iterations,
     )
-    specs = weight_schema(cfg.model, "dnn1") + weight_schema(cfg.second_stage(), "dnn2")
+    specs = weight_schema(cfg.model, "dnn1") + weight_schema(cfg.model, "dnn2", SECOND_STAGE_EXTRAS)
     store = seeded_init(specs, seed)
     rng = np.random.default_rng(seed)
     emb = rng.standard_normal(EMB_DIM).astype(np.float32)
@@ -666,11 +669,11 @@ def test_lockstep_forward_equals_networks_one_at_a_time(channels, iterations, ho
     # their slices of that state: estimates and every network's slice of
     # the state the stack leaves, bit for bit
     cfg = PipelineConfig(
-        model=GridNetConfig.toy(channels=channels, n_freq=SMALL_STFT.bins),
+        model=GridNetConfig.toy(channels=channels),
         stft=SMALL_STFT,
         iterations=iterations,
     )
-    specs = weight_schema(cfg.model, "dnn1") + weight_schema(cfg.second_stage(), "dnn2")
+    specs = weight_schema(cfg.model, "dnn1") + weight_schema(cfg.model, "dnn2", SECOND_STAGE_EXTRAS)
     store = seeded_init(specs, seed)
     rng = np.random.default_rng(seed)
     emb = rng.standard_normal(EMB_DIM).astype(np.float32)
@@ -691,7 +694,7 @@ def test_lockstep_forward_equals_networks_one_at_a_time(channels, iterations, ho
         stacked = model.forward(frames, extras, state)
         assert stacked.shape == (n_net, t_len, SMALL_STFT.bins)
         for k, i in enumerate(members):
-            network = MisoGridNet([cascade.nets[i]], store, emb)
+            network = MisoGridNet(cascade.model, [cascade.nets[i]], store, emb)
             alone_out = network.forward(frames, [extras[k]], alone[k])
             assert np.array_equal(stacked[k], alone_out[0])
             assert same_state(network_state(state, k, n_net), alone[k])
@@ -701,10 +704,10 @@ def test_stack_rejects_another_models_state(cfg, store, emb):
     # a stack owns one state for all its networks; a lone network's state
     # is refused before any of it moves
     cascade = StreamingEnhancer(cfg, store, emb).cascade
-    (pair, _, _), lone = cascade.stacks[0], MisoGridNet(cascade.nets[:1], store, emb)
+    (pair, _, _), lone = cascade.stacks[0], MisoGridNet(cfg.model, cascade.nets[:1], store, emb)
     frames = np.zeros((1, cfg.stft.bins, cfg.model.channels), complex)
     extras = [None, np.zeros((1, cfg.stft.bins, 2), complex)]
-    state = lone.zero_state()
+    state = lone.zero_state(cfg.stft.bins)
     before = copy.deepcopy(state)
     with pytest.raises(ValueError, match=r"dnn1\+dnn2: a state of 1 networks"):
         pair.forward(frames, extras, state)
@@ -730,13 +733,13 @@ def test_each_cascade_builds_only_the_stacks_it_runs(cfg, store, emb, small_scen
     init, zero_state = MisoGridNet.__init__, MisoGridNet.zero_state
     sizes, states = [], []
 
-    def counted_init(model, nets, *args):
+    def counted_init(model, config, nets, *args):
         sizes.append(len(nets))
-        init(model, nets, *args)
+        init(model, config, nets, *args)
 
-    def counted_zero_state(model):
+    def counted_zero_state(model, bins):
         states.append(model)
-        return zero_state(model)
+        return zero_state(model, bins)
 
     x = small_scene.mixture
     with pytest.MonkeyPatch.context() as patch:
@@ -752,7 +755,7 @@ def test_each_cascade_builds_only_the_stacks_it_runs(cfg, store, emb, small_scen
     stacks = [model for model, _, _ in engine.cascade.stacks]
     assert len(sizes) == len(stacks) == -(-(1 + iterations) // 2)
     assert sum(sizes) == 1 + iterations and max(sizes) <= 2
-    assert sizes == [len(model.configs) for model in stacks]  # every build is a stack it runs
+    assert sizes == [len(model.planes) for model in stacks]  # every build is a stack it runs
     assert states == stacks  # each stack's state, built once
 
 
@@ -787,8 +790,8 @@ def test_derived_horizon_holds_for_every_geometry(win, ratio, hops, tail, cuts, 
     # lookahead = win // hop - 1 must put every predicted frame on its own
     # output position, whatever the window and the hop
     stft = StftConfig(win=win, hop=win // ratio)
-    cfg = PipelineConfig(model=GridNetConfig.toy(n_freq=stft.bins), stft=stft, iterations=2)
-    specs = weight_schema(cfg.model, "dnn1") + weight_schema(cfg.second_stage(), "dnn2")
+    cfg = PipelineConfig(model=GridNetConfig.toy(), stft=stft, iterations=2)
+    specs = weight_schema(cfg.model, "dnn1") + weight_schema(cfg.model, "dnn2", SECOND_STAGE_EXTRAS)
     store = seeded_init(specs, seed)
     rng = np.random.default_rng(seed)
     emb = rng.standard_normal(EMB_DIM).astype(np.float32)

@@ -107,7 +107,7 @@ def test_run_phase_stream_hop_counts():
     cfg = PipelineConfig()
     model = cfg.model
     nets = 1 + cfg.iterations
-    steps = model.blocks * (nets + model.n_freq - model.unfold_kernel + 1)
+    steps = model.blocks * (nets + cfg.stft.bins - model.unfold_kernel + 1)
     calls = 2 * nets + 1 + model.blocks * (nets + 6)
     assert (steps, calls) == (516, 21)
     store = init_pipeline_weights(cfg, seed=0)
