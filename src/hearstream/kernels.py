@@ -37,8 +37,12 @@ def prelu(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=x.dtype)
     if alpha.ndim == 1 and x.ndim > 1:
         alpha = alpha.reshape((-1,) + (1,) * (x.ndim - 1))
-    # equals np.where(x >= 0, x, alpha * x) for any finite alpha, without a mask
-    return np.maximum(x, 0) + alpha * np.minimum(x, 0)
+    # equals np.where(x >= 0, x, alpha * x) for any finite alpha, without a
+    # mask; made in one output array, plus one temporary of x's size
+    out = np.minimum(x, 0)
+    out *= alpha
+    out += np.maximum(x, 0)
+    return out
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -51,9 +55,9 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
 # -- convolution -------------------------------------------------------------
 
 
-# conv output frames and LSTM input projections are computed a slice at a
-# time, so a working buffer holds at most this many elements (or one frame's
-# or step's worth) however long the input is
+# every kernel that runs over frames or steps does so a slice at a time, so
+# its working buffers beyond the output hold about this many elements (or
+# one frame's, row's or step's worth) however long the input is
 _PATCH_BUDGET = 1 << 18
 
 
@@ -153,7 +157,9 @@ def conv_transpose1d(x: np.ndarray, kernel, bias) -> np.ndarray:
     Returns the full outputs [S, N, L + K - 1, C_out]; callers crop. out[o]
     sums x[i] * kernel[:, :, o - i], so out[o] depends only on inputs at
     positions i <= o (head crop keeps causality). The kernels are read
-    where they are.
+    where they are. The [S, rows * L, C_out * K] tap products are made and
+    added a slice of ``rows`` sequences at a time, ``rows`` keeping them
+    within ``_PATCH_BUDGET`` elements (at least one sequence).
     """
     x = np.asarray(x, dtype=np.float32)
     c_in, c_out, k = kernel[0].shape
@@ -166,14 +172,19 @@ def conv_transpose1d(x: np.ndarray, kernel, bias) -> np.ndarray:
         shapes = [kn.shape for kn in kernel]
         raise ValueError(f"conv_transpose1d: input {x.shape} vs kernels {shapes}")
     n, length = x.shape[1], x.shape[2]
-    y = np.empty((len(x), n * length, c_out * k), dtype=np.float32)
-    for xs, kn, ys in zip(x, kernel, y):
-        kn = np.asarray(kn, dtype=np.float32).reshape(c_in, c_out * k)
-        np.matmul(xs.reshape(n * length, c_in), kn, out=ys)
-    y = y.reshape(len(x), n, length, c_out, k)
     out = np.zeros((len(x), n, length + k - 1, c_out), dtype=np.float32)
-    for tap in range(k):
-        out[:, :, tap : tap + length] += y[..., tap]
+    size = length * c_out * k  # tap products per sequence
+    rows = max(1, min(n, _PATCH_BUDGET // max(1, len(x) * size)))
+    buf = np.empty((len(x), rows * size), dtype=np.float32)
+    kernel = [np.asarray(kn, dtype=np.float32).reshape(c_in, c_out * k) for kn in kernel]
+    for n0 in range(0, n, rows):
+        m = min(rows, n - n0)
+        y = buf[:, : m * size].reshape(len(x), m * length, c_out * k)
+        for xs, kn, ys in zip(x[:, n0 : n0 + m], kernel, y):
+            np.matmul(xs.reshape(m * length, c_in), kn, out=ys)
+        y = y.reshape(len(x), m, length, c_out, k)
+        for tap in range(k):
+            out[:, n0 : n0 + m, tap : tap + length] += y[..., tap]
     out += np.asarray(bias, dtype=np.float32)[:, None, None]
     return out
 
@@ -192,24 +203,48 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     frame's output depends on another frame. gamma and beta have shape
     [D, 1, 1]. A stack of maps [S, D, T, F] is normalized map by map, with
     gamma and beta of shape [S, D, 1, 1].
+
+    Frames go a slice of ``rows`` at a time, ``rows`` keeping a slice's
+    float64 deviations, made in place, within about ``_PATCH_BUDGET``
+    elements. A slice holds at least two frames unless the map has one:
+    NumPy sums a lone contiguous frame's channels and bins as one run, not
+    per channel as in a wider slice, so a last frame left over joins the
+    slice before it.
     """
     if x.ndim not in (3, 4) or x.shape[-3] == 0 or x.shape[-1] == 0:
         raise ValueError(
             f"layer_norm: expected a [D, T, F] map or a stack of them with D, F >= 1, got {x.shape}"
         )
-    x64 = np.asarray(x, dtype=np.float64)
-    y = x64 - x64.mean(axis=(-3, -1), keepdims=True)
+    x, gamma, beta = np.asarray(x), np.asarray(gamma), np.asarray(beta)
+    t_len = x.shape[-2]
+    rows = max(2, _PATCH_BUDGET // max(1, x.size // max(t_len, 1)))
+    starts = list(range(0, t_len, rows))
+    if len(starts) > 1 and t_len - starts[-1] == 1:
+        starts.pop()
+    if len(starts) <= 1:
+        return _layer_norm_frames(x, gamma, beta)
+    out = np.empty(x.shape, dtype=np.float32)
+    for t0, t1 in zip(starts, starts[1:] + [t_len]):
+        out[..., t0:t1, :] = _layer_norm_frames(x[..., t0:t1, :], gamma, beta)
+    return out
+
+
+def _layer_norm_frames(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``layer_norm`` over all frames of x at once."""
+    y = x.astype(np.float64)
+    y -= y.mean(axis=(-3, -1), keepdims=True)
     # the mean of the squared deviations, as np.var computes it
     y /= np.sqrt(np.mean(y * y, axis=(-3, -1), keepdims=True) + _LN_EPS)
-    out = np.asarray(gamma) * y.astype(np.float32) + np.asarray(beta)
-    return out.astype(np.float32, copy=False)
+    return (gamma * y.astype(np.float32) + beta).astype(np.float32, copy=False)
 
 
 def film(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Feature-wise linear modulation: channel d of x[D, T, F] scaled by
     gamma[d] and shifted by beta[d], where (gamma, beta) are the conditioning
     vector's projections. A stack x[S, D, T, F] takes gamma and beta [S, D]."""
-    return (gamma[..., None, None] * x + beta[..., None, None]).astype(np.float32, copy=False)
+    out = gamma[..., None, None] * x
+    out += beta[..., None, None]
+    return out.astype(np.float32, copy=False)
 
 
 # -- recurrent and attention layers ------------------------------------------
@@ -248,20 +283,25 @@ def lstm_forward(
     The gates live gate-major, [4, n_dir, N, H], so each is one contiguous
     slice over every direction. A step does one batched matmul of h, viewed
     [n_dir, 1, N, H], by the recurrence as [n_dir, 4, H, H] blocks, adds its
-    projections, and writes h into the [T + 1, n_dir, N, H] history the next
-    step reads. The blocks are C-contiguous copies of r's gate rows, built in
-    one pass per call; a step runs faster on them than on transposed views,
-    but BLAS may sum in another order than h @ r.T, moving the last bits.
-    Each direction's step is its own slice of those matmuls and elementwise
+    projections, and writes h into the next row of a chunk's history. The
+    blocks are C-contiguous copies of r's gate rows, built in one pass per
+    call; a step runs faster on them than on transposed views, but BLAS may
+    sum in another order than h @ r.T, moving the last bits. Each
+    direction's step is its own slice of those matmuls and elementwise
     passes, so a direction's output does not depend on the others it runs
-    beside. The input projections fill one [ceil(T/d), 4, n_dir, N, H]
-    buffer, d being the directions per input, so a pass covers 1/d of each
-    sequence: a forward direction reads the first half while its backward
-    one reads the second, then the halves swap. They are made and scattered
-    in chunks of at most ``_PATCH_BUDGET`` elements (or one step), so a
-    direction's projections come from the same products in a stack as
-    alone. A bidirectional call thus never holds a direction's full
-    projections, and no call holds a stacked copy of the input weights.
+    beside.
+
+    Steps run in chunks of ``max(1, _PATCH_BUDGET // (N * 4H))``, every
+    direction taking the same chunk of its own steps (a reversed one from
+    the far end). Just before a chunk's steps run, each direction's input
+    projections are made for them into one [steps, 4, n_dir, N, H] buffer;
+    just after, the chunk's [steps + 1, n_dir, N, H] history of h is copied
+    into the output, and its last row, with c, carries into the next chunk.
+    So a call holds the buffers of one chunk, not of the sequence: a long
+    sequence costs no more scratch than a chunk, and a stream hop, whose
+    steps fit in one chunk, runs as a single one. x is read one chunk of
+    steps at a time, so it may be a strided view of overlapping windows.
+    No call holds a stacked copy of the input weights.
 
     The i, f and o gates use sigmoid(z) = 0.5 * (1 + tanh(z / 2)). Their
     pre-activations are halved on the way in (exact in floating point), so
@@ -316,36 +356,36 @@ def lstm_forward(
     sig, g_o, ic, gf, c = z[1:4], z[2], z[3:], z[:2], z[4]
     prod = np.empty_like(ic)
     ig, cf = prod
-    # row s + 1 holds h after step s, row 0 the initial h; h_in views the
-    # rows as the [direction, 1, N, H] left operand of the matmul
-    hist = np.empty((t_len + 1, n_dir, n, h_size), dtype=np.float32)
+    steps = max(1, min(t_len, _PATCH_BUDGET // max(1, n * four_h)))  # per chunk
+    # each step of a chunk adds one contiguous [4, direction, N, H] slab of
+    # projections and writes h into its history row: row j + 1 holds h after
+    # the chunk's step j, row 0 h before its first; h_in views the rows as
+    # the [direction, 1, N, H] left operand of the matmul
+    buf = np.empty((steps, 4, n_dir, n, h_size), dtype=np.float32)
+    tmp = np.empty((steps * n, four_h), dtype=np.float32)
+    hist = np.empty((steps + 1, n_dir, n, h_size), dtype=np.float32)
     h_in = hist[:, :, None]
     hist[0] = c[...] = 0
     if state is not None:
         hist[0, 0], c[0] = (np.asarray(s, dtype=np.float32) for s in state)
     per = n_dir // len(x)  # directions per input
-    span = max(1, -(-t_len // per))  # steps per pass
-    # each step adds one contiguous [4, direction, N, H] slab of projections
-    buf = np.empty((span, 4, n_dir, n, h_size), dtype=np.float32)
-    chunk = max(1, min(span, _PATCH_BUDGET // max(1, n * four_h)))
-    tmp = np.empty((chunk * n, four_h), dtype=np.float32)
-    for start in range(0, t_len, span):
-        steps = min(span, t_len - start)
-        for k, (s, dw, _, db, rev) in enumerate(dirs):
-            for s0 in range(0, steps, chunk):
-                m = min(chunk, steps - s0)
-                # direction k takes its step s at position s, or t_len-1-s reversed
-                lo = t_len - start - s0 - m if rev else start + s0
-                seg = x[s, :, lo : lo + m].transpose(1, 0, 2)
-                seg = np.ascontiguousarray(seg[::-1] if rev else seg).reshape(m * n, d_in)
-                proj = tmp[: m * n]
-                np.matmul(seg, dw.T, out=proj)
-                proj += db
-                proj *= half
-                by_gate = proj.reshape(m, n, 4, h_size).transpose(2, 0, 1, 3)
-                for j, gate in enumerate(order):
-                    buf[s0 : s0 + m, j, k] = by_gate[gate]
-        for h_prev, h_next, xw in zip(h_in[start:], hist[start + 1 :], buf[:steps]):
+    out = np.empty((len(x), n, t_len, per * h_size), dtype=np.float32)
+    for start in range(0, t_len, steps):
+        m = min(steps, t_len - start)
+        # direction k takes its step j at position j, or t_len-1-j reversed,
+        # so a reversed chunk covers positions lo..lo+m-1 from the far end
+        at = [t_len - start - m if rev else start for *_, rev in dirs]
+        for k, ((s, dw, _, db, rev), lo) in enumerate(zip(dirs, at)):
+            seg = x[s, :, lo : lo + m].transpose(1, 0, 2)
+            seg = np.ascontiguousarray(seg[::-1] if rev else seg).reshape(m * n, d_in)
+            proj = tmp[: m * n]
+            np.matmul(seg, dw.T, out=proj)
+            proj += db
+            proj *= half
+            by_gate = proj.reshape(m, n, 4, h_size).transpose(2, 0, 1, 3)
+            for j, gate in enumerate(order):
+                buf[:m, j, k] = by_gate[gate]
+        for h_prev, h_next, xw in zip(h_in, hist[1 : m + 1], buf[:m]):
             np.matmul(h_prev, rt, gates_by_dir)
             np.add(gates, xw, gates)
             np.tanh(gates, gates)
@@ -355,15 +395,14 @@ def lstm_forward(
             np.add(ig, cf, c)
             np.tanh(c, cf)
             np.multiply(g_o, cf, h_next)
-    buf = tmp = proj = by_gate = xw = None  # free the projections before the output is made
-    out = np.empty((len(x), n, t_len, per * h_size), dtype=np.float32)
-    for k, (s, _, _, _, rev) in enumerate(dirs):
-        steps_k = hist[:0:-1, k] if rev else hist[1:, k]
-        lo = (k % per) * h_size
-        out[s, :, :, lo : lo + h_size] = steps_k.transpose(1, 0, 2)
+        for k, ((s, *_, rev), lo) in enumerate(zip(dirs, at)):
+            steps_k = hist[m:0:-1, k] if rev else hist[1 : m + 1, k]
+            col = (k % per) * h_size
+            out[s, :, lo : lo + m, col : col + h_size] = steps_k.transpose(1, 0, 2)
+        hist[0] = hist[m]
     if stacked:
         return out
-    h, c = hist[t_len, 0].copy(), c[0].copy()
+    h, c = hist[0, 0].copy(), c[0].copy()
     return out[0] if state is None else (out[0], (h, c))
 
 
@@ -376,12 +415,18 @@ def masked_attention(
 ) -> np.ndarray:
     """Scaled dot-product attention over time with a causal mask.
 
-    q: [Tq, heads * E]; k: [Tk, heads * E]; v: [Tk, heads * Dv]. The queries
-    are the last Tq frames of the key timeline, and each sees keys up to its
-    own frame: per head softmax(Q Kᵀ / sqrt(E)) V, later keys masked.
-    Softmax runs in float64 with max subtraction; its weights are cast to
-    float32 for the value product, so v is never copied to float64. k and v
-    may be row slices of a larger cache. Returns [Tq, heads * Dv].
+    q: [Tq, heads * E]; k: [Tk, heads * E]; v: [Tk, heads * Dv], Tk >= Tq.
+    The queries are the last Tq frames of the key timeline, and each sees
+    keys up to its own frame: per head softmax(Q Kᵀ / sqrt(E)) V, later keys
+    masked. Softmax runs in float64 with max subtraction; its weights are
+    cast to float32 for the value product, so v is never copied to float64.
+    k and v may be row slices of a larger cache. Returns [Tq, heads * Dv].
+
+    Query rows go a chunk of ``rows`` at a time, ``rows`` keeping the
+    [heads, rows, Tk] scores within ``_PATCH_BUDGET`` elements (at least one
+    row). Each row is its own softmax, so the chunks change no value (Rabe
+    and Staats 2021, arXiv 2112.05682), and a call never holds the
+    [heads, Tq, Tk] scores.
     """
     q, k, v = (np.asarray(a, dtype=np.float32) for a in (q, k, v))
     t_q, dq = q.shape
@@ -391,18 +436,27 @@ def masked_attention(
             f"masked_attention: q {q.shape}, k {k.shape} and v {v.shape} do not fit {heads} "
             "heads: k needs q's width, v k's frames, and both widths a multiple of heads"
         )
+    if t_k < t_q:
+        raise ValueError(
+            f"masked_attention: q {q.shape} has more frames than k {k.shape}: the queries "
+            "are the last frames of the key timeline"
+        )
     e = dq // heads
     dv = v.shape[1] // heads
     qh = q.reshape(t_q, heads, e).transpose(1, 0, 2)
-    kh = k.reshape(t_k, heads, e).transpose(1, 0, 2)
+    kt = k.reshape(t_k, heads, e).transpose(1, 2, 0)  # [heads, E, Tk]
     vh = v.reshape(t_k, heads, dv).transpose(1, 0, 2)
-
-    scores = (qh @ kh.transpose(0, 2, 1)).astype(np.float64) / np.sqrt(e)
-    # key strictly in the future of the query gets zero weight
-    future = np.arange(t_k)[None, :] > np.arange(t_q)[:, None] + (t_k - t_q)
-    scores[:, future] = -np.inf
-    scores -= scores.max(axis=2, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=2, keepdims=True)
-    out = weights.astype(np.float32) @ vh
-    return out.transpose(1, 0, 2).reshape(t_q, heads * dv)
+    out = np.empty((t_q, heads, dv), dtype=np.float32)
+    rows = max(1, min(t_q, _PATCH_BUDGET // max(1, heads * t_k)))
+    keys = np.arange(t_k)
+    for r0 in range(0, t_q, rows):
+        r1 = min(t_q, r0 + rows)
+        scores = (qh[:, r0:r1] @ kt).astype(np.float64)
+        scores /= np.sqrt(e)
+        # key strictly in the future of the query (at key frame i + Tk - Tq) gets zero weight
+        scores[:, keys > np.arange(r0, r1)[:, None] + (t_k - t_q)] = -np.inf
+        scores -= scores.max(axis=2, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=2, keepdims=True)
+        out[r0:r1] = (scores.astype(np.float32) @ vh).transpose(1, 0, 2)
+    return out.reshape(t_q, heads * dv)

@@ -158,6 +158,8 @@ class TestUnfoldWindows:
         got = gridnet._unfold_windows(seq, width)
         assert got.shape == expect.shape
         assert got.tobytes() == np.ascontiguousarray(expect).tobytes()
+        # a read-only view of seq: the width-fold copy is never made
+        assert np.shares_memory(got, seq) and not got.flags.writeable
 
 
 class TestStackRi:
@@ -325,6 +327,11 @@ class TestForward:
         store = seeded_init(weight_schema(SMALL), 0)
         with pytest.raises(KeyError):
             MisoGridNet(replace(SMALL, blocks=2), [("dnn1", 0)], store, EMB)
+
+    def test_empty_network_list(self):
+        # named before any weight is looked up: the store here holds none
+        with pytest.raises(ValueError, match="the network list is empty"):
+            MisoGridNet(SMALL, [], WeightStore({}), EMB)
 
     def test_extras_second_stage(self):
         rng = np.random.default_rng(10)

@@ -1,10 +1,11 @@
 """Tensor kernels and the weight container."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -518,8 +519,15 @@ class TestLayerNorm:
         assert_array_equal(y[:, :4], yp[:, :4])
 
     @pytest.mark.parametrize("shape", [(16, 1, 257), (128, 1, 257), (16, 128, 257), (3, 5, 7)])
-    def test_equals_mean_and_var_formula(self, shape):
-        # the statistics as np.mean and np.var compute them, bit for bit
+    @settings(max_examples=12)
+    @given(frames=st.integers(0, 9), extra=st.integers(0, 20))
+    @example(frames=2, extra=0)  # (3, 5, 7) in slices of 2 and 3 frames
+    @example(frames=0, extra=0)  # a budget below one frame: slices of two
+    def test_equals_mean_and_var_formula(self, shape, frames, extra):
+        # the statistics as np.mean and np.var compute them, bit for bit,
+        # whatever the slices: a budget of about ``frames`` frames gives
+        # slices of at least two of them unless the map has one frame, a
+        # lone last frame joining the slice before it
         rng = np.random.default_rng(8)
         x = (rng.standard_normal(shape) * 3 + 1).astype(np.float32)
         g, b = (rng.standard_normal((shape[0], 1, 1)).astype(np.float32) for _ in range(2))
@@ -527,7 +535,10 @@ class TestLayerNorm:
         mu = x64.mean(axis=(0, 2), keepdims=True)
         var = x64.var(axis=(0, 2), keepdims=True)
         ref = (g * ((x64 - mu) / np.sqrt(var + 1e-5)).astype(np.float32) + b).astype(np.float32)
-        assert_array_equal(layer_norm(x, g, b), ref)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_PATCH_BUDGET", frames * shape[0] * shape[2] + extra)
+            got = layer_norm(x, g, b)
+        assert_array_equal(got, ref)
 
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -768,20 +779,30 @@ class TestLstmReference:
         d_in=st.integers(1, 6),
         h=st.integers(1, 6),
         mode=st.sampled_from(["forward", "bidirectional", "state"]),
+        # chunks of N * 4H * (budget // (N * 4H)) elements: from one step
+        # (any budget below N * 4H) to the whole sequence
+        budget=st.integers(1, 1000),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_float64_textbook_recurrence(self, n, t_len, d_in, h, mode, seed):
+    # N * 4H = 16: one step per chunk splitting a bidirectional call; chunks
+    # of two steps carrying a given state; no steps at all
+    @example(n=2, t_len=7, d_in=3, h=2, mode="bidirectional", budget=16, seed=1)
+    @example(n=2, t_len=7, d_in=3, h=2, mode="state", budget=40, seed=2)
+    @example(n=2, t_len=0, d_in=3, h=2, mode="state", budget=1, seed=3)
+    def test_matches_float64_textbook_recurrence(self, n, t_len, d_in, h, mode, budget, seed):
         rng = np.random.default_rng(seed)
         weights = [_lstm_weights(rng, d_in, h) for _ in range(2)]
         x = rng.standard_normal((n, t_len, d_in)).astype(np.float32)
         zero = np.zeros((n, h), np.float32)
         h0, c0 = (rng.standard_normal((n, h)).astype(np.float32) for _ in range(2))
-        if mode == "bidirectional":
-            out = lstm_forward(x, *weights[0], backward=weights[1])
-        elif mode == "state":
-            out, (h_t, c_t) = lstm_forward(x, *weights[0], state=(h0, c0))
-        else:
-            out = lstm_forward(x, *weights[0])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_PATCH_BUDGET", budget)
+            if mode == "bidirectional":
+                out = lstm_forward(x, *weights[0], backward=weights[1])
+            elif mode == "state":
+                out, (h_t, c_t) = lstm_forward(x, *weights[0], state=(h0, c0))
+            else:
+                out = lstm_forward(x, *weights[0])
         assert out.shape == (n, t_len, (2 if mode == "bidirectional" else 1) * h)
         for k in range(n):
             start = (h0[k], c0[k]) if mode == "state" else (zero[k], zero[k])
@@ -889,14 +910,32 @@ class TestMaskedAttention:
         with pytest.raises(ValueError, match=rf"masked_attention: {shapes} do not fit {heads} heads"):
             masked_attention(q, k, v, heads=heads)
 
-    def test_float32_value_product_long_cache(self):
+    @pytest.mark.parametrize("t_q, t_k", [(3, 2), (1, 0)])
+    def test_more_queries_than_keys_named(self, t_q, t_k):
+        # the queries are the last frames of the key timeline, so they need
+        # at least as many key frames
+        q = np.zeros((t_q, 4), np.float32)
+        k, v = np.zeros((t_k, 4), np.float32), np.zeros((t_k, 6), np.float32)
+        shapes = rf"q \({t_q}, 4\) has more frames than k \({t_k}, 4\)"
+        with pytest.raises(ValueError, match=rf"masked_attention: {shapes}"):
+            masked_attention(q, k, v, heads=2)
+
+    @settings(max_examples=12)
+    # one query row per chunk (any budget below heads * Tk = 1000) up to
+    # every row in one
+    @given(budget=st.integers(1, 4000))
+    @example(budget=1)
+    @example(budget=1 << 18)
+    def test_float32_value_product_long_cache(self, budget):
         # softmax weights in float64, value product in float32
         rng = np.random.default_rng(22)
         t_k, heads, dv = 500, 2, 64
         q = rng.standard_normal((t_k, heads * 4)).astype(np.float32)
         k = rng.standard_normal((t_k, heads * 4)).astype(np.float32)
         v = rng.standard_normal((t_k, heads * dv)).astype(np.float32)
-        out = masked_attention(q, k, v, heads=heads)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_PATCH_BUDGET", budget)
+            out = masked_attention(q, k, v, heads=heads)
         # the kernel's float64 softmax of its float32 scores, over keys up to the query
         qh, kh = (a.reshape(t_k, heads, 4).transpose(1, 0, 2) for a in (q, k))
         scores = (qh @ kh.transpose(0, 2, 1)).astype(np.float64) / np.sqrt(4)
@@ -908,3 +947,42 @@ class TestMaskedAttention:
         assert np.abs(out - ref).max() <= 1e-6
         last = masked_attention(q[-1:], k, v, heads=heads)
         assert np.abs(last - ref[-1:]).max() <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# scratch memory of an offline call
+
+
+def _traced_scratch(fn, *args, **kw) -> int:
+    """Bytes traced at the peak of fn(*args, **kw) beyond the array it returns."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = out[0] if isinstance(out, tuple) else out
+    return peak - base - out.nbytes
+
+
+@pytest.mark.parametrize("kernel", ["lstm_forward", "masked_attention"])
+def test_offline_scratch_does_not_grow_with_frames(kernel):
+    # the small GridNet geometry (D = 8, I = 2, H = 8, two heads of E = 2
+    # and Dv = 4) over 33 bins: the temporal LSTM's call over T frames, and
+    # attention's over T queries and keys; a call's buffers are one chunk's
+    rng = np.random.default_rng(30)
+    bins, hidden, heads = 33, 8, 2
+    weights = _lstm_weights(rng, 16, hidden)
+    scratch = []
+    for t_len in (500, 2000):
+        if kernel == "lstm_forward":
+            x = rng.standard_normal((bins, t_len, 16)).astype(np.float32)
+            state = (np.zeros((bins, hidden), np.float32),) * 2
+            scratch.append(_traced_scratch(lstm_forward, x, *weights, state=state))
+        else:
+            q, k = rng.standard_normal((2, t_len, heads * bins * 2)).astype(np.float32)
+            v = rng.standard_normal((t_len, heads * bins * 4)).astype(np.float32)
+            scratch.append(_traced_scratch(masked_attention, q, k, v, heads=heads))
+    short, long = scratch
+    assert short > 0 and abs(long - short) <= 0.1 * short, scratch

@@ -271,6 +271,15 @@ class TestEngine:
         scale = float(np.sqrt(np.mean(offlined**2)))
         assert np.max(np.abs(streamed - offlined)) <= 1e-4 * scale
 
+    def test_offline_independent_of_the_scratch_budget(self, cfg, store, emb, scene, offlined):
+        # a budget of one element: every LSTM runs one step per chunk, every
+        # attention call one query row, every layer norm two frames, so each
+        # call over this scene's frames splits
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_PATCH_BUDGET", 1)
+            split = enhance_offline(scene.mixture, cfg, store, emb)
+        assert np.max(np.abs(split - offlined)) <= 1e-5 * np.max(np.abs(offlined))
+
     def test_deterministic(self, cfg, store, emb, scene, streamed):
         again = StreamingEnhancer(cfg, store, emb).process(scene.mixture)
         assert np.array_equal(again, streamed)
